@@ -25,7 +25,7 @@ from .bicliques import find_dominating_biclique
 from .decompose import decompose_type_a, is_type_a
 from .digraph import Digraph, UGraph, induced_subdigraph, underlying
 from .enumeration import (
-    all_bipartite_digraphs,
+    classify_all_qbmgs,
     classify_qbmgs,
     cycle_template,
     orientations_of,
@@ -226,7 +226,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         result = classify_qbmgs(orientations_of(template))
         label = args.underlying
     else:
-        result = classify_qbmgs(all_bipartite_digraphs(args.all))
+        if args.all < 0:
+            raise ParseError(f"--all needs a vertex count of at least 0, got {args.all}")
+        result = classify_all_qbmgs(args.all)
         label = f"all:{args.all}"
     classes = [
         {"code": form.code.hex(), "dgf": dgf.format_dgf(rep)}

@@ -409,17 +409,22 @@ def _pack_levels(n: int, levels: Sequence[int]) -> bytes:
     return bytes([n]) + acc.to_bytes((bits + 7) // 8 or 1, "big")
 
 
-def identity_levels(g: Digraph) -> tuple[int, ...]:
-    """Layered border encoding of the graph under its own vertex order."""
-    rows = g.out_masks
-    cols = g.in_masks
+def border_levels(n: int, rows: Sequence[int], cols: Sequence[int]) -> tuple[int, ...]:
+    """Layered border encoding of out/in masks under the identity vertex order;
+    it determines the edge set, so distinct edge sets never tie."""
     out: list[int] = []
-    for k in range(g.n):
+    for k in range(n):
+        rk, ck = rows[k], cols[k]
         border = 0
         for p in range(k):
-            border = (border << 2) | ((rows[k] >> p & 1) << 1) | (cols[k] >> p & 1)
+            border = (border << 2) | ((rk >> p & 1) << 1) | (ck >> p & 1)
         out.append(border)
     return tuple(out)
+
+
+def identity_levels(g: Digraph) -> tuple[int, ...]:
+    """Layered border encoding of the graph under its own vertex order."""
+    return border_levels(g.n, g.out_masks, g.in_masks)
 
 
 def canonical_form(g: Digraph) -> CanonicalForm:

@@ -1,19 +1,23 @@
 """Exhaustive generation and isomorphism classification of small bipartite
 digraphs, plus the aggregated verification report.
 
-Two generators cover the use cases: ``orientations_of`` walks the 3^m
-direction assignments over a fixed undirected template (used for the
-classification counts), and ``all_bipartite_digraphs`` walks every coloring
-and every per-pair edge state (used for the small-n sweeps).  The callback
-runner ``run_mask_sweep`` is the allocation-free variant of the latter for
-the million-graph sweeps.
+``orientations_of`` walks the 3^m direction assignments over a fixed
+undirected template and feeds ``classify_qbmgs``, which canonicalizes every
+recognized graph (used for the template counts and ``verify``).
+``run_mask_sweep`` walks every per-pair edge state of one coloring over
+reused bitmasks, without building graphs; ``classify_all_qbmgs`` drives it
+over every coloring and canonicalizes only the first recognized edge set of
+each isomorphism class, marking the rest of that class seen through its
+vertex-permutation orbit.  ``all_bipartite_digraphs`` yields the same labeled
+graphs as ``Digraph`` values for small-n checks and as the reference that
+tests compare ``classify_all_qbmgs`` against.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import fixtures
@@ -22,10 +26,14 @@ from .digraph import (
     CanonicalForm,
     Digraph,
     UGraph,
+    border_levels,
     build_ugraph,
     canonical_form,
+    default_names,
     identity_levels,
     induced_subdigraph,
+    infer_bipartition,
+    iter_bits,
     underlying,
     ugraph_canonical_form,
 )
@@ -122,7 +130,12 @@ def run_mask_sweep(
         out[v] &= ~ubit
         inn[u] &= ~vbit
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        # rec's closure refers to rec itself; without this the cycle keeps
+        # visit and everything it closes over alive until a full collection
+        del rec
     return count
 
 
@@ -179,6 +192,59 @@ def classify_qbmgs(
         (CanonicalForm(code), buckets[code]) for code in sorted(buckets)
     )
     return ClassificationResult(classes, total)
+
+
+def classify_all_qbmgs(n: int) -> ClassificationResult:
+    """The classification of ``classify_qbmgs(all_bipartite_digraphs(n))``,
+    with one canonical form per class instead of one per recognized graph.
+
+    Every coloring is swept on masks and ``total_filtered`` counts each
+    recognized (coloring, edge set) pair.  The first recognized edge set of a
+    class is canonicalized; all n! relabelings of it are then marked seen, so
+    later members cost a set lookup.  The witness is the relabeling with the
+    least identity levels, colored by ``infer_bipartition``: the first valid
+    coloring in sweep order, as the reference keeps on ties.
+    """
+    if n > ENUM_MAX_VERTICES:
+        raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
+    names = default_names(n)
+    # each vertex permutation with the image of every vertex bitmask under it
+    relabelings: list[tuple[tuple[int, ...], list[int]]] = []
+    for perm in permutations(range(n)):
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        relabelings.append((perm, image))
+    seen: set[tuple[int, ...]] = set()
+    classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
+    total = 0
+
+    def visit(out: list[int], inn: list[int]) -> None:
+        nonlocal total
+        if not is_qbmg_masks(n, out, inn):
+            return
+        total += 1
+        if tuple(out) in seen:
+            return
+        orbit = []
+        for perm, image in relabelings:
+            rows = [0] * n
+            cols = [0] * n
+            for v in range(n):
+                rows[perm[v]] = image[out[v]]
+                cols[perm[v]] = image[inn[v]]
+            seen.add(tuple(rows))
+            orbit.append((border_levels(n, rows, cols), rows))
+        rows = min(orbit)[1]
+        edges = [(u, v) for u in range(n) for v in iter_bits(rows[u])]
+        rep = Digraph(n=n, colors=infer_bipartition(n, edges), edges=frozenset(edges), names=names)
+        form = canonical_form(rep)
+        classes[form.code] = (form, rep)
+
+    for colors in product((0, 1), repeat=n):
+        run_mask_sweep(colors, visit)
+    return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,31 @@ def test_enumerate_all_three_vertices(capsys):
     assert payload["total_filtered"] == 98
 
 
+def test_enumerate_all_zero_vertices(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--all", "0")
+    assert code == 0
+    assert out == "classes: 1\nfiltered: 1\n\ndigraph\n"
+
+
+@pytest.mark.parametrize("n", ["-1", "-7"])
+def test_enumerate_all_negative_is_bad_input(capsys, n):
+    code, out, err = run_cli(capsys, "enumerate", "--all", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --all needs a vertex count of at least 0, got {n}\n"
+
+
+def test_enumerate_all_too_large_is_bad_input(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr("qbmg.enumeration.run_mask_sweep", fail)
+    code, out, err = run_cli(capsys, "enumerate", "--all", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enumerate_requires_one_mode(capsys):
     code, _, err = run_cli(capsys, "enumerate")
     assert code == 2

@@ -1,13 +1,24 @@
+import gc
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
+import qbmg.enumeration
 from qbmg.axioms import recognize
+from qbmg.cli import main
+from qbmg.dgf import format_dgf
 from qbmg.digraph import build_ugraph, canonical_form, ugraphs_isomorphic, underlying
 from qbmg.enumeration import (
     all_bipartite_digraphs,
+    classify_all_qbmgs,
     classify_qbmgs,
     cycle_template,
     orientations_of,
     path_template,
+    run_mask_sweep,
     verify_paper_counts,
 )
 from qbmg.errors import TooLarge
@@ -36,6 +47,57 @@ def test_all_bipartite_digraph_counts():
 def test_all_bipartite_digraphs_too_large():
     with pytest.raises(TooLarge):
         next(all_bipartite_digraphs(7))
+    with pytest.raises(TooLarge):
+        classify_all_qbmgs(7)
+
+
+def test_run_mask_sweep_leaves_no_garbage():
+    def visit(out, inn):
+        pass
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run_mask_sweep((0, 1, 1), visit) == 16
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_classify_all_matches_labeled_reference(n):
+    fast = classify_all_qbmgs(n)
+    ref = classify_qbmgs(all_bipartite_digraphs(n))
+    assert fast.total_filtered == ref.total_filtered
+    assert [form.code for form, _ in fast.classes] == [form.code for form, _ in ref.classes]
+    assert [format_dgf(g) for _, g in fast.classes] == [format_dgf(g) for _, g in ref.classes]
+
+
+def test_classify_all_five_vertices_pinned():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["--json", "enumerate", "--all", "5"]) == 0
+    text = out.getvalue()
+    report = json.loads(text)
+    assert (report["class_count"], report["total_filtered"]) == (137, 25_802)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4b7dd25071bfce4392e3f4a65dff2a47e610b34f001b6a4d7ff9b51e0b994a57")
+
+
+def test_classify_all_canonicalizes_once_per_class(monkeypatch):
+    calls = 0
+    real = qbmg.enumeration.canonical_form
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(qbmg.enumeration, "canonical_form", counted)
+    result = classify_all_qbmgs(4)
+    assert result.count == calls == 36
 
 
 def test_classify_p5_matches_fixtures():
