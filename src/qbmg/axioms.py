@@ -113,7 +113,8 @@ def recognize(g: Digraph) -> RecognitionReport:
 
 
 def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
-    """Boolean-only recognition over out/in adjacency bitmasks."""
+    """Boolean-only recognition over out/in adjacency bitmasks of vertices
+    0..n-1 (longer mask lists are read only up to n)."""
     # (N3): cheapest reject on dense graphs
     for u in range(n - 1):
         ou = out[u]
@@ -121,25 +122,29 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
             continue
         for v in range(u + 1, n):
             ov = out[v]
-            if ou & ov and ou & ~ov and ov & ~ou:
+            c = ou & ov
+            if c and c != ou and c != ov:
                 return False
-    # (N1)
+    # (N1): every in-neighbor u of t must be adjacent to each v that shares an
+    # out-neighbor w with t, so OR those v over w first, then test each u once
     for t in range(n):
         it = inn[t]
         if not it:
             continue
         ot = out[t]
+        reach = 0
         while ot:
             lw = ot & -ot
             ot ^= lw
-            iw = inn[lw.bit_length() - 1]
-            m = it
-            while m:
-                lu = m & -m
-                m ^= lu
-                u = lu.bit_length() - 1
-                if iw & ~(out[u] | inn[u] | lu):
-                    return False
+            reach |= inn[lw.bit_length() - 1]
+        if not reach:
+            continue
+        while it:
+            lu = it & -it
+            it ^= lu
+            u = lu.bit_length() - 1
+            if reach & ~(out[u] | inn[u] | lu):
+                return False
     # (N2)
     for u in range(n):
         ou = out[u]

@@ -40,15 +40,22 @@ from .trees import parse_tree, qbmg_from_tree, root_truncation, validate_truncat
 DEFAULT_ANALYZE_CHECKS = "p4,p5,p6,c4,c6"
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8 text") from None
+
+
 def _load_digraph(path: str) -> Digraph:
-    g = dgf.parse_dgf(Path(path).read_text(encoding="utf-8"))
+    g = dgf.parse_dgf(_read_text(path))
     if not isinstance(g, Digraph):
         raise ParseError(f"{path}: expected a digraph, got an undirected graph", 1)
     return g
 
 
 def _load_graph(path: str) -> Digraph | UGraph:
-    return dgf.parse_dgf(Path(path).read_text(encoding="utf-8"))
+    return dgf.parse_dgf(_read_text(path))
 
 
 def _as_ugraph(g: Digraph | UGraph) -> UGraph:
@@ -214,6 +221,8 @@ def _parse_template(spec: str) -> UGraph:
     if kind == "path":
         return path_template(k)
     if kind == "cycle":
+        if k < 4 or k % 2:
+            raise ParseError(f"bad template {spec!r}; cycle lengths are even and at least 4", 1)
         return cycle_template(k)
     raise ParseError(f"unknown template kind {kind!r}", 1)
 
@@ -251,7 +260,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
     u = root_truncation(tree, sigma)
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -273,7 +282,7 @@ def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    tree, sigma = parse_tree(Path(args.tree).read_text(encoding="utf-8").strip())
+    tree, sigma = parse_tree(_read_text(args.tree).strip())
     if args.trunc:
         u = _load_truncation(args.trunc, tree, sigma)
     else:

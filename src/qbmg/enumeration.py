@@ -5,9 +5,13 @@ digraphs, plus the aggregated verification report.
 undirected template and feeds ``classify_qbmgs``, which canonicalizes every
 recognized graph (used for the template counts and ``verify``).
 ``run_mask_sweep`` walks every per-pair edge state of one coloring over
-reused bitmasks, without building graphs; ``classify_all_qbmgs`` drives it
-over every coloring and canonicalizes only the first recognized edge set of
-each isomorphism class, marking the rest of that class seen through its
+reused bitmasks, without building graphs, setting the pairs vertex by vertex
+so that an optional ``keep`` test can prune a rejected induced prefix with
+all of its completions.  ``classify_all_qbmgs`` drives it over one coloring
+per complement pair with ``keep=is_qbmg_masks`` (recognition is hereditary,
+so no recognized graph is pruned), counts each recognized edge set twice for
+the complement coloring, and canonicalizes only the first recognized edge set
+of each isomorphism class, marking the rest of that class seen through its
 vertex-permutation orbit.  ``all_bipartite_digraphs`` yields the same labeled
 graphs as ``Digraph`` values for small-n checks and as the reference that
 tests compare ``classify_all_qbmgs`` against.
@@ -23,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import fixtures
 from .axioms import is_qbmg_masks, recognize
 from .digraph import (
+    CANONICAL_MAX_VERTICES,
     CanonicalForm,
     Digraph,
     UGraph,
@@ -59,7 +64,13 @@ def cycle_template(k: int) -> UGraph:
 
 def orientations_of(g: UGraph) -> Iterator[Digraph]:
     """All 3^m digraphs whose underlying graph equals g: each undirected edge
-    takes state forward, backward or both, in deterministic order."""
+    takes state forward, backward or both, in deterministic order.
+
+    Raises ``TooLarge`` before the first orientation when g has more than
+    ``CANONICAL_MAX_VERTICES`` vertices, beyond which its orientations could
+    not be classified anyway."""
+    if g.n > CANONICAL_MAX_VERTICES:
+        raise TooLarge(f"orientation enumeration supports at most {CANONICAL_MAX_VERTICES} vertices")
     edge_list = g.sorted_edges()
     for states in product((0, 1, 2), repeat=len(edge_list)):
         edges: list[tuple[int, int]] = []
@@ -72,8 +83,10 @@ def orientations_of(g: UGraph) -> Iterator[Digraph]:
 
 
 def opposite_pairs(colors: Sequence[int]) -> list[tuple[int, int]]:
+    """Opposite-color pairs (u, v), u < v, grouped by their larger vertex v
+    in increasing order."""
     n = len(colors)
-    return [(u, v) for u in range(n) for v in range(u + 1, n) if colors[u] != colors[v]]
+    return [(u, v) for v in range(1, n) for u in range(v) if colors[u] != colors[v]]
 
 
 def all_bipartite_digraphs(n: int) -> Iterator[Digraph]:
@@ -99,19 +112,42 @@ def all_bipartite_digraphs(n: int) -> Iterator[Digraph]:
 def run_mask_sweep(
     colors: Sequence[int],
     visit: Callable[[list[int], list[int]], None],
+    keep: Callable[[int, list[int], list[int]], bool] | None = None,
 ) -> int:
     """Drive ``visit(out_masks, in_masks)`` over every edge-state assignment
     for the given coloring; masks are reused in place between calls.  Returns
-    the number of graphs visited."""
-    pairs = opposite_pairs(colors)
+    the number of graphs visited.
+
+    Pairs are set vertex by vertex (``opposite_pairs`` order): every pair
+    (j, k) with j < k for k = 1, then for k = 2, and so on.  With ``keep``,
+    the sweep calls ``keep(k + 1, out, inn)`` when vertex k's last pair is
+    set, at which point the masks hold the subgraph induced on vertices
+    0..k, and visits no completion of a prefix it rejects.  The check after
+    the final pair, or before any when the coloring has none, is
+    ``keep(n, out, inn)``, so ``visit`` sees only graphs it accepts.
+    Pruning is exact for a hereditary ``keep`` such as ``is_qbmg_masks``: a
+    rejected prefix is an induced subgraph of each of its completions.
+    """
     n = len(colors)
+    pairs = opposite_pairs(colors)
+    last = len(pairs)
+    # checks[i]: the vertex count keep tests once pairs[:i] are set (0: none)
+    checks = [0] * (last + 1)
+    if keep is not None:
+        for i in range(1, last):
+            if pairs[i][1] != pairs[i - 1][1]:
+                checks[i] = pairs[i - 1][1] + 1
+        checks[last] = n
     out = [0] * n
     inn = [0] * n
     count = 0
 
     def rec(i: int) -> None:
         nonlocal count
-        if i == len(pairs):
+        m = checks[i]
+        if m and not keep(m, out, inn):
+            return
+        if i == last:
             count += 1
             visit(out, inn)
             return
@@ -142,7 +178,11 @@ def run_mask_sweep(
 def halved_colorings(n: int) -> Iterator[tuple[int, ...]]:
     """One coloring per complement pair (vertex 0 fixed to color 0); swapping
     colors yields the identical digraph family, so sweeps over these cover
-    every bipartite edge set on n labeled vertices."""
+    every bipartite edge set on n labeled vertices.  The empty coloring is
+    its own complement and is yielded once."""
+    if n == 0:
+        yield ()
+        return
     for rest in product((0, 1), repeat=n - 1):
         yield (0, *rest)
 
@@ -198,12 +238,18 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     """The classification of ``classify_qbmgs(all_bipartite_digraphs(n))``,
     with one canonical form per class instead of one per recognized graph.
 
-    Every coloring is swept on masks and ``total_filtered`` counts each
-    recognized (coloring, edge set) pair.  The first recognized edge set of a
-    class is canonicalized; all n! relabelings of it are then marked seen, so
-    later members cost a set lookup.  The witness is the relabeling with the
-    least identity levels, colored by ``infer_bipartition``: the first valid
-    coloring in sweep order, as the reference keeps on ties.
+    One coloring per complement pair (``halved_colorings``) is swept on
+    masks with ``keep=is_qbmg_masks``, so a prefix that fails recognition is
+    never extended and only recognized edge sets reach the visitor.  A
+    coloring and its complement have the same opposite-color pairs, so for
+    n >= 1 each recognized edge set of the sweep adds 2 to
+    ``total_filtered``, which counts recognized (coloring, edge set) pairs
+    over all 2^n colorings as the reference does.  The first recognized
+    edge set of a class is canonicalized; all n! relabelings of it are then
+    marked seen, so later members cost a set lookup.  The witness is the
+    relabeling with the least identity levels, colored by
+    ``infer_bipartition``: the first valid coloring in sweep order, as the
+    reference keeps on ties.
     """
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
@@ -219,12 +265,11 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
     total = 0
+    weight = 2 if n else 1  # the empty coloring is its own complement
 
     def visit(out: list[int], inn: list[int]) -> None:
         nonlocal total
-        if not is_qbmg_masks(n, out, inn):
-            return
-        total += 1
+        total += weight
         if tuple(out) in seen:
             return
         orbit = []
@@ -242,8 +287,8 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         form = canonical_form(rep)
         classes[form.code] = (form, rep)
 
-    for colors in product((0, 1), repeat=n):
-        run_mask_sweep(colors, visit)
+    for colors in halved_colorings(n):
+        run_mask_sweep(colors, visit, keep=is_qbmg_masks)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 
 

@@ -1,6 +1,12 @@
 import pytest
 
-from helpers import naive_is_qbmg, naive_violates_n1, naive_violates_n2, naive_violates_n3
+from helpers import (
+    digraph_from_masks,
+    naive_is_qbmg,
+    naive_violates_n1,
+    naive_violates_n2,
+    naive_violates_n3,
+)
 from qbmg.axioms import (
     find_n1_violation,
     find_n2_violation,
@@ -11,7 +17,7 @@ from qbmg.axioms import (
     recognize,
 )
 from qbmg.digraph import build_digraph, underlying
-from qbmg.enumeration import all_bipartite_digraphs
+from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
 from qbmg.errors import NotQbmg
 from qbmg.fixtures import (
     ALL_FIXTURES,
@@ -151,6 +157,21 @@ def test_recognize_matches_naive_n5_exhaustive():
         if g.colors[0] == 1:
             continue
         assert recognize(g).is_qbmg == naive_is_qbmg(g)
+
+
+def test_mask_kernel_matches_naive_on_sweep_n5():
+    # every labeled edge set with n <= 5 as the sweep feeds it to the kernel
+    disagreements = []
+    for n in range(6):
+        for colors in halved_colorings(n):
+
+            def visit(out, inn, n=n, colors=colors):
+                g = digraph_from_masks(n, tuple(out), colors)
+                if is_qbmg_masks(n, out, inn) != naive_is_qbmg(g):
+                    disagreements.append(g)
+
+            run_mask_sweep(colors, visit)
+    assert disagreements == []
 
 
 def test_n1_configurations_definitional():

@@ -146,6 +146,25 @@ def test_enumerate_all_too_large_is_bad_input(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["cycle:3", "cycle:5", "cycle:2", "cycle:0"])
+def test_enumerate_bad_cycle_length_is_bad_input(capsys, spec):
+    code, out, err = run_cli(capsys, "enumerate", "--underlying", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad template '{spec}'") and err.count("\n") == 1
+
+
+def test_enumerate_template_too_large_is_bad_input(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr("qbmg.enumeration.product", fail)
+    code, out, err = run_cli(capsys, "enumerate", "--underlying", "path:14")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enumerate_requires_one_mode(capsys):
     code, _, err = run_cli(capsys, "enumerate")
     assert code == 2
@@ -201,6 +220,17 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "recognize", "/nonexistent/file.dgf")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("verb", ["recognize", "explain"])
+def test_non_utf8_input_is_bad_input(capsys, tmp_path, verb):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("digraph\nv \xe9 0\n".encode("latin-1"))
+    argv = [verb, str(path)] if verb == "recognize" else [verb, "--tree", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: not valid UTF-8 text\n"
 
 
 def test_emitted_dgf_round_trips_identically(capsys, ex10_file):

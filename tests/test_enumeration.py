@@ -2,12 +2,14 @@ import gc
 import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
 
 import qbmg.enumeration
-from qbmg.axioms import recognize
+from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.cli import main
 from qbmg.dgf import format_dgf
 from qbmg.digraph import build_ugraph, canonical_form, ugraphs_isomorphic, underlying
@@ -16,6 +18,7 @@ from qbmg.enumeration import (
     classify_all_qbmgs,
     classify_qbmgs,
     cycle_template,
+    halved_colorings,
     orientations_of,
     path_template,
     run_mask_sweep,
@@ -66,6 +69,52 @@ def test_run_mask_sweep_leaves_no_garbage():
             gc.enable()
 
 
+def test_halved_colorings():
+    assert list(halved_colorings(0)) == [()]
+    assert list(halved_colorings(1)) == [(0,)]
+    assert list(halved_colorings(3)) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    zero = classify_all_qbmgs(0)
+    assert (zero.count, zero.total_filtered) == (1, 1)
+
+
+def test_run_mask_sweep_keep_sees_induced_prefixes():
+    colors = (0, 1, 1, 0, 1)
+    calls = []
+
+    def keep(m, out, inn):
+        calls.append(m)
+        for v in range(len(colors)):
+            if v >= m:
+                assert out[v] == inn[v] == 0
+            else:
+                assert out[v] >> m == inn[v] >> m == 0
+        return True
+
+    visited = run_mask_sweep(colors, lambda out, inn: None, keep)
+    # pairs (0,1) | (0,2) | (1,3) (2,3) | (0,4) (3,4), checked after each bar
+    # and at the end
+    assert visited == 4 ** 6
+    assert Counter(calls) == {2: 4, 3: 4 ** 2, 4: 4 ** 4, 5: 4 ** 6}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_pruned_sweep_visits_exactly_the_recognized_graphs(n):
+    for colors in product((0, 1), repeat=n):
+        accepted = Counter()
+        pruned = Counter()
+
+        def visit_all(out, inn):
+            if is_qbmg_masks(n, out, inn):
+                accepted[tuple(out)] += 1
+
+        def visit_kept(out, inn):
+            pruned[tuple(out)] += 1
+
+        run_mask_sweep(colors, visit_all)
+        assert run_mask_sweep(colors, visit_kept, is_qbmg_masks) == sum(pruned.values())
+        assert pruned == accepted
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_classify_all_matches_labeled_reference(n):
     fast = classify_all_qbmgs(n)
@@ -84,6 +133,17 @@ def test_classify_all_five_vertices_pinned():
     assert (report["class_count"], report["total_filtered"]) == (137, 25_802)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4b7dd25071bfce4392e3f4a65dff2a47e610b34f001b6a4d7ff9b51e0b994a57")
+
+
+def test_classify_all_six_vertices_pinned():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["--json", "enumerate", "--all", "6"]) == 0
+    text = out.getvalue()
+    report = json.loads(text)
+    assert (report["class_count"], report["total_filtered"]) == (578, 598_390)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7ebc5fd56774b43ff641d017b75a434ea3525dcb552f063888d7f8df808fd9d0")
 
 
 def test_classify_all_canonicalizes_once_per_class(monkeypatch):
