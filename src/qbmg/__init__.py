@@ -46,7 +46,6 @@ from .digraph import (
     ugraph_canonical_form,
     ugraphs_isomorphic,
     underlying,
-    validate_digraph,
     weak_components,
 )
 from .enumeration import (

@@ -56,8 +56,15 @@ def find_n1_violation(g: Digraph) -> AxiomWitness | None:
         if not ou:
             continue
         blocked = adj[u] | (1 << u)
-        for t in iter_bits(ou):
-            for w in iter_bits(out[t]):
+        while ou:
+            lt = ou & -ou
+            ou ^= lt
+            t = lt.bit_length() - 1
+            ot = out[t]
+            while ot:
+                lw = ot & -ot
+                ot ^= lw
+                w = lw.bit_length() - 1
                 cand = inn[w] & ~blocked
                 if cand:
                     v = (cand & -cand).bit_length() - 1
@@ -70,10 +77,16 @@ def find_n2_violation(g: Digraph) -> AxiomWitness | None:
     out = g.out_masks
     for u in range(g.n):
         ou = out[u]
-        if not ou:
-            continue
-        for v in iter_bits(ou):
-            for w in iter_bits(out[v]):
+        rest = ou
+        while rest:
+            lv = rest & -rest
+            rest ^= lv
+            v = lv.bit_length() - 1
+            ov = out[v]
+            while ov:
+                lw = ov & -ov
+                ov ^= lw
+                w = lw.bit_length() - 1
                 missing = out[w] & ~ou
                 if missing:
                     t = (missing & -missing).bit_length() - 1

@@ -5,16 +5,14 @@ verify.  Every report is built as a plain dict first and rendered either as
 text or, with --json, as the same facts in JSON.  Exit codes: 0 success,
 1 when ``verify`` finds a failing check, 2 on parse or validation errors.
 
-The QBMG_THREADS environment variable caps the worker count used to fan out
-independent ``verify`` checks.  --seed is accepted globally so any future
-randomized subcommand stays reproducible; current verbs are deterministic.
+--seed is accepted globally so any future randomized subcommand stays
+reproducible; current verbs are deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -294,11 +292,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workers = 1
-    env = os.environ.get("QBMG_THREADS", "")
-    if env.strip().isdigit():
-        workers = max(1, int(env))
-    report = verify_paper_counts(workers=workers)
+    report = verify_paper_counts()
     payload = {
         "command": "verify",
         "checks": [

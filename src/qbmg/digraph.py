@@ -7,7 +7,7 @@ they are safe to share across concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -55,32 +55,28 @@ class Digraph:
     colors: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     names: tuple[str, ...]
+    # bit v of out_masks[u] (of in_masks[v] for bit u) is set iff u -> v is an edge
+    out_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    in_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validate_vertex_table(self.n, self.colors, self.names)
+        n, colors, names = self.n, self.colors, self.names
+        _validate_vertex_table(n, colors, names)
+        out = [0] * n
+        inn = [0] * n
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
-                raise LoopEdge(f"loop at vertex {self.names[u]}")
-            if self.colors[u] == self.colors[v]:
+                raise LoopEdge(f"loop at vertex {names[u]}")
+            if colors[u] == colors[v]:
                 raise MonochromaticEdge(
-                    f"edge {self.names[u]} -> {self.names[v]} joins vertices of equal color"
+                    f"edge {names[u]} -> {names[v]} joins vertices of equal color"
                 )
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        m = [0] * self.n
-        for u, v in self.edges:
-            m[u] |= 1 << v
-        return tuple(m)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        m = [0] * self.n
-        for u, v in self.edges:
-            m[v] |= 1 << u
-        return tuple(m)
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        object.__setattr__(self, "out_masks", tuple(out))
+        object.__setattr__(self, "in_masks", tuple(inn))
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
@@ -104,9 +100,14 @@ class Digraph:
     @cached_property
     def symmetric_pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered pairs {u, v} (as u < v tuples) with both directions present."""
-        return tuple(
-            sorted((u, v) for u, v in self.edges if u < v and (v, u) in self.edges)
-        )
+        pairs = []
+        for u, (o, i) in enumerate(zip(self.out_masks, self.in_masks)):
+            both = o & i & -(2 << u)  # partners v > u
+            while both:
+                low = both & -both
+                both ^= low
+                pairs.append((u, low.bit_length() - 1))
+        return tuple(pairs)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -167,20 +168,26 @@ class UGraph:
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components ordered by smallest member id."""
+        adj = self.adj_masks
         seen = 0
         out: list[frozenset[int]] = []
         for start in range(self.n):
             if seen >> start & 1:
                 continue
             comp = 1 << start
+            members = [start]
             frontier = [start]
             while frontier:
-                v = frontier.pop()
-                for w in iter_bits(self.adj_masks[v] & ~comp):
-                    comp |= 1 << w
+                new = adj[frontier.pop()] & ~comp
+                comp |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    w = low.bit_length() - 1
+                    members.append(w)
                     frontier.append(w)
             seen |= comp
-            out.append(frozenset(iter_bits(comp)))
+            out.append(frozenset(members))
         return tuple(out)
 
     def is_connected(self) -> bool:
@@ -307,18 +314,6 @@ def equivalent_vertex_pairs(g: Digraph) -> frozenset[tuple[int, int]]:
         for v in range(u + 1, g.n)
         if out[u] == out[v] and inn[u] == inn[v]
     )
-
-
-def validate_digraph(g: Digraph) -> None:
-    """Re-assert every constructor invariant on an existing value."""
-    _validate_vertex_table(g.n, g.colors, g.names)
-    for u, v in g.edges:
-        if u == v:
-            raise LoopEdge(f"loop at vertex {g.names[u]}")
-        if g.colors[u] == g.colors[v]:
-            raise MonochromaticEdge(f"edge {g.names[u]} -> {g.names[v]} joins equal colors")
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ tests compare ``classify_all_qbmgs`` against.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -408,19 +407,6 @@ _CHECKS: tuple[Callable[[], TheoremCheck], ...] = (
 )
 
 
-def verify_paper_counts(workers: int = 1) -> VerifyReport:
-    """Run every built-in classification and vacuity check.
-
-    ``workers`` > 1 fans the independent checks out to a process pool; the
-    report order is fixed either way.
-    """
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            checks = tuple(pool.map(_run_check, range(len(_CHECKS))))
-    else:
-        checks = tuple(job() for job in _CHECKS)
-    return VerifyReport(checks)
-
-
-def _run_check(index: int) -> TheoremCheck:
-    return _CHECKS[index]()
+def verify_paper_counts() -> VerifyReport:
+    """Run every built-in classification and vacuity check, in a fixed order."""
+    return VerifyReport(tuple(job() for job in _CHECKS))

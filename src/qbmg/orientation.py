@@ -18,7 +18,9 @@ from typing import Iterator, NamedTuple
 from .axioms import find_n2_violation
 from .bicliques import Biclique
 from .digraph import Digraph, build_digraph, equivalent_vertex_pairs, isomorphic, iter_bits, underlying
-from .errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented
+from .errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented, TooLarge
+
+ORIENT_MAX_PAIRS = 16
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,15 @@ def orient(g: Digraph) -> Digraph:
 
 
 def all_orientations(g: Digraph) -> Iterator[Digraph]:
-    """Every orientation (all 2^k keep-choices over the k symmetric pairs)."""
+    """Every orientation (all 2^k keep-choices over the k symmetric pairs).
+
+    Raises ``TooLarge`` before the first orientation when k exceeds
+    ``ORIENT_MAX_PAIRS``."""
     pairs = g.symmetric_pairs
+    if len(pairs) > ORIENT_MAX_PAIRS:
+        raise TooLarge(
+            f"orientation sweep supports at most {ORIENT_MAX_PAIRS} symmetric pairs, "
+            f"got {len(pairs)}")
     pairset = set(pairs)
     asym = frozenset(e for e in g.edges if (min(e), max(e)) not in pairset)
     for choice in range(1 << len(pairs)):
@@ -94,22 +103,27 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
     """
     if g.symmetric_pairs:
         raise NotOriented("topological order requires an orientation (no symmetric pairs)")
-    indeg = [g.in_masks[v].bit_count() for v in range(g.n)]
-    removed = [False] * g.n
+    out, inn = g.out_masks, g.in_masks
+    placed = 0
+    ready = 0
+    for v in range(g.n):
+        if not inn[v]:
+            ready |= 1 << v
     order: list[int] = []
-    for _ in range(g.n):
-        pick = -1
-        for v in range(g.n):
-            if not removed[v] and indeg[v] == 0:
-                pick = v
-                break
-        if pick < 0:
-            return None
-        removed[pick] = True
-        order.append(pick)
-        for w in iter_bits(g.out_masks[pick]):
-            indeg[w] -= 1
-    return tuple(order)
+    while ready:
+        low = ready & -ready
+        v = low.bit_length() - 1
+        order.append(v)
+        placed |= low
+        ready ^= low
+        # a successor becomes ready once all of its in-neighbors are placed
+        succ = out[v]
+        while succ:
+            lw = succ & -succ
+            succ ^= lw
+            if not inn[lw.bit_length() - 1] & ~placed:
+                ready |= lw
+    return tuple(order) if len(order) == g.n else None
 
 
 def odd_even_digraph(spec: OddEvenSpec) -> Digraph:

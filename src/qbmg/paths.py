@@ -1,8 +1,10 @@
 """Induced chordless paths and cycles in undirected graphs.
 
-Detection is backtracking over vertex sequences with chord pruning; exact and
-exponential in the worst case, which is fine at the sizes this package
-targets (n <= 12).  Returned witnesses are the lexicographically least
+Detection is backtracking over vertex sequences on adjacency bitmasks: the
+next vertex is a neighbor of the last one outside the OR of the earlier path
+vertices' neighborhoods, so no chord is ever placed.  Exact and exponential
+in the worst case, which is fine at the sizes this package targets
+(n <= 12).  Returned witnesses are the lexicographically least
 sequence (for cycles: least over all rotations and reflections).
 """
 
@@ -25,74 +27,77 @@ class InducedCycle:
 
 
 def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
-    if k > n:
+    if k > n or k < 1:
         return None
-    path: list[int] = []
+    if k == 1:
+        return (0,)
+    path = [0] * k
 
-    def extend(last: int, spine: int, used: int) -> bool:
-        if len(path) == k:
-            return True
-        cand = adj[last] & ~used
+    # path[:depth] is placed and ends at last; near ORs the neighborhoods of
+    # path[:depth - 1], so a next vertex outside near closes no chord
+    def extend(depth: int, last: int, near: int, used: int) -> bool:
+        cand = adj[last] & ~used & ~near
+        if depth == k - 1:
+            # the least witness ends above its first vertex, else its reverse
+            # would sort first
+            cand &= -(2 << path[0])
+            if cand:
+                path[depth] = (cand & -cand).bit_length() - 1
+                return True
+            return False
+        near |= adj[last]
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
-            if adj[w] & spine:
-                continue
-            path.append(w)
-            if extend(w, spine | (1 << last), used | low):
+            path[depth] = w
+            if extend(depth + 1, w, near, used | low):
                 return True
-            path.pop()
         return False
 
     for start in range(n):
-        if k == 1:
-            return (start,)
-        path = [start]
-        if extend(start, 0, 1 << start):
+        path[0] = start
+        if extend(1, start, 0, 1 << start):
             return tuple(path)
     return None
 
 
 def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
-    if k > n:
+    if k > n or k < 3:
         return None
-    path: list[int] = []
-    result: tuple[int, ...] | None = None
+    path = [0] * k
 
-    def extend(first: int, last: int, spine: int, used: int) -> bool:
-        nonlocal result
-        if len(path) == k - 1:
-            cand = adj[last] & adj[first] & ~used
-            inner = spine & ~(1 << first)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                w = low.bit_length() - 1
-                if adj[w] & inner:
-                    continue
-                if w < path[1]:
-                    continue  # canonical direction: second vertex below closing vertex
-                result = (*path, w)
+    # path[:depth] is placed and ends at last; near ORs the neighborhoods of
+    # path[1:depth - 1], the vertices strictly between first and last
+    def extend(depth: int, last: int, near: int, used: int) -> bool:
+        first = path[0]
+        cand = adj[last] & ~used & ~near
+        if depth == k - 1:
+            # closing vertex: adjacent to first, and above path[1] so that
+            # only one direction of each cycle is reported
+            cand &= adj[first] & -(1 << path[1])
+            if cand:
+                path[depth] = (cand & -cand).bit_length() - 1
                 return True
             return False
-        cand = adj[last] & ~used
+        if depth > 1:
+            cand &= ~adj[first]
+            near |= adj[last]
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
-            if adj[w] & spine:
-                continue
-            path.append(w)
-            if extend(first, w, spine | (1 << last), used | low):
+            path[depth] = w
+            if extend(depth + 1, w, near, used | low):
                 return True
-            path.pop()
         return False
 
     for start in range(n):
-        path = [start]
-        if extend(start, start, 0, 1 << start):
-            return result
+        path[0] = start
+        # the first start on any induced k-cycle is the least vertex of each
+        # one through it, so no vertex below start is ever needed
+        if extend(1, start, 0, (2 << start) - 1):
+            return tuple(path)
     return None
 
 

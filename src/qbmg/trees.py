@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .digraph import Digraph, build_digraph
+from .digraph import Digraph
 from .errors import (
     InvalidTruncation,
     NoIntegerSuffix,
@@ -230,25 +230,7 @@ def best_match_graph(t: PhyloTree, sigma: Mapping[int, int]) -> Digraph:
     """Digraph on the leaves: x -> y iff y has the other color and lca(x, y)
     is deepest among all leaves of y's color."""
     _check_coloring(t, sigma)
-    leaves = t.leaves
-    index = {leaf: i for i, leaf in enumerate(leaves)}
-    edges = []
-    for x in leaves:
-        target = _deepest_lca_per_color(t, sigma, x)
-        s = 1 - sigma[x]
-        if s not in target:
-            continue
-        for y in leaves:
-            if sigma[y] == sigma[x]:
-                continue
-            if lca(t, x, y) == target[s]:
-                edges.append((index[x], index[y]))
-    return build_digraph(
-        len(leaves),
-        [sigma[leaf] for leaf in leaves],
-        edges,
-        [t.names[leaf] for leaf in leaves],
-    )
+    return qbmg_from_tree(t, sigma, root_truncation(t, sigma))
 
 
 def root_truncation(t: PhyloTree, sigma: Mapping[int, int]) -> TruncationMap:
@@ -282,25 +264,40 @@ def qbmg_from_tree(
     _check_coloring(t, sigma)
     validate_truncation(t, sigma, u)
     leaves = t.leaves
-    index = {leaf: i for i, leaf in enumerate(leaves)}
+    parent = t.parent
+    # below[s][node]: bitmask of the indices of color-s leaves under node
+    below = ([0] * t.size, [0] * t.size)
+    for i, x in enumerate(leaves):
+        below[sigma[x]][x] = 1 << i
+    for node in range(t.size - 1, 0, -1):  # preorder: children after parents
+        p = parent[node]
+        below[0][p] |= below[0][node]
+        below[1][p] |= below[1][node]
     edges = []
-    for x in leaves:
-        target = _deepest_lca_per_color(t, sigma, x)
+    for i, x in enumerate(leaves):
         s = 1 - sigma[x]
-        if s not in target:
-            continue
+        theirs = below[s]
         gate = u[(x, s)]
-        for y in leaves:
-            if sigma[y] == sigma[x]:
-                continue
-            a = lca(t, x, y)
-            if a == target[s] and t.is_ancestor(gate, a):
-                edges.append((index[x], index[y]))
-    return build_digraph(
-        len(leaves),
-        [sigma[leaf] for leaf in leaves],
-        edges,
-        [t.names[leaf] for leaf in leaves],
+        # the first ancestor holding a color-s leaf is lca(x, y) for exactly
+        # the best matches y; the gate keeps them iff it is not passed on the way
+        node = x
+        kept = True
+        while not theirs[node]:
+            if node == gate:
+                kept = False
+            node = parent[node]  # type: ignore[assignment]
+        if not kept:
+            continue
+        matches = theirs[node]
+        while matches:
+            low = matches & -matches
+            matches ^= low
+            edges.append((i, low.bit_length() - 1))
+    return Digraph(
+        n=len(leaves),
+        colors=tuple(sigma[leaf] for leaf in leaves),
+        edges=frozenset(edges),
+        names=tuple(t.names[leaf] for leaf in leaves),
     )
 
 

@@ -5,10 +5,10 @@ bipartite graphs."""
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
-from qbmg.trees import Nested
+from qbmg.trees import Nested, PhyloTree
 
 
 # --- naive re-implementations of the recognition axioms (edge-set membership,
@@ -56,44 +56,34 @@ def naive_is_qbmg(g: Digraph) -> bool:
 # --- brute-force induced path / cycle / biclique oracles
 
 
+def brute_least_induced_path(g: UGraph, k: int) -> tuple[int, ...] | None:
+    """The lexicographically least vertex sequence forming an induced path on
+    k vertices; permutations come in lexicographic order."""
+    for seq in permutations(range(g.n), k):
+        if all(
+            g.has_edge(seq[i], seq[j]) == (j == i + 1)
+            for i in range(k)
+            for j in range(i + 1, k)
+        ):
+            return seq
+    return None
+
+
+def brute_least_induced_cycle(g: UGraph, k: int) -> tuple[int, ...] | None:
+    """The lexicographically least vertex sequence forming a chordless
+    k-cycle, which is least over all rotations and reflections too."""
+    for seq in permutations(range(g.n), k):
+        if all(
+            g.has_edge(seq[i], seq[j]) == (j == i + 1 or (i == 0 and j == k - 1))
+            for i in range(k)
+            for j in range(i + 1, k)
+        ):
+            return seq
+    return None
+
+
 def brute_has_induced_path(g: UGraph, k: int) -> bool:
-    from itertools import permutations
-
-    for seq in permutations(range(g.n), k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                adjacent = g.has_edge(seq[i], seq[j])
-                if j == i + 1 and not adjacent:
-                    ok = False
-                elif j > i + 1 and adjacent:
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
-def brute_has_induced_cycle(g: UGraph, k: int) -> bool:
-    from itertools import permutations
-
-    for seq in permutations(range(g.n), k):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                adjacent = g.has_edge(seq[i], seq[j])
-                consecutive = j == i + 1 or (i == 0 and j == k - 1)
-                if consecutive != adjacent:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return brute_least_induced_path(g, k) is not None
 
 
 def brute_maximal_bicliques(g: UGraph) -> set[tuple[frozenset[int], frozenset[int]]]:
@@ -194,6 +184,64 @@ def random_truncation(rng, tree, sigma) -> dict[tuple[int, int], int]:
             else:
                 u[(x, s)] = rng.choice(tree.root_path(x))
     return u
+
+
+# --- naive tree-to-graph and topological-order oracles
+
+
+def _naive_ancestors(t: PhyloTree, x: int) -> list[int]:
+    """x and every node above it, from x up to the root."""
+    chain = [x]
+    while t.parent[chain[-1]] is not None:
+        chain.append(t.parent[chain[-1]])
+    return chain
+
+
+def naive_best_match_graph(t: PhyloTree, sigma, u=None) -> Digraph:
+    """Leaf digraph straight from the definition: x -> y iff y has the other
+    color and no leaf z of y's color has a deeper lca(x, z) than lca(x, y);
+    with a truncation map u the edge also needs u(x, color-of-y) to be an
+    ancestor-or-equal of lca(x, y)."""
+    def lca(a: int, b: int) -> int:
+        above_a = _naive_ancestors(t, a)
+        return next(node for node in _naive_ancestors(t, b) if node in above_a)
+
+    def depth(node: int) -> int:
+        return len(_naive_ancestors(t, node)) - 1
+
+    leaves = [v for v in range(len(t.parent)) if not t.children[v]]
+    edges = []
+    for i, x in enumerate(leaves):
+        for j, y in enumerate(leaves):
+            if sigma[y] == sigma[x]:
+                continue
+            a = lca(x, y)
+            if any(depth(lca(x, z)) > depth(a) for z in leaves if sigma[z] == sigma[y]):
+                continue
+            if u is not None and u[(x, sigma[y])] not in _naive_ancestors(t, a):
+                continue
+            edges.append((i, j))
+    return Digraph(
+        len(leaves),
+        tuple(sigma[x] for x in leaves),
+        frozenset(edges),
+        tuple(t.names[x] for x in leaves),
+    )
+
+
+def naive_topological_order(g: Digraph) -> tuple[int, ...] | None:
+    """Repeatedly place the smallest unplaced vertex whose in-neighbors are
+    all placed; None when some vertex can never be placed."""
+    order: list[int] = []
+    while len(order) < g.n:
+        ready = [
+            v for v in range(g.n)
+            if v not in order and all(a in order for a, b in g.edges if b == v)
+        ]
+        if not ready:
+            return None
+        order.append(ready[0])
+    return tuple(order)
 
 
 # --- connected bipartite undirected graphs with n <= max_n, one per

@@ -4,8 +4,10 @@ import pytest
 
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
+from qbmg.digraph import build_digraph
 from qbmg.enumeration import cycle_template
 from qbmg.fixtures import EX10, P5A, P5AB
+from qbmg.orientation import topological_order
 
 
 @pytest.fixture()
@@ -160,6 +162,29 @@ def test_enumerate_template_too_large_is_bad_input(capsys, monkeypatch):
 
     monkeypatch.setattr("qbmg.enumeration.product", fail)
     code, out, err = run_cli(capsys, "enumerate", "--underlying", "path:14")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_orient_all_too_large_is_bad_input(capsys, monkeypatch, tmp_path):
+    # a star whose center has a symmetric pair with each of 17 leaves
+    leaves = range(1, 18)
+    star = build_digraph(18, (0,) + (1,) * 17, [e for v in leaves for e in ((0, v), (v, 0))])
+    path = tmp_path / "star.dgf"
+    path.write_text(format_dgf(star), encoding="utf-8")
+    checked = []
+
+    def order_once(g):
+        # the canonical orientation is checked first; a second call means
+        # the sweep produced an orientation before the size check
+        if checked:
+            raise AssertionError("work started before the size check")
+        checked.append(g)
+        return topological_order(g)
+
+    monkeypatch.setattr("qbmg.cli.topological_order", order_once)
+    code, out, err = run_cli(capsys, "orient", str(path), "--all")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbmg.digraph import (
+    Digraph,
     build_digraph,
     build_ugraph,
     canonical_form,
@@ -14,7 +15,6 @@ from qbmg.digraph import (
     neighbors,
     relabel,
     underlying,
-    validate_digraph,
     weak_components,
 )
 from qbmg.enumeration import all_bipartite_digraphs
@@ -179,7 +179,35 @@ def test_equivalent_pairs_p5a_empty():
 
 def test_validator_accepts_all_fixtures():
     for g in ALL_FIXTURES.values():
-        validate_digraph(g)
+        assert Digraph(n=g.n, colors=g.colors, edges=g.edges, names=g.names) == g
+
+
+def test_masks_and_symmetric_pairs_match_edges():
+    graphs = list(ALL_FIXTURES.values()) + list(all_bipartite_digraphs(4))
+    for g in graphs:
+        assert g.out_masks == tuple(
+            sum(1 << v for v in range(g.n) if (u, v) in g.edges) for u in range(g.n)
+        )
+        assert g.in_masks == tuple(
+            sum(1 << u for u in range(g.n) if (u, v) in g.edges) for v in range(g.n)
+        )
+        assert g.symmetric_pairs == tuple(
+            sorted((u, v) for u, v in g.edges if u < v and (v, u) in g.edges)
+        )
+
+
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 0), (0, -4), (7, 9)])
+def test_digraph_rejects_out_of_range_edge(edge):
+    with pytest.raises(ValueError, match="out of range"):
+        Digraph(n=3, colors=(0, 1, 0), edges=frozenset({edge}), names=("a", "b", "c"))
+
+
+def test_digraph_rejects_loop_and_monochromatic_edge():
+    names = ("a", "b", "c")
+    with pytest.raises(LoopEdge, match="loop at vertex b"):
+        Digraph(n=3, colors=(0, 1, 0), edges=frozenset({(1, 1)}), names=names)
+    with pytest.raises(MonochromaticEdge, match="edge c -> a joins"):
+        Digraph(n=3, colors=(0, 1, 0), edges=frozenset({(2, 0)}), names=names)
 
 
 def test_underlying_commutes_with_induced_small_exhaustive():

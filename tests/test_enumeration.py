@@ -225,9 +225,3 @@ def test_verify_flags_ex7_discrepancy():
     assert ex7.passed
     assert "P5a" in ex7.details
     assert "FLAG" in ex7.details
-
-
-def test_verify_parallel_matches_sequential():
-    seq = verify_paper_counts(workers=1)
-    par = verify_paper_counts(workers=2)
-    assert seq == par

@@ -1,12 +1,14 @@
 import pytest
 
+from helpers import naive_topological_order
 from qbmg.axioms import recognize
 from qbmg.bicliques import Biclique
-from qbmg.digraph import build_digraph, isomorphic, underlying
+from qbmg.digraph import build_digraph, induced_subdigraph, isomorphic, underlying
 from qbmg.enumeration import all_bipartite_digraphs
-from qbmg.errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented
-from qbmg.fixtures import EX10, P5A, P5AB
+from qbmg.errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented, TooLarge
+from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import (
+    ORIENT_MAX_PAIRS,
     OddEvenSpec,
     all_orientations,
     bitournament_report,
@@ -73,6 +75,32 @@ def test_topological_order_rejects_symmetric_pairs():
 def test_topological_order_none_on_directed_cycle():
     g = build_digraph(4, (0, 1, 0, 1), [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert topological_order(g) is None
+
+
+def test_topological_order_matches_naive_scan():
+    # every orientation of every fixture, then every oriented bipartite
+    # digraph on four vertices, directed cycles included
+    graphs = [o for g in ALL_FIXTURES.values() for o in all_orientations(g)]
+    graphs += [g for g in all_bipartite_digraphs(4) if not g.symmetric_pairs]
+    cyclic = 0
+    for g in graphs:
+        order = topological_order(g)
+        assert order == naive_topological_order(g)
+        cyclic += order is None
+    assert cyclic > 0
+
+
+def test_all_orientations_too_large_before_any_work():
+    star = build_digraph(
+        ORIENT_MAX_PAIRS + 2,
+        (0,) + (1,) * (ORIENT_MAX_PAIRS + 1),
+        [e for v in range(1, ORIENT_MAX_PAIRS + 2) for e in ((0, v), (v, 0))],
+    )
+    with pytest.raises(TooLarge):
+        next(all_orientations(star))
+    at_cap, _ = induced_subdigraph(star, range(ORIENT_MAX_PAIRS + 1))
+    assert len(at_cap.symmetric_pairs) == ORIENT_MAX_PAIRS
+    assert not next(all_orientations(at_cap)).symmetric_pairs
 
 
 def test_topological_order_respects_edges():

@@ -1,12 +1,20 @@
+import random
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
-from helpers import brute_has_induced_cycle, brute_has_induced_path
+from helpers import brute_least_induced_cycle, brute_least_induced_path
 from qbmg.digraph import build_ugraph, underlying
-from qbmg.enumeration import cycle_template, path_template
+from qbmg.enumeration import cycle_template, halved_colorings, path_template
 from qbmg.fixtures import C4_3, EX7, EX10, P5A
-from qbmg.paths import find_induced_cycle, find_induced_path, is_cograph
+from qbmg.paths import (
+    find_induced_cycle,
+    find_induced_cycle_masks,
+    find_induced_path,
+    find_induced_path_masks,
+    is_cograph,
+)
 
 
 def test_p5_fixture_contains_induced_p5():
@@ -81,20 +89,51 @@ def test_path_length_validation():
 
 
 def test_against_brute_force_exhaustive_n5():
-    # every bipartite undirected graph on 5 labeled vertices (one coloring
-    # per complement pair), all meaningful path/cycle lengths
-    for colors in product((0, 1), repeat=4):
-        colors = (0, *colors)
-        pairs = [
-            (u, v) for u in range(5) for v in range(u + 1, 5) if colors[u] != colors[v]
-        ]
-        for picks in product((0, 1), repeat=len(pairs)):
-            edges = [p for p, on in zip(pairs, picks) if on]
-            g = build_ugraph(5, colors, edges)
-            for k in (2, 3, 4, 5):
-                assert (find_induced_path(g, k) is not None) == brute_has_induced_path(g, k)
-            for k in (3, 4, 5):
-                assert (find_induced_cycle(g, k) is not None) == brute_has_induced_cycle(g, k)
+    # every bipartite undirected graph on at most 5 labeled vertices (one
+    # coloring per complement pair), every path/cycle length up to 7
+    for n in range(1, 6):
+        for colors in halved_colorings(n):
+            pairs = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if colors[u] != colors[v]
+            ]
+            for picks in product((0, 1), repeat=len(pairs)):
+                edges = [p for p, on in zip(pairs, picks) if on]
+                g = build_ugraph(n, colors, edges)
+                for k in range(2, 8):
+                    hit = find_induced_path(g, k)
+                    assert (hit and hit.vertices) == brute_least_induced_path(g, k)
+                for k in range(3, 8):
+                    hit = find_induced_cycle(g, k)
+                    assert (hit and hit.vertices) == brute_least_induced_cycle(g, k)
+
+
+class MaskGraph(NamedTuple):
+    """Any undirected graph, given by adjacency bitmasks."""
+
+    n: int
+    adj: tuple[int, ...]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.adj[u] >> v & 1)
+
+
+def test_mask_search_least_witnesses_random_graphs():
+    # not only bipartite graphs: odd cycles, triangles and dense graphs too
+    rng = random.Random(5)
+    for trial in range(48):
+        n = 2 + trial % 8
+        density = rng.choice((0.25, 0.4, 0.6))
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        g = MaskGraph(n, tuple(adj))
+        for k in range(2, 8):
+            assert find_induced_path_masks(g.adj, n, k) == brute_least_induced_path(g, k)
+        for k in range(3, 8):
+            assert find_induced_cycle_masks(g.adj, n, k) == brute_least_induced_cycle(g, k)
 
 
 def test_witnesses_replay():

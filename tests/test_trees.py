@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import random_nested, random_surjective_coloring, random_truncation
+from helpers import (
+    naive_best_match_graph,
+    random_nested,
+    random_surjective_coloring,
+    random_truncation,
+)
 from qbmg.axioms import recognize
 from qbmg.digraph import build_digraph
 from qbmg.errors import (
@@ -186,9 +191,21 @@ def test_random_trees_explain_recognized_graphs():
         g = qbmg_from_tree(tree, sigma, u)
         rep = recognize(g)
         assert rep.is_qbmg
-        bmg = best_match_graph(tree, sigma)
+        bmg = naive_best_match_graph(tree, sigma)
         assert g.edges <= bmg.edges
         root_u = root_truncation(tree, sigma)
         full = qbmg_from_tree(tree, sigma, root_u)
         assert full == bmg
         assert recognize(full).is_bmg
+
+
+def test_qbmg_from_tree_matches_naive_construction():
+    rng = random.Random(11)
+    names = [f"t{i}" for i in range(1, 17)]
+    for trial in range(300):
+        size = 2 + trial % 15
+        tree = tree_from_nested(random_nested(rng, names[:size]))
+        sigma = random_surjective_coloring(rng, tree.leaves)
+        u = random_truncation(rng, tree, sigma)
+        assert qbmg_from_tree(tree, sigma, u) == naive_best_match_graph(tree, sigma, u)
+        assert best_match_graph(tree, sigma) == naive_best_match_graph(tree, sigma)
