@@ -4,9 +4,6 @@ Verbs: recognize, analyze, dominate, decompose, orient, enumerate, explain,
 verify.  Every report is built as a plain dict first and rendered either as
 text or, with --json, as the same facts in JSON.  Exit codes: 0 success,
 1 when ``verify`` finds a failing check, 2 on parse or validation errors.
-
---seed is accepted globally so any future randomized subcommand stays
-reproducible; current verbs are deterministic.
 """
 
 from __future__ import annotations
@@ -315,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tree-based construction of two-colored quasi-best-match graphs.",
     )
     parser.add_argument("--json", action="store_true", help="emit reports as JSON")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subcommands (reserved)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("recognize", help="axiom check with witness")

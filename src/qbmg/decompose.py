@@ -88,17 +88,16 @@ def decompose_type_a(g: Digraph) -> Decomposition:
     """
     if not recognize(g).is_qbmg:
         raise NotQbmg("decomposition requires a recognized graph")
-    if len(weak_components(g)) != 1:
+    und = underlying(g)
+    if len(und.components()) != 1:
         raise Disconnected("decomposition requires a connected graph")
 
     parts: list[frozenset[int]] = []
 
-    def peel(vertex_ids: tuple[int, ...]) -> None:
-        sub, old = induced_subdigraph(g, vertex_ids)
-        if is_type_a(sub):
-            parts.append(frozenset(vertex_ids))
+    def peel(sub: Digraph, old: tuple[int, ...], und: UGraph, type_a: bool) -> None:
+        if type_a:
+            parts.append(frozenset(old))
             return
-        und = underlying(sub)
         delta = find_dominating_biclique(und)
         if delta is None:  # cannot happen for recognized connected graphs
             raise AssertionError("connected recognized graph without dominating biclique")
@@ -122,7 +121,10 @@ def decompose_type_a(g: Digraph) -> Decomposition:
             rest_graph.adj_masks[v] for v in range(rest_graph.n)
         ), "remainder must have no isolated vertex"
         for comp in underlying(rest_graph).components():
-            peel(tuple(old[rest_old[v]] for v in sorted(comp)))
+            piece, ids = induced_subdigraph(g, (old[rest_old[v]] for v in comp))
+            peel(piece, ids, underlying(piece), is_type_a(piece))
 
-    peel(tuple(range(g.n)))
+    # g is already known to be connected and recognized, so it is type A
+    # exactly when its underlying graph is K+S
+    peel(g, tuple(range(g.n)), und, kos_partition(und) is not None)
     return Decomposition(tuple(parts))

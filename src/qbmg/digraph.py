@@ -346,22 +346,29 @@ def _swappable_matrix(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[
     return swap
 
 
-def _canonical_levels(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[int]:
-    """Lexicographically minimal layered border encoding over all orderings."""
+def canonical_order(
+    n: int, rows: Sequence[int], cols: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Lexicographically minimal layered border encoding over all vertex
+    orderings, and an ordering that reaches it (``order[k]`` is the vertex
+    placed at position k).  The graph relabeled by ``order`` has the
+    minimal encoding as its own identity levels."""
     if n == 0:
-        return []
+        return [], []
     swap = _swappable_matrix(n, rows, cols)
     best: list[int] | None = None
+    best_order: list[int] = []
     prefix: list[int] = []
     placed: list[int] = []
     used = 0
 
     def rec() -> None:
-        nonlocal best, used
+        nonlocal best, best_order, used
         k = len(placed)
         if k == n:
             if best is None or prefix < best:
                 best = prefix.copy()
+                best_order = placed.copy()
             return
         groups: dict[int, list[int]] = {}
         for v in range(n):
@@ -392,7 +399,7 @@ def _canonical_levels(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[
 
     rec()
     assert best is not None
-    return best
+    return best, best_order
 
 
 def _pack_levels(n: int, levels: Sequence[int]) -> bytes:
@@ -426,7 +433,7 @@ def canonical_form(g: Digraph) -> CanonicalForm:
     """Canonical certificate by pruned search over vertex orderings (n <= 10)."""
     if g.n > CANONICAL_MAX_VERTICES:
         raise TooLarge(f"canonical form supports at most {CANONICAL_MAX_VERTICES} vertices")
-    levels = _canonical_levels(g.n, g.out_masks, g.in_masks)
+    levels, _ = canonical_order(g.n, g.out_masks, g.in_masks)
     return CanonicalForm(_pack_levels(g.n, levels))
 
 

@@ -8,13 +8,16 @@ recognized graph (used for the template counts and ``verify``).
 reused bitmasks, without building graphs, setting the pairs vertex by vertex
 so that an optional ``keep`` test can prune a rejected induced prefix with
 all of its completions.  ``classify_all_qbmgs`` drives it over one coloring
-per complement pair with ``keep=is_qbmg_masks`` (recognition is hereditary,
-so no recognized graph is pruned), counts each recognized edge set twice for
-the complement coloring, and canonicalizes only the first recognized edge set
-of each isomorphism class, marking the rest of that class seen through its
-vertex-permutation orbit.  ``all_bipartite_digraphs`` yields the same labeled
-graphs as ``Digraph`` values for small-n checks and as the reference that
-tests compare ``classify_all_qbmgs`` against.
+per complement pair with ``keep=is_qbmg_masks_delta``, which tests only the
+axiom tuples through the newest vertex because the sweep calls it only on
+extensions of a prefix that passed (recognition is hereditary, so no
+recognized graph is pruned).  It counts each recognized edge set twice for
+the complement coloring, and runs one canonical search per isomorphism
+class: the ordering that search finds gives the class representative, and
+the rest of the class is marked seen through its vertex-permutation orbit.
+``all_bipartite_digraphs`` yields the same labeled graphs as ``Digraph``
+values for small-n checks and as the reference that tests compare
+``classify_all_qbmgs`` against.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import fixtures
-from .axioms import is_qbmg_masks, recognize
+from .axioms import is_qbmg_masks, is_qbmg_masks_delta, recognize
 from .digraph import (
     CANONICAL_MAX_VERTICES,
     CanonicalForm,
     Digraph,
     UGraph,
-    border_levels,
+    _pack_levels,
     build_ugraph,
     canonical_form,
+    canonical_order,
     default_names,
     identity_levels,
     induced_subdigraph,
@@ -238,17 +242,27 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     with one canonical form per class instead of one per recognized graph.
 
     One coloring per complement pair (``halved_colorings``) is swept on
-    masks with ``keep=is_qbmg_masks``, so a prefix that fails recognition is
-    never extended and only recognized edge sets reach the visitor.  A
-    coloring and its complement have the same opposite-color pairs, so for
+    masks with ``keep=is_qbmg_masks_delta``, so a prefix that fails
+    recognition is never extended and only recognized edge sets reach the
+    visitor.  The delta kernel assumes the prefix without its newest vertex
+    passes.  That holds at every call: the sweep calls ``keep`` only at
+    vertex boundaries, each after the previous boundary's call accepted,
+    and vertices before the first boundary have no opposite-color vertex
+    before them, so they form an edgeless monochromatic prefix, which
+    passes trivially.
+
+    A coloring and its complement have the same opposite-color pairs, so for
     n >= 1 each recognized edge set of the sweep adds 2 to
     ``total_filtered``, which counts recognized (coloring, edge set) pairs
     over all 2^n colorings as the reference does.  The first recognized
-    edge set of a class is canonicalized; all n! relabelings of it are then
-    marked seen, so later members cost a set lookup.  The witness is the
-    relabeling with the least identity levels, colored by
-    ``infer_bipartition``: the first valid coloring in sweep order, as the
-    reference keeps on ties.
+    edge set of a class gets one canonical search (``canonical_order``); all
+    n! relabelings of it are then marked seen, so later members cost a set
+    lookup.  The witness is the edge set relabeled by the ordering that
+    search returns.  Its identity levels are the canonical levels, the least
+    over the orbit, and border levels determine the edge set, so it is the
+    orbit member with the least identity levels, which the reference keeps.
+    It is colored by ``infer_bipartition``: the first valid coloring in
+    sweep order, as the reference keeps on ties.
     """
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
@@ -271,23 +285,22 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         total += weight
         if tuple(out) in seen:
             return
-        orbit = []
         for perm, image in relabelings:
             rows = [0] * n
-            cols = [0] * n
             for v in range(n):
                 rows[perm[v]] = image[out[v]]
-                cols[perm[v]] = image[inn[v]]
             seen.add(tuple(rows))
-            orbit.append((border_levels(n, rows, cols), rows))
-        rows = min(orbit)[1]
-        edges = [(u, v) for u in range(n) for v in iter_bits(rows[u])]
+        levels, order = canonical_order(n, out, inn)
+        position = [0] * n
+        for k, v in enumerate(order):
+            position[v] = k
+        edges = [(position[u], position[v]) for u in range(n) for v in iter_bits(out[u])]
         rep = Digraph(n=n, colors=infer_bipartition(n, edges), edges=frozenset(edges), names=names)
-        form = canonical_form(rep)
-        classes[form.code] = (form, rep)
+        code = _pack_levels(n, levels)
+        classes[code] = (CanonicalForm(code), rep)
 
     for colors in halved_colorings(n):
-        run_mask_sweep(colors, visit, keep=is_qbmg_masks)
+        run_mask_sweep(colors, visit, keep=is_qbmg_masks_delta)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 
 

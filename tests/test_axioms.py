@@ -1,4 +1,9 @@
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     digraph_from_masks,
@@ -13,6 +18,7 @@ from qbmg.axioms import (
     find_n3_violation,
     is_hereditary_on,
     is_qbmg_masks,
+    is_qbmg_masks_delta,
     n1_configurations,
     recognize,
 )
@@ -172,6 +178,67 @@ def test_mask_kernel_matches_naive_on_sweep_n5():
 
             run_mask_sweep(colors, visit)
     assert disagreements == []
+
+
+def test_delta_kernel_matches_full_kernel_on_sweep_prefixes_n5():
+    # every keep call of the pruned sweep over all 2^n colorings with n <= 5;
+    # the prefix without the newest vertex has passed there, as the delta
+    # kernel assumes.  A seeded sample is also checked against the naive scan.
+    rng = random.Random(6)
+    calls = 0
+    disagreements = []
+    sampled = []
+    for n in range(6):
+        for colors in product((0, 1), repeat=n):
+
+            def keep(m, out, inn, colors=colors):
+                nonlocal calls
+                calls += 1
+                full = is_qbmg_masks(m, out, inn)
+                if is_qbmg_masks_delta(m, out, inn) != full:
+                    disagreements.append((m, tuple(out[:m])))
+                if rng.random() < 0.03:
+                    sampled.append((digraph_from_masks(m, tuple(out[:m]), colors[:m]), full))
+                return full
+
+            run_mask_sweep(colors, lambda out, inn: None, keep)
+    assert calls == 70_306
+    assert disagreements == []
+    assert len(sampled) > 1000
+    assert [full for _, full in sampled] == [naive_is_qbmg(g) for g, _ in sampled]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_delta_kernel_matches_full_kernel_on_random_extensions(data):
+    # loop-free digraphs on up to 8 vertices, bipartite or not (the kernel
+    # reads masks only); an earlier vertex keeps its drawn edges only while
+    # the prefix still passes, so the prefix before the newest vertex passes
+    m = data.draw(st.integers(1, 8))
+    bipartite = data.draw(st.booleans())
+    colors = [data.draw(st.integers(0, 1)) if bipartite else v for v in range(m)]
+    out = [0] * m
+    inn = [0] * m
+    for x in range(m):
+        xbit = 1 << x
+        for u in range(x):
+            if colors[u] == colors[x]:
+                continue
+            state = data.draw(st.integers(0, 3))
+            if state & 1:
+                out[u] |= xbit
+                inn[x] |= 1 << u
+            if state & 2:
+                out[x] |= 1 << u
+                inn[u] |= xbit
+        if x < m - 1 and not is_qbmg_masks(x + 1, out, inn):
+            for u in range(x):
+                out[u] &= ~xbit
+                inn[u] &= ~xbit
+            out[x] = inn[x] = 0
+    low = (1 << (m - 1)) - 1
+    assert is_qbmg_masks(m - 1, [o & low for o in out], [i & low for i in inn])
+    assert is_qbmg_masks_delta(m, out, inn) == is_qbmg_masks(m, out, inn)
 
 
 def test_n1_configurations_definitional():

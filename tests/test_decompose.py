@@ -1,5 +1,6 @@
 import pytest
 
+import qbmg.decompose
 from qbmg.decompose import decompose_type_a, is_type_a, kos_partition
 from qbmg.digraph import build_digraph, induced_subdigraph, underlying
 from qbmg.enumeration import cycle_template
@@ -62,6 +63,20 @@ def test_decompose_ex10_single_part():
 def test_decompose_p5a1_single_part():
     result = decompose_type_a(P5A1)
     assert result.parts == (frozenset(range(5)),)
+
+
+def test_decompose_recognizes_a_type_a_input_once(monkeypatch):
+    calls = 0
+    real = qbmg.decompose.recognize
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(qbmg.decompose, "recognize", counted)
+    assert decompose_type_a(EX10).parts == (frozenset(range(10)),)
+    assert calls == 1
 
 
 def test_decompose_rejects_unrecognized():

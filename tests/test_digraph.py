@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from qbmg.digraph import (
     build_digraph,
     build_ugraph,
     canonical_form,
+    canonical_order,
     equivalent_vertex_pairs,
+    identity_levels,
     induced_subdigraph,
     isomorphic,
     neighbors,
@@ -156,6 +159,34 @@ def test_canonical_form_relabel_invariance_random(data):
     g = build_digraph(n, colors, edges)
     perm = list(data.draw(st.permutations(range(n))))
     assert canonical_form(relabel(g, perm)).code == canonical_form(g).code
+
+
+def test_canonical_form_codes_pinned_on_fixtures():
+    # the codes every fixture had before canonical_order returned its ordering
+    digest = hashlib.sha256()
+    for name in sorted(ALL_FIXTURES):
+        digest.update(f"{name}:{canonical_form(ALL_FIXTURES[name]).code.hex()}\n".encode())
+    assert len(ALL_FIXTURES) == 23
+    assert digest.hexdigest() == (
+        "2aced19238c224de1e574051b6050673ca4772ed24853452d42ee37b4f8c9dfe")
+
+
+def test_canonical_order_relabels_to_canonical_levels():
+    rng = random.Random(6)
+    for name, g in ALL_FIXTURES.items():
+        levels, order = canonical_order(g.n, g.out_masks, g.in_masks)
+        assert sorted(order) == list(range(g.n)), name
+        position = [0] * g.n
+        for k, v in enumerate(order):
+            position[v] = k
+        canon = relabel(g, position)
+        assert identity_levels(canon) == tuple(levels), name
+        # any relabeling reaches the same levels, and none encodes lower
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = relabel(g, perm)
+        assert canonical_order(g.n, shuffled.out_masks, shuffled.in_masks)[0] == levels, name
+        assert identity_levels(shuffled) >= tuple(levels), name
 
 
 def test_canonical_form_too_large():

@@ -4,7 +4,7 @@ import io
 import json
 from collections import Counter
 from contextlib import redirect_stdout
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -12,7 +12,15 @@ import qbmg.enumeration
 from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.cli import main
 from qbmg.dgf import format_dgf
-from qbmg.digraph import build_ugraph, canonical_form, ugraphs_isomorphic, underlying
+from qbmg.digraph import (
+    build_ugraph,
+    canonical_form,
+    canonical_order,
+    identity_levels,
+    relabel,
+    ugraphs_isomorphic,
+    underlying,
+)
 from qbmg.enumeration import (
     all_bipartite_digraphs,
     classify_all_qbmgs,
@@ -148,16 +156,29 @@ def test_classify_all_six_vertices_pinned():
 
 def test_classify_all_canonicalizes_once_per_class(monkeypatch):
     calls = 0
-    real = qbmg.enumeration.canonical_form
+    real = qbmg.enumeration.canonical_order
 
-    def counted(g):
+    def counted(n, rows, cols):
         nonlocal calls
         calls += 1
-        return real(g)
+        return real(n, rows, cols)
 
-    monkeypatch.setattr(qbmg.enumeration, "canonical_form", counted)
+    monkeypatch.setattr(qbmg.enumeration, "canonical_order", counted)
     result = classify_all_qbmgs(4)
     assert result.count == calls == 36
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_classify_all_representatives_are_canonical_orbit_minima(n):
+    # the representative is the member of its class with the least identity
+    # levels: its canonical levels, found here again by scanning all n!
+    # relabelings
+    for form, rep in classify_all_qbmgs(n).classes:
+        levels, _ = canonical_order(n, rep.out_masks, rep.in_masks)
+        assert identity_levels(rep) == tuple(levels)
+        assert form.code == canonical_form(rep).code
+        orbit_min = min(identity_levels(relabel(rep, perm)) for perm in permutations(range(n)))
+        assert identity_levels(rep) == orbit_min
 
 
 def test_classify_p5_matches_fixtures():
