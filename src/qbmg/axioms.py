@@ -129,7 +129,9 @@ def recognize(g: Digraph) -> RecognitionReport:
 
 def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
     """Boolean-only recognition over out/in adjacency bitmasks of vertices
-    0..n-1 (longer mask lists are read only up to n)."""
+    0..n-1.  Longer mask lists are indexed only up to n, but no mask of
+    vertices 0..n-1 may have a bit at n or above set: such bits are read as
+    edges, not cleared."""
     # (N3): cheapest reject on dense graphs
     for u in range(n - 1):
         ou = out[u]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .digraph import Digraph
+from .axioms import is_qbmg_masks
+from .digraph import Digraph, iter_bits
 from .errors import (
     InvalidTruncation,
     NoIntegerSuffix,
@@ -113,20 +114,20 @@ def tree_from_nested(nested: Nested) -> PhyloTree:
     parent: list[int | None] = []
     children: list[list[int]] = []
     names: list[str | None] = []
-
-    def walk(node: Nested, par: int | None) -> int:
+    # preorder with an explicit stack, so deep nests need no recursion
+    stack: list[tuple[Nested, int | None]] = [(nested, None)]
+    while stack:
+        node, par = stack.pop()
         idx = len(parent)
         parent.append(par)
         children.append([])
+        if par is not None:
+            children[par].append(idx)
         if isinstance(node, str):
             names.append(node)
         else:
             names.append(None)
-            for child in node:
-                children[idx].append(walk(child, idx))
-        return idx
-
-    walk(nested, None)
+            stack.extend((child, idx) for child in reversed(node))
     return PhyloTree(tuple(parent), tuple(tuple(c) for c in children), tuple(names))
 
 
@@ -161,23 +162,8 @@ def parse_tree(text: str) -> tuple[PhyloTree, LeafColoring]:
 
     colors_by_name: dict[str, int] = {}
 
-    def parse_node() -> Nested:
+    def parse_leaf() -> str:
         nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise fail("unexpected end of input")
-        if text[pos] == "(":
-            pos += 1
-            kids = [parse_node()]
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                kids.append(parse_node())
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise fail("expected ',' or ')'")
-            pos += 1
-            return tuple(kids)
         m = _LEAF_TOKEN.match(text, pos)
         if not m:
             raise fail(f"expected a name=color leaf or '(' at {text[pos]!r}")
@@ -189,6 +175,32 @@ def parse_tree(text: str) -> tuple[PhyloTree, LeafColoring]:
             raise fail(f"leaf {name!r} declared twice")
         colors_by_name[name] = int(color_text)
         return name
+
+    def parse_node() -> Nested:
+        # one list of parsed children per open '(', so deep nests need no recursion
+        nonlocal pos
+        groups: list[list[Nested]] = []
+        while True:
+            skip_ws()
+            if pos >= len(text):
+                raise fail("unexpected end of input")
+            if text[pos] == "(":
+                pos += 1
+                groups.append([])
+                continue
+            node: Nested = parse_leaf()
+            while groups:
+                groups[-1].append(node)
+                skip_ws()
+                if pos < len(text) and text[pos] == ",":
+                    pos += 1
+                    break
+                if pos >= len(text) or text[pos] != ")":
+                    raise fail("expected ',' or ')'")
+                pos += 1
+                node = tuple(groups.pop())
+            else:
+                return node
 
     nested = parse_node()
     skip_ws()
@@ -356,16 +368,70 @@ def phylogenetic_topologies(names: Sequence[str]) -> Iterator[Nested]:
     yield from gen(ordered)
 
 
+def _build_informative(g: Digraph) -> Nested | None:
+    """BUILD (Aho, Sagiv, Szymanski & Ullman 1981) on the informative triples
+    xy|y' of g: x -> y, x -/-> y' and y, y' both of the color x lacks.
+
+    For a leaf set L the Aho graph joins x and y for every triple xy|y' inside
+    L; its components are the children of L's node, ordered by least leaf
+    name, and L fails (None) when the graph is connected.  For the graph of
+    a tree under root truncation this is its least-resolved tree (Geiß et
+    al., *Best match graphs*, J. Math. Biol. 78, 2019).
+    """
+    n, out, names = g.n, g.out_masks, g.names
+    side = [0, 0]
+    for v in range(n):
+        side[g.colors[v]] |= 1 << v
+    # x takes part in triples xy|y' over L iff some y' of spare[x] lies in L
+    spare = [side[1 - g.colors[x]] & ~out[x] for x in range(n)]
+
+    def build(leafset: int) -> tuple[str, Nested] | None:
+        if not leafset & (leafset - 1):
+            name = names[leafset.bit_length() - 1]
+            return name, name
+        link = [0] * n
+        for x in iter_bits(leafset):
+            if spare[x] & leafset:
+                ys = out[x] & leafset
+                link[x] |= ys
+                for y in iter_bits(ys):
+                    link[y] |= 1 << x
+        kids = []
+        rest = leafset
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for v in iter_bits(frontier):
+                    reach |= link[v]
+                frontier = reach & ~comp
+                comp |= frontier
+            if comp == leafset:
+                return None
+            rest &= ~comp
+            kid = build(comp)
+            if kid is None:
+                return None
+            kids.append(kid)
+        kids.sort()  # least leaf names are distinct, so subtrees are never compared
+        return kids[0][0], tuple(nested for _, nested in kids)
+
+    built = build((1 << n) - 1)
+    return None if built is None else built[1]
+
+
 def search_explanation(
     g: Digraph, max_leaves: int
 ) -> tuple[PhyloTree, LeafColoring, TruncationMap] | None:
-    """Exhaustive search for a (tree, coloring, truncation) triple whose
-    constructed graph equals g with matching vertex names.
+    """A (tree, coloring, truncation) triple whose constructed graph equals g
+    with matching vertex names, or None when there is none.
 
-    Uses the structural fact that all best matches of a leaf toward one color
-    share the same lca, so a truncation entry either keeps that whole edge
-    bundle or drops it; a tree explains g iff every out-neighborhood equals
-    the tree's best-match set or is empty.
+    Graphs failing recognition are rejected at once, since every graph a
+    tree explains satisfies N1-N3.  A sink-free recognized graph is a
+    best-match graph; it gets its least-resolved tree, built from its
+    informative triples, with the root truncation.  Graphs with sinks, and
+    any BUILD result that does not replay to g, go to the exhaustive
+    topology search.
     """
     if max_leaves > EXPLAIN_MAX_LEAVES:
         raise TooLarge(f"explanation search supports at most {EXPLAIN_MAX_LEAVES} leaves")
@@ -373,6 +439,27 @@ def search_explanation(
         raise TooLarge(f"graph has {g.n} vertices, budget is {max_leaves}")
     if set(g.colors) != {0, 1}:
         return None  # a leaf coloring must use both colors
+    if not is_qbmg_masks(g.n, g.out_masks, g.in_masks):
+        return None
+    if all(g.out_masks):
+        nested = _build_informative(g)
+        if nested is not None:
+            tree = tree_from_nested(nested)
+            sigma = {leaf: g.colors[g.id_of(tree.names[leaf])] for leaf in tree.leaves}
+            trunc = root_truncation(tree, sigma)
+            if qbmg_from_tree(tree, sigma, trunc).named_edges() == g.named_edges():
+                return tree, sigma, trunc
+    return _search_topologies(g)
+
+
+def _search_topologies(g: Digraph) -> tuple[PhyloTree, LeafColoring, TruncationMap] | None:
+    """Exhaustive search over every phylogenetic topology on g's names.
+
+    Uses the structural fact that all best matches of a leaf toward one color
+    share the same lca, so a truncation entry either keeps that whole edge
+    bundle or drops it; a tree explains g iff every out-neighborhood equals
+    the tree's best-match set or is empty.
+    """
     for nested in phylogenetic_topologies(g.names):
         tree = tree_from_nested(nested)
         sigma = {leaf: g.colors[g.id_of(tree.names[leaf])] for leaf in tree.leaves}

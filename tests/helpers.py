@@ -168,6 +168,13 @@ def random_nested(rng: random.Random, names: list[str]) -> Nested:
     return build(group)
 
 
+def caterpillar_newick(colors: list[int]) -> str:
+    """``(x1=c1,(x2=c2,(...(x{n-1}=c,xn=c)...)));``: n leaves at depth up to n - 1."""
+    n = len(colors)
+    head = "".join(f"(x{i}={colors[i - 1]}," for i in range(1, n - 1))
+    return f"{head}(x{n - 1}={colors[-2]},x{n}={colors[-1]}){')' * (n - 2)};"
+
+
 def random_surjective_coloring(rng: random.Random, leaves: tuple[int, ...]) -> dict[int, int]:
     while True:
         sigma = {leaf: rng.randint(0, 1) for leaf in leaves}

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import caterpillar_newick
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
 from qbmg.digraph import build_digraph
@@ -215,6 +216,28 @@ def test_explain_with_truncation(capsys, tmp_path):
     assert code == 0
     g = parse_dgf(out)
     assert g.named_edges() == {("a", "b"), ("b", "a")}
+
+
+def test_explain_deep_caterpillar(capsys, tmp_path):
+    # one color-1 leaf at the bottom: each leaf has a single best match
+    n = 1200
+    tree = tmp_path / "t.nwk"
+    tree.write_text(caterpillar_newick([0] * (n - 1) + [1]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "explain", "--tree", str(tree))
+    assert code == 0
+    assert err == ""
+    assert len(parse_dgf(out).edges) == n
+
+
+@pytest.mark.parametrize("tail", [")" * 3000 + ";", ";"], ids=["closed", "unclosed"])
+def test_explain_deep_single_child_nest_is_bad_input(capsys, tmp_path, tail):
+    tree = tmp_path / "t.nwk"
+    tree.write_text("(" * 3000 + "a=0" + tail + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "explain", "--tree", str(tree))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_passes(capsys):

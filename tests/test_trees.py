@@ -2,14 +2,19 @@ import random
 
 import pytest
 
+import qbmg.trees as trees
 from helpers import (
+    caterpillar_newick,
+    digraph_from_masks,
     naive_best_match_graph,
+    naive_is_qbmg,
     random_nested,
     random_surjective_coloring,
     random_truncation,
 )
 from qbmg.axioms import recognize
-from qbmg.digraph import build_digraph
+from qbmg.digraph import Digraph, build_digraph
+from qbmg.enumeration import all_bipartite_digraphs
 from qbmg.errors import (
     InvalidTruncation,
     NoIntegerSuffix,
@@ -27,6 +32,7 @@ from qbmg.trees import (
     phylogenetic_topologies,
     qbmg_from_tree,
     root_truncation,
+    _search_topologies,
     search_explanation,
     tree_from_nested,
     validate_truncation,
@@ -59,6 +65,31 @@ def test_parse_tree_error_positions():
         parse_tree("(a=0,b=1)")  # missing semicolon
     with pytest.raises(ParseError):
         parse_tree("(a=0,b=1); junk")
+
+
+def test_tree_from_nested_numbers_nodes_in_preorder():
+    t = tree_from_nested((("a", "b"), "c", ("d", ("e", "f"))))
+    assert t.parent == (None, 0, 1, 1, 0, 0, 5, 5, 7, 7)
+    assert t.children[0] == (1, 4, 5)
+    assert t.names == (None, None, "a", "b", "c", None, "d", None, "e", "f")
+
+
+def test_parse_tree_deep_caterpillar():
+    n = 1200
+    t, sigma = parse_tree(caterpillar_newick([1] + [0] * (n - 1)))
+    assert len(t.leaves) == n
+    assert max(t.depth) == n - 1
+    assert [t.names[v] for v in t.leaves] == [f"x{i}" for i in range(1, n + 1)]
+    assert sigma[t.leaf_by_name("x1")] == 1
+    assert sum(sigma.values()) == 1
+
+
+def test_parse_tree_deep_single_child_nest():
+    with pytest.raises(NotPhylogenetic):
+        parse_tree("(" * 3000 + "a=0" + ")" * 3000 + ";")
+    with pytest.raises(ParseError) as info:
+        parse_tree("(" * 3000 + "a=0;")
+    assert str(info.value).startswith("expected ',' or ')'")
 
 
 def test_lca_examples():
@@ -178,6 +209,81 @@ def test_search_explanation_budget():
 def test_search_explanation_monochromatic_none():
     g = build_digraph(2, (0, 0), [])
     assert search_explanation(g, 2) is None
+
+
+def _replays(g: Digraph, result) -> bool:
+    h = qbmg_from_tree(*result)
+    return h.named_edges() == g.named_edges() and dict(zip(h.names, h.colors)) == dict(
+        zip(g.names, g.colors)
+    )
+
+
+def test_search_explanation_gate_is_sound_n4():
+    # exhaustive explainability equals recognition with both colors, so
+    # rejecting by recognition loses no explainable graph
+    explained = 0
+    for n in range(1, 5):
+        for g in all_bipartite_digraphs(n):
+            two_colored = set(g.colors) == {0, 1}
+            expected = two_colored and recognize(g).is_qbmg
+            walked = _search_topologies(g) if two_colored else None
+            result = search_explanation(g, 4)
+            assert (walked is not None) == expected
+            assert (result is not None) == expected
+            for found in (walked, result):
+                assert found is None or _replays(g, found)
+            explained += expected
+    assert explained == 1492
+
+
+def test_build_replay_alone_rejects_sink_free_non_qbmgs(monkeypatch):
+    # with recognition bypassed, BUILD is consistent on some sink-free
+    # non-qBMGs; the replay check must send them on to the exhaustive search
+    monkeypatch.setattr(trees, "is_qbmg_masks", lambda n, out, inn: True)
+    consistent = 0
+    for n in range(2, 5):
+        for g in all_bipartite_digraphs(n):
+            if not all(g.out_masks):
+                continue
+            result = search_explanation(g, 4)
+            assert (result is not None) == recognize(g).is_qbmg
+            assert result is None or _replays(g, result)
+            consistent += result is None and trees._build_informative(g) is not None
+    assert consistent > 0
+
+
+def test_search_explanation_builds_every_sink_free_sweep_graph(sweep, monkeypatch):
+    def walk(g):
+        raise AssertionError(f"topology search entered for {sorted(g.edges)}")
+
+    monkeypatch.setattr(trees, "_search_topologies", walk)
+    built = 0
+    for rec in sweep.records:
+        if not all(rec.out):
+            continue
+        g = digraph_from_masks(rec.n, rec.out, rec.colors)
+        tree, sigma, trunc = search_explanation(g, 6)
+        assert trunc == root_truncation(tree, sigma)
+        assert _replays(g, (tree, sigma, trunc))
+        built += 1
+    assert built == 18288
+
+
+def test_search_explanation_rejects_non_qbmg_without_topologies(monkeypatch):
+    rng = random.Random(2)
+    while True:
+        colors = [rng.randrange(2) for _ in range(6)]
+        edges = [(a, b) for a in range(6) for b in range(6)
+                 if colors[a] != colors[b] and rng.random() < 0.5]
+        g = build_digraph(6, colors, edges)
+        if set(colors) == {0, 1} and not naive_is_qbmg(g):
+            break
+
+    def walk(names):
+        raise AssertionError("topology walked for a graph failing recognition")
+
+    monkeypatch.setattr(trees, "phylogenetic_topologies", walk)
+    assert search_explanation(g, 6) is None
 
 
 def test_random_trees_explain_recognized_graphs():
