@@ -123,6 +123,23 @@ class Digraph:
         return {name: i for i, name in enumerate(self.names)}
 
 
+def _trusted_digraph(
+    n: int,
+    colors: tuple[int, ...],
+    edges: frozenset[tuple[int, int]],
+    names: tuple[str, ...],
+    out_masks: tuple[int, ...],
+    in_masks: tuple[int, ...],
+) -> Digraph:
+    """A ``Digraph`` from parts derived from a validated graph, without the
+    range, loop and color checks of ``Digraph.__post_init__``.  The masks
+    must describe ``edges`` exactly."""
+    g = object.__new__(Digraph)
+    vars(g).update(n=n, colors=colors, edges=edges, names=names,
+                   out_masks=out_masks, in_masks=in_masks)
+    return g
+
+
 @dataclass(frozen=True)
 class UGraph:
     """Undirected bipartite graph; edges are normalized (u, v) pairs with u < v."""

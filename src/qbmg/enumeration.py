@@ -7,14 +7,16 @@ recognized graph (used for the template counts and ``verify``).
 ``run_mask_sweep`` walks every per-pair edge state of one coloring over
 reused bitmasks, without building graphs, setting the pairs vertex by vertex
 so that an optional ``keep`` test can prune a rejected induced prefix with
-all of its completions.  ``classify_all_qbmgs`` drives it over one coloring
-per complement pair with ``keep=is_qbmg_masks_delta``, which tests only the
-axiom tuples through the newest vertex because the sweep calls it only on
-extensions of a prefix that passed (recognition is hereditary, so no
-recognized graph is pruned).  It counts each recognized edge set twice for
-the complement coloring, and runs one canonical search per isomorphism
-class: the ordering that search finds gives the class representative, and
-the rest of the class is marked seen through its vertex-permutation orbit.
+all of its completions.  ``classify_all_qbmgs`` drives it with
+``keep=is_qbmg_masks_delta``, which tests only the axiom tuples through the
+newest vertex because the sweep calls it only on extensions of a prefix that
+passed (recognition is hereditary, so no recognized graph is pruned).
+Recognition is invariant under relabeling, so it sweeps one sorted coloring
+``(0,)*k + (1,)*(n-k)`` per color-class size k >= n/2 and weights each
+recognized edge set by the number of colorings with those class sizes,
+complements included.  It runs one canonical search per isomorphism class:
+the ordering that search finds gives the class representative, and the rest
+of the class is marked seen through its vertex-permutation orbit.
 ``all_bipartite_digraphs`` yields the same labeled graphs as ``Digraph``
 values for small-n checks and as the reference that tests compare
 ``classify_all_qbmgs`` against.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import fixtures
@@ -241,28 +244,36 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     """The classification of ``classify_qbmgs(all_bipartite_digraphs(n))``,
     with one canonical form per class instead of one per recognized graph.
 
-    One coloring per complement pair (``halved_colorings``) is swept on
-    masks with ``keep=is_qbmg_masks_delta``, so a prefix that fails
-    recognition is never extended and only recognized edge sets reach the
-    visitor.  The delta kernel assumes the prefix without its newest vertex
-    passes.  That holds at every call: the sweep calls ``keep`` only at
-    vertex boundaries, each after the previous boundary's call accepted,
-    and vertices before the first boundary have no opposite-color vertex
-    before them, so they form an edgeless monochromatic prefix, which
-    passes trivially.
+    Only the sorted colorings ``(0,)*k + (1,)*(n-k)`` for k from n down to
+    ceil(n/2) are swept, on masks with ``keep=is_qbmg_masks_delta``, so a
+    prefix that fails recognition is never extended and only recognized edge
+    sets reach the visitor.  The delta kernel assumes the prefix without its
+    newest vertex passes.  That holds at every call: the sweep calls
+    ``keep`` only at vertex boundaries, each after the previous boundary's
+    call accepted, and vertices before the first boundary have no
+    opposite-color vertex before them, so they form an edgeless
+    monochromatic prefix, which passes trivially.
 
-    A coloring and its complement have the same opposite-color pairs, so for
-    n >= 1 each recognized edge set of the sweep adds 2 to
-    ``total_filtered``, which counts recognized (coloring, edge set) pairs
-    over all 2^n colorings as the reference does.  The first recognized
-    edge set of a class gets one canonical search (``canonical_order``); all
-    n! relabelings of it are then marked seen, so later members cost a set
-    lookup.  The witness is the edge set relabeled by the ordering that
-    search returns.  Its identity levels are the canonical levels, the least
-    over the orbit, and border levels determine the edge set, so it is the
-    orbit member with the least identity levels, which the reference keeps.
-    It is colored by ``infer_bipartition``: the first valid coloring in
-    sweep order, as the reference keeps on ties.
+    ``total_filtered`` counts recognized (coloring, edge set) pairs over all
+    2^n colorings, as the reference does.  Any coloring with k zeros is a
+    relabeling of the sorted one, and relabeling maps its recognized edge
+    sets one to one onto theirs; a coloring and its complement have the
+    same opposite-color pairs.  So each recognized edge
+    set of the sorted coloring with k zeros adds ``comb(n, k)``, doubled
+    unless 2k = n (the complement then has the same class sizes and is
+    counted among the ``comb(n, k)``).  For n = 0 the single empty coloring
+    adds 1.
+
+    The first recognized edge set of a class gets one canonical search
+    (``canonical_order``); all n! relabelings of it are then marked seen, so
+    later members, in this coloring or another, cost a set lookup.  Every
+    class has a member in some sorted coloring.  The witness is the edge set
+    relabeled by the ordering that search returns, so it does not depend on
+    which member was found first.  Its identity levels are the canonical
+    levels, the least over the orbit, and border levels determine the edge
+    set, so it is the orbit member with the least identity levels, which the
+    reference keeps.  It is colored by ``infer_bipartition``: the first
+    valid coloring in sweep order, as the reference keeps on ties.
     """
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
@@ -278,7 +289,6 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
     total = 0
-    weight = 2 if n else 1  # the empty coloring is its own complement
 
     def visit(out: list[int], inn: list[int]) -> None:
         nonlocal total
@@ -299,8 +309,9 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         code = _pack_levels(n, levels)
         classes[code] = (CanonicalForm(code), rep)
 
-    for colors in halved_colorings(n):
-        run_mask_sweep(colors, visit, keep=is_qbmg_masks_delta)
+    for k in range(n, (n - 1) // 2, -1):
+        weight = comb(n, k) * (1 if 2 * k == n else 2)
+        run_mask_sweep((0,) * k + (1,) * (n - k), visit, keep=is_qbmg_masks_delta)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 
 

@@ -17,7 +17,15 @@ from typing import Iterator, NamedTuple
 
 from .axioms import find_n2_violation
 from .bicliques import Biclique
-from .digraph import Digraph, build_digraph, equivalent_vertex_pairs, isomorphic, iter_bits, underlying
+from .digraph import (
+    Digraph,
+    _trusted_digraph,
+    build_digraph,
+    equivalent_vertex_pairs,
+    isomorphic,
+    iter_bits,
+    underlying,
+)
 from .errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented, TooLarge
 
 ORIENT_MAX_PAIRS = 16
@@ -87,13 +95,26 @@ def all_orientations(g: Digraph) -> Iterator[Digraph]:
         raise TooLarge(
             f"orientation sweep supports at most {ORIENT_MAX_PAIRS} symmetric pairs, "
             f"got {len(pairs)}")
-    pairset = set(pairs)
-    asym = frozenset(e for e in g.edges if (min(e), max(e)) not in pairset)
+    # the parent's masks and edges with both directions of every pair dropped
+    out0, in0 = list(g.out_masks), list(g.in_masks)
+    asym = set(g.edges)
+    for u, v in pairs:
+        out0[u] ^= 1 << v
+        out0[v] ^= 1 << u
+        in0[u] ^= 1 << v
+        in0[v] ^= 1 << u
+        asym.discard((u, v))
+        asym.discard((v, u))
     for choice in range(1 << len(pairs)):
+        out, inn = out0[:], in0[:]
         edges = set(asym)
         for i, (u, v) in enumerate(pairs):
-            edges.add((u, v) if choice >> i & 1 else (v, u))
-        yield Digraph(n=g.n, colors=g.colors, edges=frozenset(edges), names=g.names)
+            if not choice >> i & 1:
+                u, v = v, u
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+            edges.add((u, v))
+        yield _trusted_digraph(g.n, g.colors, frozenset(edges), g.names, tuple(out), tuple(inn))
 
 
 def topological_order(g: Digraph) -> tuple[int, ...] | None:

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmg.dgf import format_dgf, parse_dgf
-from qbmg.digraph import Digraph, UGraph, underlying
+from qbmg.digraph import Digraph, UGraph, build_digraph, build_ugraph, underlying
 from qbmg.errors import ParseError
 from qbmg.fixtures import ALL_FIXTURES, EX10, P5AB
 
@@ -69,3 +71,34 @@ def test_format_is_sorted_and_deterministic():
     assert vertex_lines == [f"v v{i + 1} {EX10.colors[i]}" for i in range(10)]
     edge_lines = [l for l in lines if l.startswith("e ")]
     assert edge_lines == sorted(edge_lines, key=lambda l: [int(x[1:]) for x in l.split()[1:]])
+
+
+# a name is one token: no whitespace, line break, control character or '#'
+NAMES = st.text(
+    st.characters(exclude_categories=("Z", "C"), exclude_characters="#"),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def two_colored_graphs(draw, directed):
+    n = draw(st.integers(0, 8))
+    colors = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    edges = []
+    for v in range(n):
+        for u in range(v):
+            if colors[u] == colors[v]:
+                continue
+            state = draw(st.integers(0, 3 if directed else 1))
+            if state & 1:
+                edges.append((u, v))
+            if state & 2:
+                edges.append((v, u))
+    build = build_digraph if directed else build_ugraph
+    return build(n, colors, edges, names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(two_colored_graphs))
+def test_round_trip_random_graphs(g):
+    assert parse_dgf(format_dgf(g)) == g

@@ -154,7 +154,23 @@ def test_classify_all_six_vertices_pinned():
         "7ebc5fd56774b43ff641d017b75a434ea3525dcb552f063888d7f8df808fd9d0")
 
 
-def test_classify_all_canonicalizes_once_per_class(monkeypatch):
+@pytest.mark.parametrize("n", range(6))
+def test_sorted_coloring_weights_are_exact(n):
+    # classify_all_qbmgs sweeps only the sorted coloring per color-class size
+    # and weights it by the colorings it stands for: every coloring must have
+    # as many recognized edge sets as the sorted coloring with its number of
+    # zeros, and as the one with its complement's number of zeros
+    def recognized(colors):
+        return run_mask_sweep(colors, lambda out, inn: None, is_qbmg_masks)
+
+    by_zeros = [recognized((0,) * k + (1,) * (n - k)) for k in range(n + 1)]
+    for colors in product((0, 1), repeat=n):
+        zeros = colors.count(0)
+        assert recognized(colors) == by_zeros[zeros] == by_zeros[n - zeros], colors
+
+
+@pytest.mark.parametrize(("n", "classes"), [(4, 36), (5, 137)])
+def test_classify_all_canonicalizes_once_per_class(monkeypatch, n, classes):
     calls = 0
     real = qbmg.enumeration.canonical_order
 
@@ -164,8 +180,8 @@ def test_classify_all_canonicalizes_once_per_class(monkeypatch):
         return real(n, rows, cols)
 
     monkeypatch.setattr(qbmg.enumeration, "canonical_order", counted)
-    result = classify_all_qbmgs(4)
-    assert result.count == calls == 36
+    result = classify_all_qbmgs(n)
+    assert result.count == calls == classes
 
 
 @pytest.mark.parametrize("n", range(6))

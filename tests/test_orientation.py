@@ -1,10 +1,17 @@
 import pytest
 
 from helpers import naive_topological_order
-from qbmg.axioms import recognize
+from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.bicliques import Biclique
-from qbmg.digraph import build_digraph, induced_subdigraph, isomorphic, underlying
-from qbmg.enumeration import all_bipartite_digraphs
+from qbmg.digraph import (
+    Digraph,
+    build_digraph,
+    induced_subdigraph,
+    isomorphic,
+    iter_bits,
+    underlying,
+)
+from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
 from qbmg.errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented, TooLarge
 from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import (
@@ -61,6 +68,42 @@ def test_all_orientations_count_and_reassembly():
     for v in variants:
         assert not v.symmetric_pairs
         assert underlying(v) == underlying(P5AB)
+
+
+def _validated_orientations(g):
+    # every keep-choice over the symmetric pairs, in all_orientations' order,
+    # each built through the validating constructor
+    pairs = g.symmetric_pairs
+    pairset = set(pairs)
+    asym = {e for e in g.edges if (min(e), max(e)) not in pairset}
+    for choice in range(1 << len(pairs)):
+        kept = {(u, v) if choice >> i & 1 else (v, u) for i, (u, v) in enumerate(pairs)}
+        yield Digraph(n=g.n, colors=g.colors, edges=frozenset(asym | kept), names=g.names)
+
+
+def test_all_orientations_match_validated_constructor():
+    graphs = list(ALL_FIXTURES.values())
+    for n in range(1, 6):
+        for colors in halved_colorings(n):
+
+            def visit(out, inn, n=n, colors=colors):
+                edges = [(u, v) for u in range(n) for v in iter_bits(out[u])]
+                graphs.append(build_digraph(n, colors, edges))
+
+            run_mask_sweep(colors, visit, is_qbmg_masks)
+    checked = 0
+    for g in graphs:
+        if len(g.symmetric_pairs) > 8:
+            continue
+        expected = list(_validated_orientations(g))
+        got = list(all_orientations(g))
+        assert len(got) == len(expected) == 1 << len(g.symmetric_pairs)
+        for variant, reference in zip(got, expected):
+            assert variant == reference
+            assert variant.out_masks == reference.out_masks
+            assert variant.in_masks == reference.in_masks
+        checked += 1
+    assert checked > len(ALL_FIXTURES)
 
 
 def test_topological_order_p5a():
