@@ -57,6 +57,11 @@ def _as_ugraph(g: Digraph | UGraph) -> UGraph:
     return underlying(g) if isinstance(g, Digraph) else g
 
 
+def _is_number(text: str) -> bool:
+    """Non-empty ASCII digits only; ``isdigit`` also accepts superscripts, which ``int`` rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def _names(g: Digraph | UGraph, vertices) -> list[str]:
     return [g.names[v] for v in sorted(vertices)]
 
@@ -110,7 +115,7 @@ def _parse_checks(spec: str) -> list[tuple[str, int]]:
         if not token:
             continue
         kind, length = token[0], token[1:]
-        if kind not in ("p", "c") or not length.isdigit():
+        if kind not in ("p", "c") or not _is_number(length):
             raise ParseError(f"bad check {token!r}; use forms like p6 or c4", 1)
         k = int(length)
         if kind == "p" and k < 2 or kind == "c" and k < 3:
@@ -210,7 +215,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 def _parse_template(spec: str) -> UGraph:
     kind, _, length = spec.partition(":")
-    if not length.isdigit():
+    if not _is_number(length):
         raise ParseError(f"bad template {spec!r}; use path:<k> or cycle:<k>", 1)
     k = int(length)
     if kind == "path":
@@ -265,7 +270,7 @@ def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
         name, color_text, node_text = tokens
         if color_text not in ("0", "1"):
             raise ParseError(f"invalid color {color_text!r}", lineno)
-        if not node_text.isdigit():
+        if not _is_number(node_text):
             raise ParseError(f"invalid node id {node_text!r}", lineno)
         try:
             leaf = tree.leaf_by_name(name)
@@ -361,13 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QbmgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QbmgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

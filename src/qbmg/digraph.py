@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
 
@@ -185,51 +185,39 @@ class UGraph:
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components ordered by smallest member id."""
-        adj = self.adj_masks
-        seen = 0
-        out: list[frozenset[int]] = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            members = [start]
-            frontier = [start]
-            while frontier:
-                new = adj[frontier.pop()] & ~comp
-                comp |= new
-                while new:
-                    low = new & -new
-                    new ^= low
-                    w = low.bit_length() - 1
-                    members.append(w)
-                    frontier.append(w)
-            seen |= comp
-            out.append(frozenset(members))
-        return tuple(out)
+        return _mask_components(self.adj_masks)
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
     def induced(self, vertices: Iterable[int]) -> tuple["UGraph", tuple[int, ...]]:
         """Induced subgraph re-indexed densely; also returns old ids per new id."""
-        old = tuple(sorted(set(vertices)))
-        for v in old:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range")
-        index = {v: i for i, v in enumerate(old)}
-        keep = frozenset(
-            (index[u], index[v]) for u, v in self.edges if u in index and v in index
-        )
-        sub = UGraph(
-            n=len(old),
-            colors=tuple(self.colors[v] for v in old),
-            edges=keep,
-            names=tuple(self.names[v] for v in old),
-        )
-        return sub, old
+        return induced_subdigraph(self, vertices)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _mask_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
+    """Connected components of the graph with adjacency masks ``adj``,
+    ordered by smallest member id."""
+    seen = 0
+    out: list[frozenset[int]] = []
+    for start in range(len(adj)):
+        if seen >> start & 1:
+            continue
+        comp = 1 << start
+        members = [start]
+        frontier = [start]
+        while frontier:
+            new = adj[frontier.pop()] & ~comp
+            comp |= new
+            fresh = list(iter_bits(new))
+            members += fresh
+            frontier += fresh
+        seen |= comp
+        out.append(frozenset(members))
+    return tuple(out)
 
 
 class Neighborhood(NamedTuple):
@@ -300,15 +288,20 @@ def underlying(g: Digraph) -> UGraph:
     return UGraph(n=g.n, colors=g.colors, edges=und, names=g.names)
 
 
-def induced_subdigraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
-    """Induced sub-digraph re-indexed densely; also returns old ids per new id."""
+G = TypeVar("G", Digraph, UGraph)
+
+
+def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...]]:
+    """Induced subgraph of a ``Digraph`` or ``UGraph``, of the same type and
+    re-indexed densely; also returns old ids per new id.  Re-indexing keeps
+    the vertex order, so normalized undirected edges stay normalized."""
     old = tuple(sorted(set(vertices)))
     for v in old:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     index = {v: i for i, v in enumerate(old)}
     keep = frozenset((index[u], index[v]) for u, v in g.edges if u in index and v in index)
-    sub = Digraph(
+    sub = type(g)(
         n=len(old),
         colors=tuple(g.colors[v] for v in old),
         edges=keep,
@@ -319,7 +312,7 @@ def induced_subdigraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tu
 
 def weak_components(g: Digraph) -> tuple[frozenset[int], ...]:
     """Connected components of the underlying graph, ordered by smallest member."""
-    return underlying(g).components()
+    return _mask_components(g.adj_masks)
 
 
 def equivalent_vertex_pairs(g: Digraph) -> frozenset[tuple[int, int]]:
@@ -428,22 +421,17 @@ def _pack_levels(n: int, levels: Sequence[int]) -> bytes:
     return bytes([n]) + acc.to_bytes((bits + 7) // 8 or 1, "big")
 
 
-def border_levels(n: int, rows: Sequence[int], cols: Sequence[int]) -> tuple[int, ...]:
-    """Layered border encoding of out/in masks under the identity vertex order;
-    it determines the edge set, so distinct edge sets never tie."""
+def identity_levels(g: Digraph) -> tuple[int, ...]:
+    """Layered border encoding of the graph under its own vertex order; it
+    determines the edge set, so distinct edge sets never tie."""
     out: list[int] = []
-    for k in range(n):
-        rk, ck = rows[k], cols[k]
+    for k in range(g.n):
+        rk, ck = g.out_masks[k], g.in_masks[k]
         border = 0
         for p in range(k):
             border = (border << 2) | ((rk >> p & 1) << 1) | (ck >> p & 1)
         out.append(border)
     return tuple(out)
-
-
-def identity_levels(g: Digraph) -> tuple[int, ...]:
-    """Layered border encoding of the graph under its own vertex order."""
-    return border_levels(g.n, g.out_masks, g.in_masks)
 
 
 def canonical_form(g: Digraph) -> CanonicalForm:

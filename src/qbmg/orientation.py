@@ -22,6 +22,7 @@ from .digraph import (
     _trusted_digraph,
     build_digraph,
     equivalent_vertex_pairs,
+    induced_subdigraph,
     isomorphic,
     iter_bits,
     underlying,
@@ -273,16 +274,4 @@ def oriented_biclique_subdigraph(g: Digraph, b: Biclique) -> Digraph:
             if not und.has_edge(t, z):
                 raise NotBiclique(
                     f"vertices {g.names[t]} and {g.names[z]} are not adjacent")
-    keep = b.left | b.right
-    oriented = orient(g)
-    old = tuple(sorted(keep))
-    index = {v: i for i, v in enumerate(old)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in oriented.edges if u in keep and v in keep
-    )
-    return Digraph(
-        n=len(old),
-        colors=tuple(g.colors[v] for v in old),
-        edges=edges,
-        names=tuple(g.names[v] for v in old),
-    )
+    return induced_subdigraph(orient(g), b.left | b.right)[0]

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .digraph import UGraph
+from .errors import TooLarge
+
+# the searches recurse once per placed vertex, so k stays far below the recursion limit
+INDUCED_MAX_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,8 @@ def find_induced_path(g: UGraph, k: int) -> InducedPath | None:
     """Some induced path on k vertices, or None; g is Pk-free iff None."""
     if k < 2:
         raise ValueError("induced path needs at least 2 vertices")
+    if k > INDUCED_MAX_LENGTH:
+        raise TooLarge(f"induced path search supports at most {INDUCED_MAX_LENGTH} vertices")
     seq = find_induced_path_masks(g.adj_masks, g.n, k)
     return InducedPath(seq) if seq is not None else None
 
@@ -113,6 +119,8 @@ def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
     """Some induced chordless k-cycle, or None; odd k on bipartite input gives None."""
     if k < 3:
         raise ValueError("induced cycle needs at least 3 vertices")
+    if k > INDUCED_MAX_LENGTH:
+        raise TooLarge(f"induced cycle search supports at most {INDUCED_MAX_LENGTH} vertices")
     seq = find_induced_cycle_masks(g.adj_masks, g.n, k)
     return InducedCycle(seq) if seq is not None else None
 

@@ -125,6 +125,18 @@ def adj_masks_from_out(n: int, out: tuple[int, ...]) -> list[int]:
     return adj
 
 
+def symmetric_pairs_and_star(n: int, out: tuple[int, ...]) -> tuple[list[tuple[int, int]], bool]:
+    """Symmetric pairs (u, v), u < v, of the out-masks, and the star
+    condition: no vertex lies on two of them."""
+    pairs = [(u, v) for u in range(n) for v in iter_bits(out[u]) if v > u and out[v] >> u & 1]
+    touched: set[int] = set()
+    for u, v in pairs:
+        if u in touched or v in touched:
+            return pairs, False
+        touched.update((u, v))
+    return pairs, True
+
+
 def digraph_from_masks(n: int, out: tuple[int, ...], colors: tuple[int, ...]) -> Digraph:
     edges = frozenset((u, v) for u in range(n) for v in iter_bits(out[u]))
     return Digraph(n, colors, edges, tuple(f"v{i + 1}" for i in range(n)))

@@ -25,6 +25,7 @@ from helpers import (
     random_nested,
     random_surjective_coloring,
     random_truncation,
+    symmetric_pairs_and_star,
 )
 from qbmg.axioms import is_hereditary_on, is_qbmg_masks, recognize
 from qbmg.bicliques import Biclique, find_dominating_biclique
@@ -425,19 +426,7 @@ def test_c11_orientation_acyclicity(sweep):
     cyclic = 0
     for rec in sweep.records:
         inn = in_masks_from_out(rec.n, rec.out)
-        pairs = [
-            (u, v)
-            for u in range(rec.n)
-            for v in iter_bits(rec.out[u])
-            if v > u and rec.out[v] >> u & 1
-        ]
-        touched: set[int] = set()
-        star = True
-        for u, v in pairs:
-            if u in touched or v in touched:
-                star = False
-                break
-            touched.update((u, v))
+        _, star = symmetric_pairs_and_star(rec.n, rec.out)
         starstar = len({(rec.out[v], inn[v]) for v in range(rec.n)}) == rec.n
         if not (star or starstar):
             continue
@@ -469,19 +458,7 @@ def test_c12_biclique_replay(sweep):
         n = rec.n
         inn = in_masks_from_out(n, rec.out)
         adj = adj_masks_from_out(n, rec.out)
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in iter_bits(rec.out[u])
-            if v > u and rec.out[v] >> u & 1
-        ]
-        touched: set[int] = set()
-        star = True
-        for u, v in pairs:
-            if u in touched or v in touched:
-                star = False
-                break
-            touched.update((u, v))
+        pairs, star = symmetric_pairs_and_star(n, rec.out)
         starstar = len({(rec.out[v], inn[v]) for v in range(n)}) == n
         if not (star or starstar):
             continue
@@ -560,19 +537,7 @@ def test_c12_supplement_dominating_biclique_bitournament(sweep):
         adj = adj_masks_from_out(rec.n, rec.out)
         if not masks_connected(rec.n, adj):
             continue
-        pairs = [
-            (u, v)
-            for u in range(rec.n)
-            for v in iter_bits(rec.out[u])
-            if v > u and rec.out[v] >> u & 1
-        ]
-        touched: set[int] = set()
-        star = True
-        for u, v in pairs:
-            if u in touched or v in touched:
-                star = False
-                break
-            touched.update((u, v))
+        _, star = symmetric_pairs_and_star(rec.n, rec.out)
         if not star:
             continue
         g = digraph_from_masks(rec.n, rec.out, rec.colors)

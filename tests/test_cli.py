@@ -6,7 +6,7 @@ from helpers import caterpillar_newick
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
 from qbmg.digraph import build_digraph
-from qbmg.enumeration import cycle_template
+from qbmg.enumeration import cycle_template, path_template
 from qbmg.fixtures import EX10, P5A, P5AB
 from qbmg.orientation import topological_order
 
@@ -61,6 +61,37 @@ def test_analyze_custom_checks(capsys, tmp_path):
     assert code == 0
     assert "C6-free: no (witness: v1 v2 v3 v4 v5 v6)" in out
     assert "P3-free: no" in out
+
+
+@pytest.mark.parametrize("check", ["p1200", "c1200"])
+def test_analyze_search_too_long_is_bad_input(capsys, tmp_path, check):
+    # the searches recurse once per placed vertex
+    path = tmp_path / "path.dgf"
+    path.write_text(format_dgf(path_template(1500)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", check)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["template", "check", "truncation"])
+def test_non_ascii_digits_are_bad_input(capsys, tmp_path, case):
+    # str.isdigit accepts the superscript two, which int rejects
+    graph = tmp_path / "g.dgf"
+    graph.write_text(format_dgf(P5A), encoding="utf-8")
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((a=0,b=1),c=1);\n", encoding="utf-8")
+    trunc = tmp_path / "u.map"
+    trunc.write_text("a 1 \u00b2\n", encoding="utf-8")
+    argv = {
+        "template": ["enumerate", "--underlying", "path:\u00b2"],
+        "check": ["analyze", str(graph), "--check", "p\u00b2"],
+        "truncation": ["explain", "--tree", str(tree), "--trunc", str(trunc)],
+    }[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_dominate_ex10(capsys, ex10_file):

@@ -154,6 +154,45 @@ def test_classify_all_six_vertices_pinned():
         "7ebc5fd56774b43ff641d017b75a434ea3525dcb552f063888d7f8df808fd9d0")
 
 
+def _stdout_sha256(argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_verify_output_pinned():
+    assert {fmt: _stdout_sha256([*fmt, "verify"]) for fmt in ((), ("--json",))} == {
+        (): "d16aae98041796a384ce2ab0e3d1d32b9937598eed4eafc54a8add9fa68b6db5",
+        ("--json",): "6431d34bbcd97d349129baec921654c1b5fba6fe3fc0c655597cdd68a5a2e85a",
+    }
+
+
+def test_enumerate_underlying_outputs_pinned():
+    pinned = {
+        "path:2": ("79546bdb928659281a80698f6aaaa19902595cd26cb2593e10b4f62b9d58ecf7",
+                   "7c21b3025848d875d7bb555d27c7805c707d137bb15df85f3c65dcc862098ba8"),
+        "path:3": ("db97901afdfc80f5bef33b35c7c07ed65de0e38bd48a8c507b94fcfbce77452b",
+                   "ecce8770c70714fdce843d78dbc67eacdb5fb858b1dd3933609f0be29134f398"),
+        "path:4": ("cbce8b5e96b91e6402ab33af78df113be613e036bd4c3318473ef92f0d1b791f",
+                   "6bcecf3de43c4f57f8c477abc675aee1f42c0669892edac61120d2e4f5afc09d"),
+        "path:5": ("16f32cc299a09dc713fc4352b97545cf9ce539341a066eec7d1f4702b6ffa8a5",
+                   "e1f6b512c925a2c466ccce2a3d4392706e96702bab9e1cb06e88cf30682f5f72"),
+        "path:6": ("9064a344edc826717f2802a09e5bfb4017f0ab5fc71511117211868e3ccaaeaf",
+                   "21a702b86fdc388245b2f315f58f31b4497147d1691879feee58b2a55575e4bd"),
+        "cycle:4": ("11e12426953dabf302d68546ef20313068591ed2b7650769fc01bbd06ef6592d",
+                    "96e62194598f6e551de948a5c780be5c44425284237709339f711b80f252fbf4"),
+        "cycle:6": ("9064a344edc826717f2802a09e5bfb4017f0ab5fc71511117211868e3ccaaeaf",
+                    "b75b98ad0d35c85b89c2919d85f5f50881278101926afefebe2b2f27b9d81097"),
+    }
+    digests = {
+        spec: tuple(_stdout_sha256([*fmt, "enumerate", "--underlying", spec])
+                    for fmt in ((), ("--json",)))
+        for spec in pinned
+    }
+    assert digests == pinned
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_sorted_coloring_weights_are_exact(n):
     # classify_all_qbmgs sweeps only the sorted coloring per color-class size
@@ -225,19 +264,12 @@ def test_classify_is_order_independent():
 
 def test_classify_representatives_replay():
     template = path_template(5)
-    result = classify_qbmgs(orientations_of(template), underlying_template=template)
+    result = classify_qbmgs(orientations_of(template))
     assert result.count == 6
     for form, rep in result.classes:
         assert recognize(rep).is_qbmg
         assert canonical_form(rep).code == form.code
         assert ugraphs_isomorphic(underlying(rep), template)
-
-
-def test_classify_with_template_filters():
-    # among all bipartite digraphs on 4 vertices, exactly the path-underlying
-    # classes survive the template filter
-    result = classify_qbmgs(all_bipartite_digraphs(4), underlying_template=path_template(4))
-    assert result.codes() == {canonical_form(g).code for g in P4_CLASSES.values()}
 
 
 def test_verify_report_all_pass():
