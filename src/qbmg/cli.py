@@ -230,15 +230,18 @@ def _parse_template(spec: str) -> UGraph:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if (args.underlying is None) == (args.all is None):
         raise ParseError("enumerate needs exactly one of --underlying or --all", 1)
-    if args.underlying:
+    if args.underlying is not None:
         template = _parse_template(args.underlying)
         result = classify_qbmgs(orientations_of(template))
         label = args.underlying
     else:
-        if args.all < 0:
-            raise ParseError(f"--all needs a vertex count of at least 0, got {args.all}")
-        result = classify_all_qbmgs(args.all)
-        label = f"all:{args.all}"
+        if not _is_number(args.all.removeprefix("-")):
+            raise ParseError(f"bad vertex count {args.all!r} for --all")
+        n = int(args.all)
+        if n < 0:
+            raise ParseError(f"--all needs a vertex count of at least 0, got {n}")
+        result = classify_all_qbmgs(n)
+        label = f"all:{n}"
     classes = [
         {"code": form.code.hex(), "dgf": dgf.format_dgf(rep)}
         for form, rep in result.classes
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="classify small digraphs up to isomorphism")
     p.add_argument("--underlying", metavar="KIND:K",
                    help="template-constrained: path:5, cycle:4, ...")
-    p.add_argument("--all", type=int, metavar="N",
+    p.add_argument("--all", metavar="N",
                    help="every bipartite digraph on N labeled vertices")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import recognize
+from .axioms import is_qbmg
 from .bicliques import Biclique, find_dominating_biclique, maximal_bicliques
 from .digraph import (
     Digraph,
@@ -71,7 +71,7 @@ def is_type_a(g: Digraph) -> bool:
     """Connected, passes recognition, and underlying graph is K+S."""
     if len(weak_components(g)) != 1:
         return False
-    if not recognize(g).is_qbmg:
+    if not is_qbmg(g):
         return False
     return kos_partition(underlying(g)) is not None
 
@@ -86,7 +86,7 @@ def decompose_type_a(g: Digraph) -> Decomposition:
     The decomposition is canonical for this package's deterministic biclique
     preference but not unique in general.
     """
-    if not recognize(g).is_qbmg:
+    if not is_qbmg(g):
         raise NotQbmg("decomposition requires a recognized graph")
     und = underlying(g)
     if len(und.components()) != 1:

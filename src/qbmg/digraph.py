@@ -177,12 +177,6 @@ class UGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def degree(self, v: int) -> int:
-        return self.adj_masks[v].bit_count()
-
-    def color_class(self, color: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.colors[v] == color)
-
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components ordered by smallest member id."""
         return _mask_components(self.adj_masks)

@@ -169,6 +169,19 @@ def test_enumerate_all_negative_is_bad_input(capsys, n):
     assert err == f"error: --all needs a vertex count of at least 0, got {n}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--all", "\u0663"], ["--all", "\u00b3"], ["--all", "x"], ["--underlying", ""]],
+    ids=["arabic-indic", "superscript", "letter", "empty-template"],
+)
+def test_enumerate_non_number_is_bad_input(capsys, argv):
+    # int() reads the Arabic-Indic three as 3; vertex counts are ASCII digits
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enumerate_all_too_large_is_bad_input(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("work started before the size check")

@@ -67,14 +67,14 @@ def test_decompose_p5a1_single_part():
 
 def test_decompose_recognizes_a_type_a_input_once(monkeypatch):
     calls = 0
-    real = qbmg.decompose.recognize
+    real = qbmg.decompose.is_qbmg
 
     def counted(g):
         nonlocal calls
         calls += 1
         return real(g)
 
-    monkeypatch.setattr(qbmg.decompose, "recognize", counted)
+    monkeypatch.setattr(qbmg.decompose, "is_qbmg", counted)
     assert decompose_type_a(EX10).parts == (frozenset(range(10)),)
     assert calls == 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -222,6 +223,7 @@ def test_search_explanation_gate_is_sound_n4():
     # exhaustive explainability equals recognition with both colors, so
     # rejecting by recognition loses no explainable graph
     explained = 0
+    digest = hashlib.sha256()
     for n in range(1, 5):
         for g in all_bipartite_digraphs(n):
             two_colored = set(g.colors) == {0, 1}
@@ -231,14 +233,27 @@ def test_search_explanation_gate_is_sound_n4():
             assert (walked is not None) == expected
             assert (result is not None) == expected
             for found in (walked, result):
-                assert found is None or _replays(g, found)
+                shape = None
+                if found is not None:
+                    assert _replays(g, found)
+                    tree, sigma, trunc = found
+                    # a leaf keeps its whole best-match bundle or none of it
+                    for x in tree.leaves:
+                        sink = not g.out_masks[g.id_of(tree.names[x])]
+                        assert trunc[(x, 1 - sigma[x])] == (x if sink else 0)
+                    shape = (tree.parent, tree.names, sorted(sigma.items()))
+                digest.update(f"{shape!r}\n".encode())
             explained += expected
     assert explained == 1492
+    # the trees and colorings found are pinned
+    assert digest.hexdigest() == (
+        "8b79199b4a282a5190fdb80b1b10702842fc1ddd98a1088087970d98e1638279"
+    )
 
 
 def test_build_replay_alone_rejects_sink_free_non_qbmgs(monkeypatch):
     # with recognition bypassed, BUILD is consistent on some sink-free
-    # non-qBMGs; the replay check must send them on to the exhaustive search
+    # non-qBMGs; the check of its tree must send them on to the exhaustive search
     monkeypatch.setattr(trees, "is_qbmg_masks", lambda n, out, inn: True)
     consistent = 0
     for n in range(2, 5):
