@@ -2,7 +2,10 @@
 
 Vertices are dense integer ids 0..n-1 with unique display names.  All values
 are immutable after construction and all operations are pure functions, so
-they are safe to share across concurrent workers.
+they are safe to share across concurrent workers.  A view derived from one
+graph (its underlying graph, its maximal bicliques, its path-freeness) is
+computed once and kept on the graph value it describes; a graph built from
+the masks of a validated one reads its edge set off those masks on first use.
 """
 
 from __future__ import annotations
@@ -126,17 +129,20 @@ class Digraph:
 def _trusted_digraph(
     n: int,
     colors: tuple[int, ...],
-    edges: frozenset[tuple[int, int]],
     names: tuple[str, ...],
     out_masks: tuple[int, ...],
     in_masks: tuple[int, ...],
+    oriented: bool = False,
 ) -> Digraph:
-    """A ``Digraph`` from parts derived from a validated graph, without the
-    range, loop and color checks of ``Digraph.__post_init__``.  The masks
-    must describe ``edges`` exactly."""
+    """A ``Digraph`` from masks derived from a validated graph, without the
+    range, loop and color checks of ``Digraph.__post_init__``; its edge set
+    is read off ``out_masks`` on first use.  ``in_masks`` must be the
+    transpose of ``out_masks``, and ``oriented`` (no symmetric pair) must
+    hold when set."""
     g = object.__new__(Digraph)
-    vars(g).update(n=n, colors=colors, edges=edges, names=names,
-                   out_masks=out_masks, in_masks=in_masks)
+    vars(g).update(n=n, colors=colors, names=names, out_masks=out_masks, in_masks=in_masks)
+    if oriented:
+        vars(g)["symmetric_pairs"] = ()
     return g
 
 
@@ -190,6 +196,46 @@ class UGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _trusted_ugraph(
+    n: int, colors: tuple[int, ...], names: tuple[str, ...], adj_masks: tuple[int, ...]
+) -> UGraph:
+    """A ``UGraph`` from symmetric adjacency masks derived from a validated
+    graph, without the checks of ``UGraph.__post_init__``; its edge set is
+    read off the masks on first use."""
+    u = object.__new__(UGraph)
+    vars(u).update(n=n, colors=colors, names=names, adj_masks=adj_masks)
+    return u
+
+
+def _edge_set(g: "Digraph | UGraph") -> frozenset[tuple[int, int]]:
+    """The ``edges`` field of both graph types.  A graph from a trusted
+    build stores no edge set; it is read off the masks on first use: (u, v)
+    for each bit v of ``out_masks[u]``, or of ``adj_masks[u]`` above u."""
+    d = vars(g)
+    if "_edges" not in d:
+        upper = isinstance(g, UGraph)
+        edges = []
+        for u, m in enumerate(g.adj_masks if upper else g.out_masks):
+            if upper:
+                m &= -(2 << u)
+            while m:
+                low = m & -m
+                m ^= low
+                edges.append((u, low.bit_length() - 1))
+        d["_edges"] = frozenset(edges)
+    return d["_edges"]
+
+
+def _store_edge_set(g: "Digraph | UGraph", edges: frozenset[tuple[int, int]]) -> None:
+    vars(g)["_edges"] = edges
+
+
+# The dataclass __init__ stores the edges field through this property, and a
+# trusted build skips it.  A property on the class, unlike __getattr__, leaves
+# the interpreter's fast path for every other attribute read in place.
+Digraph.edges = UGraph.edges = property(_edge_set, _store_edge_set)  # type: ignore[assignment]
 
 
 def _mask_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -277,9 +323,13 @@ def neighbors(g: Digraph, v: int) -> Neighborhood:
 
 
 def underlying(g: Digraph) -> UGraph:
-    """Forget edge directions; symmetric pairs collapse to one undirected edge."""
-    und = frozenset((min(u, v), max(u, v)) for u, v in g.edges)
-    return UGraph(n=g.n, colors=g.colors, edges=und, names=g.names)
+    """Forget edge directions; symmetric pairs collapse to one undirected edge.
+    Built once per graph from its adjacency masks, so every caller shares
+    the views kept on it."""
+    memo = vars(g)
+    if "_underlying" not in memo:
+        memo["_underlying"] = _trusted_ugraph(g.n, g.colors, g.names, g.adj_masks)
+    return memo["_underlying"]
 
 
 G = TypeVar("G", Digraph, UGraph)
@@ -290,18 +340,33 @@ def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...
     re-indexed densely; also returns old ids per new id.  Re-indexing keeps
     the vertex order, so normalized undirected edges stay normalized."""
     old = tuple(sorted(set(vertices)))
+    keep = 0
     for v in old:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(old)}
-    keep = frozenset((index[u], index[v]) for u, v in g.edges if u in index and v in index)
-    sub = type(g)(
-        n=len(old),
-        colors=tuple(g.colors[v] for v in old),
-        edges=keep,
-        names=tuple(g.names[v] for v in old),
-    )
-    return sub, old
+        keep |= 1 << v
+    # new bit per old vertex; a dropped vertex maps to no bit
+    bit = [0] * g.n
+    for i, v in enumerate(old):
+        bit[v] = 1 << i
+
+    def squeeze(masks: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for v in old:
+            m = masks[v] & keep
+            r = 0
+            while m:
+                low = m & -m
+                m ^= low
+                r |= bit[low.bit_length() - 1]
+            out.append(r)
+        return tuple(out)
+
+    colors = tuple(g.colors[v] for v in old)
+    names = tuple(g.names[v] for v in old)
+    if isinstance(g, Digraph):
+        return _trusted_digraph(len(old), colors, names, squeeze(g.out_masks), squeeze(g.in_masks)), old
+    return _trusted_ugraph(len(old), colors, names, squeeze(g.adj_masks)), old
 
 
 def weak_components(g: Digraph) -> tuple[frozenset[int], ...]:

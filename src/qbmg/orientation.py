@@ -77,13 +77,11 @@ def star_conditions(g: Digraph) -> StarConditions:
 
 def orient(g: Digraph) -> Digraph:
     """Canonical orientation: of each symmetric pair keep small-id -> large-id."""
-    drop = {(v, u) for u, v in g.symmetric_pairs}
-    return Digraph(
-        n=g.n,
-        colors=g.colors,
-        edges=frozenset(e for e in g.edges if e not in drop),
-        names=g.names,
-    )
+    out, inn = list(g.out_masks), list(g.in_masks)
+    for u, v in g.symmetric_pairs:
+        out[v] ^= 1 << u
+        inn[u] ^= 1 << v
+    return _trusted_digraph(g.n, g.colors, g.names, tuple(out), tuple(inn), oriented=True)
 
 
 def all_orientations(g: Digraph) -> Iterator[Digraph]:
@@ -96,26 +94,21 @@ def all_orientations(g: Digraph) -> Iterator[Digraph]:
         raise TooLarge(
             f"orientation sweep supports at most {ORIENT_MAX_PAIRS} symmetric pairs, "
             f"got {len(pairs)}")
-    # the parent's masks and edges with both directions of every pair dropped
+    # the parent's masks with both directions of every pair dropped
     out0, in0 = list(g.out_masks), list(g.in_masks)
-    asym = set(g.edges)
     for u, v in pairs:
         out0[u] ^= 1 << v
         out0[v] ^= 1 << u
         in0[u] ^= 1 << v
         in0[v] ^= 1 << u
-        asym.discard((u, v))
-        asym.discard((v, u))
     for choice in range(1 << len(pairs)):
         out, inn = out0[:], in0[:]
-        edges = set(asym)
         for i, (u, v) in enumerate(pairs):
             if not choice >> i & 1:
                 u, v = v, u
             out[u] |= 1 << v
             inn[v] |= 1 << u
-            edges.add((u, v))
-        yield _trusted_digraph(g.n, g.colors, frozenset(edges), g.names, tuple(out), tuple(inn))
+        yield _trusted_digraph(g.n, g.colors, g.names, tuple(out), tuple(inn), oriented=True)
 
 
 def topological_order(g: Digraph) -> tuple[int, ...] | None:

@@ -6,6 +6,11 @@ vertices' neighborhoods, so no chord is ever placed.  Exact and exponential
 in the worst case, which is fine at the sizes this package targets
 (n <= 12).  Returned witnesses are the lexicographically least
 sequence (for cycles: least over all rotations and reflections).
+
+Freeness is hereditary in the length: an induced P_j with j >= k, and an
+induced C_j with j > k, each contain an induced P_k.  So a graph remembers
+the least k for which a search found no induced P_k, and answers longer
+path and cycle queries with None without searching.
 """
 
 from __future__ import annotations
@@ -111,8 +116,14 @@ def find_induced_path(g: UGraph, k: int) -> InducedPath | None:
         raise ValueError("induced path needs at least 2 vertices")
     if k > INDUCED_MAX_LENGTH:
         raise TooLarge(f"induced path search supports at most {INDUCED_MAX_LENGTH} vertices")
+    # the least k for which g is known to have no induced P_k
+    if k >= vars(g).get("_path_free_from", INDUCED_MAX_LENGTH + 1):
+        return None
     seq = find_induced_path_masks(g.adj_masks, g.n, k)
-    return InducedPath(seq) if seq is not None else None
+    if seq is None:
+        vars(g)["_path_free_from"] = k
+        return None
+    return InducedPath(seq)
 
 
 def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
@@ -121,6 +132,8 @@ def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
         raise ValueError("induced cycle needs at least 3 vertices")
     if k > INDUCED_MAX_LENGTH:
         raise TooLarge(f"induced cycle search supports at most {INDUCED_MAX_LENGTH} vertices")
+    if k > vars(g).get("_path_free_from", INDUCED_MAX_LENGTH + 1):
+        return None
     seq = find_induced_cycle_masks(g.adj_masks, g.n, k)
     return InducedCycle(seq) if seq is not None else None
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .axioms import is_qbmg_masks
-from .digraph import Digraph, iter_bits
+from .digraph import Digraph, _trusted_digraph, _validate_vertex_table, iter_bits
 from .errors import (
     InvalidTruncation,
     NoIntegerSuffix,
@@ -291,22 +291,24 @@ def qbmg_from_tree(
     _check_coloring(t, sigma)
     validate_truncation(t, sigma, u)
     leaves, depth = t.leaves, t.depth
-    found = _best_matches(t, sigma, range(len(leaves)))
-    edges = []
+    n = len(leaves)
+    colors = tuple(sigma[leaf] for leaf in leaves)
+    names = tuple(t.names[leaf] for leaf in leaves)
+    # the trusted build below checks no names, and a tree may repeat a leaf name
+    _validate_vertex_table(n, colors, names)
+    found = _best_matches(t, sigma, range(n))
+    out = [0] * n
+    inn = [0] * n
     for i, (x, (top, matches)) in enumerate(zip(leaves, found)):
         # the gate and top both lie on x's root path, so depth orders them
         if depth[u[(x, 1 - sigma[x])]] > depth[top]:
             continue
+        out[i] = matches
         while matches:  # iter_bits unrolled: a generator per leaf slowed this by ~15%
             low = matches & -matches
             matches ^= low
-            edges.append((i, low.bit_length() - 1))
-    return Digraph(
-        n=len(leaves),
-        colors=tuple(sigma[leaf] for leaf in leaves),
-        edges=frozenset(edges),
-        names=tuple(t.names[leaf] for leaf in leaves),
-    )
+            inn[low.bit_length() - 1] |= 1 << i
+    return _trusted_digraph(n, colors, names, tuple(out), tuple(inn))
 
 
 _SUFFIX = re.compile(r"(\d+)$")

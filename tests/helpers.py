@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
+from qbmg.bicliques import Biclique
 from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
 from qbmg.trees import Nested, PhyloTree
 
@@ -104,6 +105,54 @@ def brute_maximal_bicliques(g: UGraph) -> set[tuple[frozenset[int], frozenset[in
         ):
             maximal.add((ls, rs))
     return maximal
+
+
+def subset_walk_maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
+    """``maximal_bicliques`` as the library computed it before Close-by-One:
+    every nonempty subset of the smaller color class whose common
+    neighborhood closes back onto it, in the library's order."""
+    left_class = [v for v in range(g.n) if g.colors[v] == 0]
+    right_class = [v for v in range(g.n) if g.colors[v] == 1]
+    if not g.edges:
+        return ()
+    # enumerate over the smaller side; the closure test makes each maximal
+    # biclique appear exactly once
+    base = left_class if len(left_class) <= len(right_class) else right_class
+    adj = g.adj_masks
+    full = (1 << g.n) - 1
+    found: set[tuple[int, int]] = set()
+    for sub in range(1, 1 << len(base)):
+        tmask = 0
+        common = full
+        for i in iter_bits(sub):
+            v = base[i]
+            tmask |= 1 << v
+            common &= adj[v]
+        if not common:
+            continue
+        back = full
+        for w in iter_bits(common):
+            back &= adj[w]
+        if back != tmask:
+            continue
+        found.add((tmask, common))
+    out = []
+    for tmask, zmask in found:
+        side_a = frozenset(iter_bits(tmask))
+        side_b = frozenset(iter_bits(zmask))
+        if g.colors[next(iter(side_a))] == 0:
+            out.append(Biclique(side_a, side_b))
+        else:
+            out.append(Biclique(side_b, side_a))
+    out.sort(key=Biclique.sort_key)
+    return tuple(out)
+
+
+def crown_graph(m: int) -> UGraph:
+    """K_{m,m} minus a perfect matching: 2^m - 2 maximal bicliques."""
+    return build_ugraph(
+        2 * m, (0,) * m + (1,) * m,
+        [(i, m + j) for i in range(m) for j in range(m) if i != j])
 
 
 # --- mask utilities for sweep-based tests

@@ -1,18 +1,28 @@
+import random
 from itertools import product
 
 import pytest
 
-from helpers import brute_maximal_bicliques
+import qbmg.bicliques
+from helpers import (
+    adj_masks_from_out,
+    brute_maximal_bicliques,
+    crown_graph,
+    random_surjective_coloring,
+    subset_walk_maximal_bicliques,
+)
 from qbmg.bicliques import (
     all_bicliques,
     find_dominating_biclique,
     is_dominating_set,
     maximal_bicliques,
 )
-from qbmg.digraph import build_ugraph, underlying
+from qbmg.decompose import decompose_type_a, is_type_a
+from qbmg.digraph import build_digraph, build_ugraph, induced_subdigraph, iter_bits, underlying, weak_components
 from qbmg.enumeration import cycle_template
-from qbmg.errors import Disconnected
+from qbmg.errors import Disconnected, TooLarge
 from qbmg.fixtures import EX10
+from qbmg.trees import qbmg_from_tree, root_truncation, tree_from_nested
 
 
 def test_dominating_set_ex10_core():
@@ -112,3 +122,95 @@ def test_biclique_order_deterministic():
     assert once == twice
     sizes = [len(l) + len(r) for l, r in once]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_close_by_one_matches_subset_walk_on_sweep(sweep):
+    # the underlying graph of every recognized digraph with n <= 6
+    seen = set()
+    for rec in sweep.records:
+        adj = tuple(adj_masks_from_out(rec.n, rec.out))
+        if (rec.colors, adj) in seen:
+            continue
+        seen.add((rec.colors, adj))
+        edges = [(u, v) for u in range(rec.n) for v in iter_bits(adj[u]) if u < v]
+        assert maximal_bicliques(build_ugraph(rec.n, rec.colors, edges)) == (
+            subset_walk_maximal_bicliques(build_ugraph(rec.n, rec.colors, edges)))
+    assert len(seen) > 1000
+
+
+def test_close_by_one_matches_subset_walk_up_to_twenty_per_side():
+    # the subset walk costs 2^(smaller side), so one graph sits at the old
+    # bound of 20 per side and the rest keep the smaller side at most 14
+    rng = random.Random(11)
+    shapes = [(20, 20)] + [
+        (rng.randint(1, 14), rng.randint(1, 20)) for _ in range(80)
+    ]
+    for a, b in shapes:
+        if rng.random() < 0.5:
+            a, b = b, a
+        density = rng.uniform(0.1, 0.9)
+        n = a + b
+        colors = [0] * a + [1] * b
+        rng.shuffle(colors)
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if colors[u] != colors[v] and rng.random() < density
+        ]
+        got = maximal_bicliques(build_ugraph(n, colors, edges))
+        assert got == subset_walk_maximal_bicliques(build_ugraph(n, colors, edges))
+
+
+def test_maximal_bicliques_past_prisner_bound_is_too_large():
+    # the crown graph on 17 + 17 vertices has 2^17 - 2 maximal bicliques,
+    # more than 17^4; on 16 + 16 it has 2^16 - 2, within 16^4
+    with pytest.raises(TooLarge):
+        maximal_bicliques(crown_graph(17))
+    assert len(maximal_bicliques(crown_graph(5))) == 2 ** 5 - 2
+
+
+def test_maximal_bicliques_listed_once_per_graph(monkeypatch):
+    calls = []
+    kernel = qbmg.bicliques.maximal_biclique_masks
+    monkeypatch.setattr(qbmg.bicliques, "maximal_biclique_masks",
+                        lambda *args: calls.append(1) or kernel(*args))
+    g = build_digraph(EX10.n, EX10.colors, EX10.edges)  # a copy with no views kept yet
+    und = underlying(g)
+    assert underlying(g) is und
+    assert find_dominating_biclique(und) is not None
+    assert decompose_type_a(g).parts
+    assert maximal_bicliques(und) is maximal_bicliques(und)
+    assert len(calls) == 1
+
+
+def _deep_nested(rng: random.Random, names: list[str]):
+    # binary tree whose splits peel off one leaf half the time, so its graph
+    # keeps large connected components
+    def build(part: list[str]):
+        if len(part) == 1:
+            return part[0]
+        k = rng.randint(1, len(part) - 1) if rng.random() < 0.5 else 1
+        return build(part[:k]), build(part[k:])
+
+    rng.shuffle(names)
+    return build(names)
+
+
+@pytest.mark.parametrize("leaves,seed", [(200, 0), (500, 1)])
+def test_dominate_and_decompose_at_tree_scale(leaves, seed):
+    # the largest components have 200 and 467 vertices, with more than 20
+    # on each side, where the subset walk refused to start
+    rng = random.Random(seed)
+    tree = tree_from_nested(_deep_nested(rng, [f"x{i}" for i in range(leaves)]))
+    sigma = random_surjective_coloring(rng, tree.leaves)
+    g = qbmg_from_tree(tree, sigma, root_truncation(tree, sigma))
+    sub, _ = induced_subdigraph(g, max(weak_components(g), key=len))
+    assert min(sub.colors.count(0), sub.colors.count(1)) > 20
+    und = underlying(sub)
+    b = find_dominating_biclique(und)
+    assert b is not None and b.left and b.right
+    assert all(und.has_edge(t, z) for t in b.left for z in b.right)
+    assert is_dominating_set(und, b.vertices())
+    parts = decompose_type_a(sub).parts
+    covered = [v for part in parts for v in part]
+    assert sorted(covered) == list(range(sub.n))
+    assert all(is_type_a(induced_subdigraph(sub, part)[0]) for part in parts)

@@ -1,13 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
-from helpers import caterpillar_newick
+from helpers import caterpillar_newick, crown_graph
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
-from qbmg.digraph import build_digraph
+from qbmg.digraph import build_digraph, symmetric_digraph
 from qbmg.enumeration import cycle_template, path_template
-from qbmg.fixtures import EX10, P5A, P5AB
+from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import topological_order
 
 
@@ -113,6 +114,53 @@ def test_decompose_ex10(capsys, ex10_file):
     code, out, _ = run_cli(capsys, "decompose", ex10_file)
     assert code == 0
     assert "part 1: v1 v2 v3 v4 v5 v6 v7 v8 v9 v10 (type-A: yes)" in out
+
+
+@pytest.mark.parametrize("verb", ["dominate", "decompose"])
+def test_crown_graph_is_bad_input(capsys, tmp_path, verb):
+    # 2^17 - 2 maximal bicliques pass the |L|^2*|R|^2 bound, so dominate
+    # stops with TooLarge; decompose rejects the graph at recognition first,
+    # since a recognized graph is C6-free and stays below the bound
+    path = tmp_path / "crown.dgf"
+    path.write_text(format_dgf(symmetric_digraph(crown_graph(17))), encoding="utf-8")
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_per_graph_verbs_pinned(capsys, tmp_path):
+    # stdout and exit code of each verb on every fixture, text and --json
+    pinned = {
+        "recognize": ("43babacd0654ec8d6d359c81e84f8a89b90815c695909c4a188a9b20c4f5cf57",
+                      "db30fb9de1ea5d11d9756187a8706dd01e50fdf96f8f8edd412b36adb9cfdb14"),
+        "analyze": ("abbabfd1b36a455e0a442fa80993081e282e34d650b14846794e9910724b39bd",
+                    "8aea8d6909b0e41ec0ace15caaefb2a12694abcb1a3f051183ee5dbb8795766e"),
+        "dominate": ("94297dd2ce6153b1fa82033bb54123dd69b50b7195739fe8ea27dfea6fe8e034",
+                     "da0b1892189a7ae7c376ffab47fe697705ae89c7569b6465b62ccaafeadbf03d"),
+        "decompose": ("ff0975f9ed1e4438812f94af8116f49243cb181c701186fbf8533647a6d1f425",
+                      "55b84e842ca4546fef177dd0c8f5821ed9d9dbc88109a49c59c616cc738ea173"),
+        "orient": ("72085e0d8bbb19c6d8524738ccad06ff1ab6a85cb1e698a89c642f6d397fcd16",
+                   "66bc14b79924eb3a3d8107723eef3dc90ea5b49daf0b504741eace318eb2e4e2"),
+        "orient --all": ("8812b6264d08d3c6c77f9652a667672a9549d36a94a9369e72b18fa34238a7aa",
+                         "6eafc59505cd47f8a781824b0a43ab32e76dd89210b12781e7584fdb64cd6fdc"),
+    }
+    files = {}
+    for name, g in ALL_FIXTURES.items():
+        files[name] = tmp_path / f"{name}.dgf"
+        files[name].write_text(format_dgf(g), encoding="utf-8")
+    digests = {}
+    for verb in pinned:
+        verb_argv = verb.split()
+        digest = []
+        for fmt in ((), ("--json",)):
+            h = hashlib.sha256()
+            for name, path in files.items():
+                code, out, _ = run_cli(capsys, *fmt, verb_argv[0], str(path), *verb_argv[1:])
+                h.update(f"{name} {code}\n{out}".encode())
+            digest.append(h.hexdigest())
+        digests[verb] = tuple(digest)
+    assert digests == pinned
 
 
 def test_orient_p5ab(capsys, tmp_path):

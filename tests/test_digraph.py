@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import digraph_from_masks, random_surjective_coloring, random_truncation
 from qbmg.digraph import (
     Digraph,
     build_digraph,
@@ -23,6 +24,8 @@ from qbmg.digraph import (
 from qbmg.enumeration import all_bipartite_digraphs
 from qbmg.errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
 from qbmg.fixtures import ALL_FIXTURES, C4_1, EX7, EX10, P4_1, P5A, P5AB, P5B, P5B1
+from qbmg.orientation import all_orientations, orient
+from qbmg.trees import phylogenetic_topologies, qbmg_from_tree, root_truncation, tree_from_nested
 
 
 def test_build_digraph_p5a_valid():
@@ -274,3 +277,45 @@ def test_ugraph_rejects_bad_edges():
         build_ugraph(2, (0, 1), [(1, 1)])
     with pytest.raises(DuplicateEdge):
         build_ugraph(2, (0, 1), [(0, 1), (1, 0)])
+
+
+def _assert_validated(g) -> None:
+    """g equals, and hashes as, its rebuild through the validating
+    constructor, with the same edges and masks."""
+    ref = type(g)(n=g.n, colors=g.colors, edges=g.edges, names=g.names)
+    assert g == ref and hash(g) == hash(ref)
+    assert g.edges == ref.edges
+    assert g.adj_masks == ref.adj_masks
+    if isinstance(g, Digraph):
+        assert (g.out_masks, g.in_masks) == (ref.out_masks, ref.in_masks)
+        assert g.symmetric_pairs == ref.symmetric_pairs
+
+
+def test_mask_built_graphs_equal_validated_rebuilds(sweep):
+    for rec in sweep.by_n(1, 2, 3, 4, 5):
+        g = digraph_from_masks(rec.n, rec.out, rec.colors)
+        und = underlying(g)
+        _assert_validated(und)
+        # the whole vertex set and every set missing one vertex
+        for subset in [range(rec.n)] + [
+            [v for v in range(rec.n) if v != gone] for gone in range(rec.n)
+        ]:
+            sub, old = induced_subdigraph(g, subset)
+            _assert_validated(sub)
+            index = {v: i for i, v in enumerate(old)}
+            assert sub.edges == {
+                (index[u], index[v]) for u, v in g.edges if u in index and v in index
+            }
+            _assert_validated(und.induced(subset)[0])
+        oriented = orient(g)
+        _assert_validated(oriented)
+        assert oriented.edges == g.edges - {(v, u) for u, v in g.symmetric_pairs}
+        for variant in all_orientations(g):
+            _assert_validated(variant)
+    rng = random.Random(5)
+    for leaves in range(2, 6):
+        for nested in phylogenetic_topologies("abcde"[:leaves]):
+            tree = tree_from_nested(nested)
+            sigma = random_surjective_coloring(rng, tree.leaves)
+            for u in (root_truncation(tree, sigma), random_truncation(rng, tree, sigma)):
+                _assert_validated(qbmg_from_tree(tree, sigma, u))

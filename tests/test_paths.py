@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from helpers import brute_least_induced_cycle, brute_least_induced_path
 from qbmg.digraph import build_ugraph, underlying
 from qbmg.enumeration import cycle_template, halved_colorings, path_template
-from qbmg.fixtures import C4_3, EX7, EX10, P5A
+from qbmg.fixtures import ALL_FIXTURES, C4_3, EX7, EX10, P5A
 from qbmg.paths import (
     find_induced_cycle,
     find_induced_cycle_masks,
@@ -152,3 +152,30 @@ def test_witnesses_replay():
         for j in range(i + 1, 4):
             consecutive = j == i + 1 or (i == 0 and j == 3)
             assert c4.has_edge(seq[i], seq[j]) == consecutive
+
+
+def test_freeness_memo_answers_in_any_order():
+    # a graph answers longer path and cycle queries from the least k it was
+    # found P_k-free for; every order of the queries must give the answers
+    # of a fresh graph
+    queries = [(find_induced_path, 4), (find_induced_path, 5), (find_induced_path, 6),
+               (find_induced_cycle, 4), (find_induced_cycle, 6)]
+    rng = random.Random(3)
+    graphs = [underlying(g) for g in ALL_FIXTURES.values()]
+    graphs += [path_template(k) for k in range(2, 8)] + [cycle_template(k) for k in (4, 6, 8)]
+    for _ in range(12):
+        n = rng.randint(4, 10)
+        colors = [v % 2 for v in range(n)]
+        graphs.append(build_ugraph(n, colors, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if colors[u] != colors[v] and rng.random() < 0.4]))
+
+    def fresh(g):
+        return build_ugraph(g.n, g.colors, g.edges, g.names)
+
+    for g in graphs:
+        expected = [find(fresh(g), k) for find, k in queries]
+        for order in permutations(range(len(queries))):
+            h = fresh(g)
+            got = {i: queries[i][0](h, queries[i][1]) for i in order}
+            assert [got[i] for i in range(len(queries))] == expected

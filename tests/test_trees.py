@@ -330,3 +330,10 @@ def test_qbmg_from_tree_matches_naive_construction():
         u = random_truncation(rng, tree, sigma)
         assert qbmg_from_tree(tree, sigma, u) == naive_best_match_graph(tree, sigma, u)
         assert best_match_graph(tree, sigma) == naive_best_match_graph(tree, sigma)
+
+
+def test_qbmg_from_tree_rejects_repeated_leaf_names():
+    tree = tree_from_nested((("a", "b"), "a"))
+    sigma = dict(zip(tree.leaves, (0, 1, 1)))
+    with pytest.raises(ValueError, match="unique"):
+        qbmg_from_tree(tree, sigma, root_truncation(tree, sigma))
