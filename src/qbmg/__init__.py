@@ -4,7 +4,7 @@ The package works with small bipartite two-colored digraphs.  It recognizes
 quasi-best-match graphs by their three neighborhood axioms, analyzes induced
 paths and cycles of the underlying undirected graph, finds dominating
 bicliques and biclique/stable-set splits, decomposes connected recognized
-graphs into type-A parts, handles orientations and odd-even digraphs,
+graphs into type-A parts, handles orientations and bitournaments,
 constructs graphs from leaf-colored phylogenetic trees with truncation maps,
 and exhaustively enumerates and classifies small instances.
 """
@@ -18,12 +18,10 @@ from .axioms import (
     is_hereditary_on,
     is_qbmg,
     is_qbmg_masks,
-    n1_configurations,
     recognize,
 )
 from .bicliques import (
     Biclique,
-    all_bicliques,
     find_dominating_biclique,
     is_dominating_set,
     maximal_bicliques,
@@ -40,11 +38,8 @@ from .digraph import (
     canonical_form,
     equivalent_vertex_pairs,
     induced_subdigraph,
-    isomorphic,
     neighbors,
-    relabel,
     ugraph_canonical_form,
-    ugraphs_isomorphic,
     underlying,
     weak_components,
 )
@@ -62,13 +57,10 @@ from .enumeration import (
 from .errors import (
     Disconnected,
     DuplicateEdge,
-    InvalidSpec,
     InvalidTruncation,
     LoopEdge,
     MonochromaticEdge,
-    NoIntegerSuffix,
     NotBiclique,
-    NotBitournament,
     NotOriented,
     NotPhylogenetic,
     NotQbmg,
@@ -78,11 +70,8 @@ from .errors import (
     TooLarge,
 )
 from .orientation import (
-    OddEvenSpec,
     all_orientations,
     bitournament_report,
-    find_odd_even_representation,
-    odd_even_digraph,
     orient,
     oriented_biclique_subdigraph,
     star_conditions,
@@ -93,7 +82,6 @@ from .paths import (
     InducedPath,
     find_induced_cycle,
     find_induced_path,
-    is_cograph,
 )
 from .trees import (
     LeafColoring,
@@ -101,7 +89,6 @@ from .trees import (
     TruncationMap,
     best_match_graph,
     lca,
-    parity_coloring,
     parse_tree,
     qbmg_from_tree,
     root_truncation,

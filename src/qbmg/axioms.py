@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .digraph import Digraph, induced_subdigraph, iter_bits
+from .digraph import Digraph, induced_subdigraph
 from .errors import NotQbmg, TooLarge
 
 HEREDITARY_MAX_VERTICES = 10
@@ -274,28 +274,6 @@ def is_qbmg_masks_delta(m: int, out: Sequence[int], inn: Sequence[int]) -> bool:
 
 def is_qbmg(g: Digraph) -> bool:
     return is_qbmg_masks(g.n, g.out_masks, g.in_masks)
-
-
-def n1_configurations(g: Digraph) -> tuple[tuple[int, int, int, int], ...]:
-    """All (x1, x2, x3, y) on distinct vertices with edges x1->x2, x2->x3,
-    y->x3 and x1, y adjacent in some direction, in lexicographic order.
-
-    This is the adjacency-requiring pattern, distinct from an N1 violation
-    (which requires x1 and y to be independent); see ``find_n1_violation``.
-    """
-    out, inn, adj = g.out_masks, g.in_masks, g.adj_masks
-    found: list[tuple[int, int, int, int]] = []
-    for x1 in range(g.n):
-        if not out[x1]:
-            continue
-        for x2 in iter_bits(out[x1]):
-            for x3 in iter_bits(out[x2]):
-                if x3 == x1:
-                    continue
-                cand = inn[x3] & adj[x1] & ~(1 << x1) & ~(1 << x2)
-                for y in iter_bits(cand):
-                    found.append((x1, x2, x3, y))
-    return tuple(found)
 
 
 def is_hereditary_on(g: Digraph) -> frozenset[int] | None:

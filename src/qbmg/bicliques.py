@@ -19,9 +19,6 @@ from typing import Iterable, Sequence
 from .digraph import UGraph, iter_bits
 from .errors import Disconnected, TooLarge
 
-BICLIQUE_MAX_SIDE = 20
-
-
 @dataclass(frozen=True)
 class Biclique:
     left: frozenset[int]
@@ -119,27 +116,3 @@ def find_dominating_biclique(g: UGraph) -> Biclique | None:
         if is_dominating_set(g, b.vertices()):
             return b
     return None
-
-
-def all_bicliques(g: UGraph) -> tuple[Biclique, ...]:
-    """Every biclique (not only maximal ones), both sides nonempty."""
-    left_class = [v for v in range(g.n) if g.colors[v] == 0]
-    right_class = [v for v in range(g.n) if g.colors[v] == 1]
-    if len(left_class) > BICLIQUE_MAX_SIDE or len(right_class) > BICLIQUE_MAX_SIDE:
-        raise TooLarge("biclique enumeration bound exceeded")
-    adj = g.adj_masks
-    out = []
-    m = len(left_class)
-    for sub in range(1, 1 << m):
-        tset = [left_class[i] for i in iter_bits(sub)]
-        common = (1 << g.n) - 1
-        for v in tset:
-            common &= adj[v]
-        if not common:
-            continue
-        rights = list(iter_bits(common))
-        for rsub in range(1, 1 << len(rights)):
-            zset = frozenset(rights[i] for i in iter_bits(rsub))
-            out.append(Biclique(frozenset(tset), zset))
-    out.sort(key=Biclique.sort_key)
-    return tuple(out)

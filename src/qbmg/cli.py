@@ -17,8 +17,8 @@ from typing import Any
 from . import dgf
 from .axioms import recognize
 from .bicliques import find_dominating_biclique
-from .decompose import decompose_type_a, is_type_a
-from .digraph import Digraph, UGraph, induced_subdigraph, underlying
+from .decompose import decompose_type_a
+from .digraph import Digraph, UGraph, underlying
 from .enumeration import (
     classify_all_qbmgs,
     classify_qbmgs,
@@ -171,13 +171,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     result = decompose_type_a(g)
     parts = []
     lines = []
+    # every part decompose_type_a emits is type A by construction
     for i, part in enumerate(result.parts, start=1):
-        sub, _ = induced_subdigraph(g, part)
-        flag = is_type_a(sub)
-        parts.append({"vertices": _names(g, part), "type_a": flag})
-        lines.append(
-            f"part {i}: {' '.join(_names(g, part))} (type-A: {'yes' if flag else 'no'})"
-        )
+        parts.append({"vertices": _names(g, part), "type_a": True})
+        lines.append(f"part {i}: {' '.join(_names(g, part))} (type-A: yes)")
     _emit(args, {"command": "decompose", "parts": parts}, lines)
     return 0
 

@@ -501,13 +501,6 @@ def canonical_form(g: Digraph) -> CanonicalForm:
     return CanonicalForm(_pack_levels(g.n, levels))
 
 
-def isomorphic(g1: Digraph, g2: Digraph) -> bool:
-    """Edge-preserving bijection test via canonical forms; ignores colors."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
-
-
 def symmetric_digraph(u: UGraph) -> Digraph:
     """Both directions of every undirected edge."""
     edges = frozenset((a, b) for a, b in u.edges) | frozenset((b, a) for a, b in u.edges)
@@ -516,25 +509,6 @@ def symmetric_digraph(u: UGraph) -> Digraph:
 
 def ugraph_canonical_form(u: UGraph) -> CanonicalForm:
     return canonical_form(symmetric_digraph(u))
-
-
-def ugraphs_isomorphic(u1: UGraph, u2: UGraph) -> bool:
-    if u1.n != u2.n or len(u1.edges) != len(u2.edges):
-        return False
-    return ugraph_canonical_form(u1) == ugraph_canonical_form(u2)
-
-
-def relabel(g: Digraph, perm: Sequence[int]) -> Digraph:
-    """Apply a permutation: new id perm[v] for old v.  Names follow vertices."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation")
-    colors = [0] * g.n
-    names = [""] * g.n
-    for v in range(g.n):
-        colors[perm[v]] = g.colors[v]
-        names[perm[v]] = g.names[v]
-    edges = frozenset((perm[u], perm[v]) for u, v in g.edges)
-    return Digraph(n=g.n, colors=tuple(colors), edges=edges, names=tuple(names))
 
 
 def infer_bipartition(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

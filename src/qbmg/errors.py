@@ -33,14 +33,6 @@ class NotOriented(QbmgError):
     """Operation requires a digraph without symmetric edge pairs."""
 
 
-class InvalidSpec(QbmgError):
-    """Invalid even/odd integer-set pair."""
-
-
-class NotBitournament(QbmgError):
-    """Operation requires an oriented bitournament-like digraph."""
-
-
 class NotBiclique(QbmgError):
     """The given vertex sets do not span a biclique of the host graph."""
 
@@ -55,10 +47,6 @@ class NotSurjective(QbmgError):
 
 class InvalidTruncation(QbmgError):
     """A truncation map entry is off the root-to-leaf path or mislabels the leaf itself."""
-
-
-class NoIntegerSuffix(QbmgError):
-    """A leaf name carries no trailing integer to derive a parity color from."""
 
 
 class ParseError(QbmgError):

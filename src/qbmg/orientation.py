@@ -1,18 +1,14 @@
-"""Symmetric-edge conditions, orientations, topological order, odd-even
-digraphs and bitournaments.
+"""Symmetric-edge conditions, orientations, topological order and
+bitournaments.
 
 An *orientation* keeps exactly one direction of each symmetric edge pair; the
 canonical rule here keeps the smaller-id -> larger-id direction.
 ``all_orientations`` sweeps every choice so universally quantified claims can
-be tested honestly.  An odd-even digraph is built from a set A of even
-non-negative integers and a set O of positive odd integers: a -> b is an edge
-exactly when (a+b)/2 and (b-a)/2 both lie in O.
+be tested honestly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .axioms import find_n2_violation
@@ -20,32 +16,13 @@ from .bicliques import Biclique
 from .digraph import (
     Digraph,
     _trusted_digraph,
-    build_digraph,
     equivalent_vertex_pairs,
     induced_subdigraph,
-    isomorphic,
-    iter_bits,
     underlying,
 )
-from .errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented, TooLarge
+from .errors import NotBiclique, NotOriented, TooLarge
 
 ORIENT_MAX_PAIRS = 16
-
-
-@dataclass(frozen=True)
-class OddEvenSpec:
-    """Vertex set A (even, >= 0) and odd edge-defining set O (odd, >= 1)."""
-
-    A: frozenset[int]
-    O: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for a in self.A:
-            if a < 0 or a % 2:
-                raise InvalidSpec(f"A must contain non-negative even integers, got {a}")
-        for o in self.O:
-            if o < 1 or o % 2 == 0:
-                raise InvalidSpec(f"O must contain positive odd integers, got {o}")
 
 
 class StarConditions(NamedTuple):
@@ -141,28 +118,6 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
     return tuple(order) if len(order) == g.n else None
 
 
-def odd_even_digraph(spec: OddEvenSpec) -> Digraph:
-    """The digraph on A with a -> b iff (a+b)/2 and (b-a)/2 are both in O.
-
-    Colored by residue: 0 mod 4 -> color 0, 2 mod 4 -> color 1.
-    """
-    verts = sorted(spec.A)
-    index = {a: i for i, a in enumerate(verts)}
-    colors = tuple(0 if a % 4 == 0 else 1 for a in verts)
-    names = tuple(str(a) for a in verts)
-    edges = []
-    for a in verts:
-        for b in verts:
-            if a == b:
-                continue
-            half_sum, rem1 = divmod(a + b, 2)
-            half_diff, rem2 = divmod(b - a, 2)
-            assert rem1 == 0 and rem2 == 0
-            if half_sum in spec.O and half_diff in spec.O:
-                edges.append((index[a], index[b]))
-    return build_digraph(len(verts), colors, edges, names)
-
-
 def bitournament_report(g: Digraph) -> BitournamentReport:
     """is_bitournament: oriented with exactly one edge per opposite-color pair;
     is_bitransitive: no bi-transitivity violation."""
@@ -179,78 +134,6 @@ def bitournament_report(g: Digraph) -> BitournamentReport:
             if not is_bt:
                 break
     return BitournamentReport(is_bt, find_n2_violation(g) is None)
-
-
-def _linear_extensions(g: Digraph) -> Iterator[tuple[int, ...]]:
-    indeg = [g.in_masks[v].bit_count() for v in range(g.n)]
-    order: list[int] = []
-    used = [False] * g.n
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(order) == g.n:
-            yield tuple(order)
-            return
-        for v in range(g.n):
-            if used[v] or indeg[v]:
-                continue
-            used[v] = True
-            order.append(v)
-            for w in iter_bits(g.out_masks[v]):
-                indeg[w] -= 1
-            yield from rec()
-            for w in iter_bits(g.out_masks[v]):
-                indeg[w] += 1
-            order.pop()
-            used[v] = False
-
-    yield from rec()
-
-
-def find_odd_even_representation(g: Digraph, bound: int) -> OddEvenSpec | None:
-    """Bounded search for a spec whose odd-even digraph is isomorphic to g.
-
-    ``bound`` caps the largest member of A.  Requires an oriented input; a
-    None result is inconclusive (the bound may simply be too small).  For a
-    bi-transitive bitournament a large enough bound always succeeds.
-    """
-    if g.symmetric_pairs:
-        raise NotBitournament("odd-even representation requires an oriented digraph")
-    evens = list(range(0, bound + 1, 2))
-    if len(evens) < g.n:
-        return None
-    extensions = list(_linear_extensions(g))  # empty iff g has a directed cycle
-    for chosen in combinations(evens, g.n):
-        for ext in extensions:
-            value = {v: chosen[i] for i, v in enumerate(ext)}
-            required: set[int] = set()
-            ok = True
-            for u, v in g.edges:
-                half_sum = (value[u] + value[v]) // 2
-                half_diff = (value[v] - value[u]) // 2
-                if half_sum % 2 == 0 or half_diff <= 0 or half_diff % 2 == 0:
-                    ok = False
-                    break
-                required.add(half_sum)
-                required.add(half_diff)
-            if not ok:
-                continue
-            for u in range(g.n):
-                for v in range(g.n):
-                    if u == v or (u, v) in g.edges or value[u] >= value[v]:
-                        continue
-                    half_sum = (value[u] + value[v]) // 2
-                    half_diff = (value[v] - value[u]) // 2
-                    if half_sum % 2 and half_diff % 2 and half_sum in required and half_diff in required:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            spec = OddEvenSpec(frozenset(chosen), frozenset(required))
-            assert isomorphic(odd_even_digraph(spec), g)
-            return spec
-    return None
 
 
 def oriented_biclique_subdigraph(g: Digraph, b: Biclique) -> Digraph:

@@ -136,8 +136,3 @@ def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
         return None
     seq = find_induced_cycle_masks(g.adj_masks, g.n, k)
     return InducedCycle(seq) if seq is not None else None
-
-
-def is_cograph(g: UGraph) -> bool:
-    """True iff the graph has no induced path on four vertices."""
-    return find_induced_path(g, 4) is None

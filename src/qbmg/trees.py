@@ -29,7 +29,6 @@ from .axioms import is_qbmg_masks
 from .digraph import Digraph, _trusted_digraph, _validate_vertex_table, iter_bits
 from .errors import (
     InvalidTruncation,
-    NoIntegerSuffix,
     NotPhylogenetic,
     NotSurjective,
     ParseError,
@@ -309,21 +308,6 @@ def qbmg_from_tree(
             matches ^= low
             inn[low.bit_length() - 1] |= 1 << i
     return _trusted_digraph(n, colors, names, tuple(out), tuple(inn))
-
-
-_SUFFIX = re.compile(r"(\d+)$")
-
-
-def parity_coloring(t: PhyloTree) -> LeafColoring:
-    """Color each leaf by the parity of the integer suffix of its name."""
-    sigma: LeafColoring = {}
-    for leaf in t.leaves:
-        name = t.names[leaf]
-        m = _SUFFIX.search(name or "")
-        if not m:
-            raise NoIntegerSuffix(f"leaf name {name!r} has no trailing integer")
-        sigma[leaf] = int(m.group(1)) % 2
-    return sigma
 
 
 def _set_partitions(items: tuple[str, ...]) -> Iterator[list[list[str]]]:

@@ -1,15 +1,19 @@
-"""Shared test utilities: independent naive oracles, mask helpers, random
-phylogenetic trees and the isomorphism-class generator for small connected
-bipartite graphs."""
+"""Shared test utilities: independent naive oracles, mask helpers, vertex
+relabeling, random phylogenetic trees and the isomorphism-class generator for
+small connected bipartite graphs."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 from qbmg.bicliques import Biclique
 from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
+from qbmg.errors import TooLarge
 from qbmg.trees import Nested, PhyloTree
+
+BICLIQUE_MAX_SIDE = 20
 
 
 # --- naive re-implementations of the recognition axioms (edge-set membership,
@@ -155,6 +159,30 @@ def crown_graph(m: int) -> UGraph:
         [(i, m + j) for i in range(m) for j in range(m) if i != j])
 
 
+def all_bicliques(g: UGraph) -> tuple[Biclique, ...]:
+    """Every biclique (not only maximal ones), both sides nonempty."""
+    left_class = [v for v in range(g.n) if g.colors[v] == 0]
+    right_class = [v for v in range(g.n) if g.colors[v] == 1]
+    if len(left_class) > BICLIQUE_MAX_SIDE or len(right_class) > BICLIQUE_MAX_SIDE:
+        raise TooLarge("biclique enumeration bound exceeded")
+    adj = g.adj_masks
+    out = []
+    m = len(left_class)
+    for sub in range(1, 1 << m):
+        tset = [left_class[i] for i in iter_bits(sub)]
+        common = (1 << g.n) - 1
+        for v in tset:
+            common &= adj[v]
+        if not common:
+            continue
+        rights = list(iter_bits(common))
+        for rsub in range(1, 1 << len(rights)):
+            zset = frozenset(rights[i] for i in iter_bits(rsub))
+            out.append(Biclique(frozenset(tset), zset))
+    out.sort(key=Biclique.sort_key)
+    return tuple(out)
+
+
 # --- mask utilities for sweep-based tests
 
 
@@ -205,6 +233,19 @@ def masks_connected(n: int, adj: list[int]) -> bool:
             seen |= low
             frontier.append(low.bit_length() - 1)
     return seen == (1 << n) - 1
+
+
+def relabel(g: Digraph, perm: Sequence[int]) -> Digraph:
+    """Apply a permutation: new id perm[v] for old v.  Names follow vertices."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation")
+    colors = [0] * g.n
+    names = [""] * g.n
+    for v in range(g.n):
+        colors[perm[v]] = g.colors[v]
+        names[perm[v]] = g.names[v]
+    edges = frozenset((perm[u], perm[v]) for u, v in g.edges)
+    return Digraph(n=g.n, colors=tuple(colors), edges=edges, names=tuple(names))
 
 
 # --- random phylogenetic trees with colorings and truncation maps

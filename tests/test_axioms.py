@@ -19,7 +19,6 @@ from qbmg.axioms import (
     is_hereditary_on,
     is_qbmg_masks,
     is_qbmg_masks_delta,
-    n1_configurations,
     recognize,
 )
 from qbmg.digraph import build_digraph, underlying
@@ -27,14 +26,13 @@ from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_
 from qbmg.errors import NotQbmg
 from qbmg.fixtures import (
     ALL_FIXTURES,
-    EX7,
     EX10,
     P4_CLASSES,
     P5A,
     P5AB,
     P5_CLASSES,
 )
-from qbmg.paths import is_cograph
+from qbmg.paths import find_induced_path
 
 
 def test_n1_none_on_p5a():
@@ -241,26 +239,6 @@ def test_delta_kernel_matches_full_kernel_on_random_extensions(data):
     assert is_qbmg_masks_delta(m, out, inn) == is_qbmg_masks(m, out, inn)
 
 
-def test_n1_configurations_definitional():
-    g = build_digraph(4, (0, 1, 0, 1), [(0, 1), (1, 2), (3, 2), (0, 3)])
-    # the mirror tuple (0, 3, 2, 1) satisfies the same literal pattern:
-    # 0->3, 3->2, 1->2 with 0,1 adjacent
-    assert n1_configurations(g) == ((0, 1, 2, 3), (0, 3, 2, 1))
-
-
-def test_n1_configurations_p5a_empty():
-    assert n1_configurations(P5A) == ()
-
-
-def test_n1_configurations_need_adjacency():
-    g = build_digraph(4, (0, 1, 0, 1), [(0, 1), (1, 2), (3, 2)])
-    assert n1_configurations(g) == ()
-
-
-def test_n1_configurations_ex7():
-    assert n1_configurations(EX7) == ((1, 0, 5, 2), (2, 1, 0, 5), (2, 5, 0, 1))
-
-
 def test_hereditary_ex10():
     assert is_hereditary_on(EX10) is None
 
@@ -285,4 +263,4 @@ def test_sink_free_qbmgs_have_cograph_underlying_n4():
         for g in all_bipartite_digraphs(n):
             rep = recognize(g)
             if rep.is_bmg:
-                assert is_cograph(underlying(g))
+                assert find_induced_path(underlying(g), 4) is None

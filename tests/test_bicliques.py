@@ -6,13 +6,13 @@ import pytest
 import qbmg.bicliques
 from helpers import (
     adj_masks_from_out,
+    all_bicliques,
     brute_maximal_bicliques,
     crown_graph,
     random_surjective_coloring,
     subset_walk_maximal_bicliques,
 )
 from qbmg.bicliques import (
-    all_bicliques,
     find_dominating_biclique,
     is_dominating_set,
     maximal_bicliques,

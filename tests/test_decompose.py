@@ -1,7 +1,9 @@
 import pytest
 
 import qbmg.decompose
+from qbmg.cli import main
 from qbmg.decompose import decompose_type_a, is_type_a, kos_partition
+from qbmg.dgf import format_dgf
 from qbmg.digraph import build_digraph, induced_subdigraph, underlying
 from qbmg.enumeration import cycle_template
 from qbmg.errors import Disconnected, NotQbmg
@@ -65,7 +67,7 @@ def test_decompose_p5a1_single_part():
     assert result.parts == (frozenset(range(5)),)
 
 
-def test_decompose_recognizes_a_type_a_input_once(monkeypatch):
+def test_decompose_recognizes_a_type_a_input_once(monkeypatch, capsys, tmp_path):
     calls = 0
     real = qbmg.decompose.is_qbmg
 
@@ -77,6 +79,13 @@ def test_decompose_recognizes_a_type_a_input_once(monkeypatch):
     monkeypatch.setattr(qbmg.decompose, "is_qbmg", counted)
     assert decompose_type_a(EX10).parts == (frozenset(range(10)),)
     assert calls == 1
+    # the CLI verb prints each part's type-A flag without recognizing it again
+    path = tmp_path / "ex10.dgf"
+    path.write_text(format_dgf(EX10), encoding="utf-8")
+    calls = 0
+    assert main(["decompose", str(path)]) == 0
+    assert calls == 1
+    assert capsys.readouterr().out.endswith("(type-A: yes)\n")
 
 
 def test_decompose_rejects_unrecognized():

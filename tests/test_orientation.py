@@ -7,20 +7,16 @@ from qbmg.digraph import (
     Digraph,
     build_digraph,
     induced_subdigraph,
-    isomorphic,
     iter_bits,
     underlying,
 )
 from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
-from qbmg.errors import InvalidSpec, NotBiclique, NotBitournament, NotOriented, TooLarge
+from qbmg.errors import NotBiclique, NotOriented, TooLarge
 from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import (
     ORIENT_MAX_PAIRS,
-    OddEvenSpec,
     all_orientations,
     bitournament_report,
-    find_odd_even_representation,
-    odd_even_digraph,
     orient,
     oriented_biclique_subdigraph,
     star_conditions,
@@ -153,61 +149,14 @@ def test_topological_order_respects_edges():
         assert position[u] < position[v]
 
 
-def test_odd_even_digraph_example():
-    g = odd_even_digraph(OddEvenSpec(frozenset({0, 2, 4, 6}), frozenset({1, 3})))
-    assert g.names == ("0", "2", "4", "6")
-    named = {(g.names[u], g.names[v]) for u, v in g.edges}
-    assert named == {("0", "2"), ("0", "6"), ("2", "4")}
-    assert g.colors == (0, 1, 0, 1)
-
-
-def test_odd_even_single_vertex():
-    g = odd_even_digraph(OddEvenSpec(frozenset({0}), frozenset({1})))
-    assert g.n == 1 and not g.edges
-
-
-def test_odd_even_parity_obstruction():
-    g = odd_even_digraph(OddEvenSpec(frozenset({0, 4}), frozenset({1, 3})))
-    assert not g.edges
-
-
-def test_odd_even_spec_validation():
-    with pytest.raises(InvalidSpec):
-        OddEvenSpec(frozenset({1}), frozenset({1}))
-    with pytest.raises(InvalidSpec):
-        OddEvenSpec(frozenset({0}), frozenset({2}))
-    with pytest.raises(InvalidSpec):
-        OddEvenSpec(frozenset({-2}), frozenset({1}))
-
-
-def test_odd_even_outputs_are_oriented_ordered_and_acyclic():
-    import random
-
-    rng = random.Random(1)
-    for _ in range(80):
-        a = frozenset(rng.sample(range(0, 25, 2), rng.randint(1, 8)))
-        o = frozenset(rng.sample(range(1, 25, 2), rng.randint(1, 8)))
-        g = odd_even_digraph(OddEvenSpec(a, o))
-        assert not g.symmetric_pairs
-        for u, v in g.edges:
-            assert int(g.names[u]) < int(g.names[v])
-            assert g.colors[u] != g.colors[v]
-        assert topological_order(g) is not None
-
-
-def test_odd_even_output_need_not_be_bitransitive():
-    # counterexample: the edge-defining set misses 11, so the chain
-    # 0 -> 14 -> 20 -> 22 has no closing edge 0 -> 22
-    g = odd_even_digraph(
-        OddEvenSpec(frozenset({0, 14, 20, 22}), frozenset({1, 3, 7, 17, 21}))
-    )
-    named = {(g.names[u], g.names[v]) for u, v in g.edges}
-    assert named == {("0", "14"), ("14", "20"), ("20", "22")}
+def test_bitournament_report_open_chain_not_bitransitive():
+    # the chain 0 -> 14 -> 20 -> 22 has no closing edge 0 -> 22
+    g = build_digraph(4, (0, 1, 0, 1), [(0, 1), (1, 2), (2, 3)], ("0", "14", "20", "22"))
     assert not bitournament_report(g).is_bitransitive
 
 
 def test_bitournament_two_vertices():
-    g = odd_even_digraph(OddEvenSpec(frozenset({0, 2}), frozenset({1})))
+    g = build_digraph(2, (0, 1), [(0, 1)], ("0", "2"))
     assert bitournament_report(g) == (True, True)
 
 
@@ -221,29 +170,6 @@ def test_bitournament_complete_one_way():
     edges = [(u, v) for u in (0, 1) for v in (2, 3)]
     g = build_digraph(4, (0, 0, 1, 1), edges)
     assert bitournament_report(g) == (True, True)
-
-
-def test_find_odd_even_representation_single_edge():
-    g = build_digraph(2, (0, 1), [(0, 1)])
-    spec = find_odd_even_representation(g, bound=6)
-    assert spec == OddEvenSpec(frozenset({0, 2}), frozenset({1}))
-
-
-def test_find_odd_even_representation_self_certificate():
-    base = odd_even_digraph(OddEvenSpec(frozenset({0, 2, 4, 6}), frozenset({1, 3})))
-    spec = find_odd_even_representation(base, bound=8)
-    assert spec is not None
-    assert isomorphic(odd_even_digraph(spec), base)
-
-
-def test_find_odd_even_representation_bound_too_small():
-    g = build_digraph(2, (0, 1), [(0, 1)])
-    assert find_odd_even_representation(g, bound=0) is None
-
-
-def test_find_odd_even_representation_requires_oriented():
-    with pytest.raises(NotBitournament):
-        find_odd_even_representation(P5AB, bound=8)
 
 
 def test_oriented_biclique_subdigraph_ex10():

@@ -13,7 +13,6 @@ from qbmg.paths import (
     find_induced_cycle_masks,
     find_induced_path,
     find_induced_path_masks,
-    is_cograph,
 )
 
 
@@ -75,9 +74,9 @@ def test_cycle_witness_is_chordless():
 
 def test_is_cograph():
     k22 = build_ugraph(4, (0, 0, 1, 1), [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert is_cograph(k22)
-    assert not is_cograph(underlying(P5A))
-    assert is_cograph(build_ugraph(2, (0, 1), [(0, 1)]))
+    assert find_induced_path(k22, 4) is None
+    assert find_induced_path(underlying(P5A), 4) is not None
+    assert find_induced_path(build_ugraph(2, (0, 1), [(0, 1)]), 4) is None
 
 
 def test_path_length_validation():

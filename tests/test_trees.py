@@ -18,7 +18,6 @@ from qbmg.digraph import Digraph, build_digraph
 from qbmg.enumeration import all_bipartite_digraphs
 from qbmg.errors import (
     InvalidTruncation,
-    NoIntegerSuffix,
     NotPhylogenetic,
     NotSurjective,
     ParseError,
@@ -28,7 +27,6 @@ from qbmg.fixtures import P5AB, R4
 from qbmg.trees import (
     best_match_graph,
     lca,
-    parity_coloring,
     parse_tree,
     phylogenetic_topologies,
     qbmg_from_tree,
@@ -123,6 +121,12 @@ def test_best_match_graph_star_tree():
     }
 
 
+def test_best_match_graph_rejects_single_color():
+    t = tree_from_nested(("v2", "v4"))
+    with pytest.raises(NotSurjective):
+        best_match_graph(t, {leaf: 0 for leaf in t.leaves})
+
+
 def test_qbmg_root_truncation_equals_bmg():
     t, sigma = parse_tree("((a=0,b=1),c=1);")
     u = root_truncation(t, sigma)
@@ -153,25 +157,6 @@ def test_truncation_validation():
     del u[(a, 1)]
     with pytest.raises(InvalidTruncation):
         validate_truncation(t, sigma, u)
-
-
-def test_parity_coloring():
-    t = tree_from_nested((("v1", "v2"), "v3"))
-    sigma = parity_coloring(t)
-    by_name = {t.names[leaf]: color for leaf, color in sigma.items()}
-    assert by_name == {"v1": 1, "v2": 0, "v3": 1}
-    t2 = tree_from_nested(("x10", "x11"))
-    sigma2 = parity_coloring(t2)
-    assert {t2.names[l]: c for l, c in sigma2.items()} == {"x10": 0, "x11": 1}
-    with pytest.raises(NoIntegerSuffix):
-        parity_coloring(tree_from_nested(("a", "b")))
-
-
-def test_parity_coloring_can_fail_surjectivity_downstream():
-    t = tree_from_nested(("v2", "v4"))
-    sigma = parity_coloring(t)
-    with pytest.raises(NotSurjective):
-        best_match_graph(t, sigma)
 
 
 def test_topology_counts():
