@@ -31,14 +31,11 @@ from .dgf import format_dgf, parse_dgf
 from .digraph import (
     CanonicalForm,
     Digraph,
-    Neighborhood,
     UGraph,
     build_digraph,
     build_ugraph,
     canonical_form,
-    equivalent_vertex_pairs,
     induced_subdigraph,
-    neighbors,
     ugraph_canonical_form,
     underlying,
     weak_components,

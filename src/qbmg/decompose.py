@@ -19,7 +19,6 @@ from .digraph import (
     Digraph,
     UGraph,
     induced_subdigraph,
-    iter_bits,
     underlying,
     weak_components,
 )
@@ -46,16 +45,14 @@ class Decomposition:
 
 
 def _stable(g: UGraph, vertices: frozenset[int]) -> bool:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return all(not (g.adj_masks[v] & mask) for v in vertices)
+    mask = sum(1 << v for v in vertices)
+    return not any(g.adj_masks[v] & mask for v in vertices)
 
 
 def kos_partition(g: UGraph) -> KosPartition | None:
     """A biclique/stable-set split if one exists; degenerate flag for isolated
     vertices.  None when the graph is neither."""
-    degenerate = any(g.adj_masks[v] == 0 for v in range(g.n))
+    degenerate = 0 in g.adj_masks
     # a split using any biclique extends to one using a maximal biclique
     # (the stable remainder only shrinks), so maximal candidates suffice
     for b in maximal_bicliques(g):
@@ -88,27 +85,28 @@ def decompose_type_a(g: Digraph) -> Decomposition:
     """
     if not is_qbmg(g):
         raise NotQbmg("decomposition requires a recognized graph")
-    und = underlying(g)
-    if len(und.components()) != 1:
+    if len(underlying(g).components()) != 1:
         raise Disconnected("decomposition requires a connected graph")
 
     parts: list[frozenset[int]] = []
 
-    def peel(sub: Digraph, old: tuple[int, ...], und: UGraph, type_a: bool) -> None:
-        if type_a:
+    def peel(sub: Digraph, old: tuple[int, ...]) -> None:
+        # sub is connected and recognized: g by the checks above, and each
+        # remainder component by construction and by heredity; so it is
+        # type A exactly when its underlying graph is K+S
+        und = underlying(sub)
+        if kos_partition(und) is not None:
             parts.append(frozenset(old))
             return
         delta = find_dominating_biclique(und)
         if delta is None:  # cannot happen for recognized connected graphs
             raise AssertionError("connected recognized graph without dominating biclique")
         core = delta.vertices()
-        absorbed = {
-            v
-            for v in range(sub.n)
-            if v not in core and all(w in core for w in iter_bits(sub.adj_masks[v]))
-        }
+        outside = ~sum(1 << v for v in core)
+        absorbed = frozenset(
+            v for v in range(sub.n) if v not in core and not sub.adj_masks[v] & outside)
         sigma = core | absorbed
-        assert _stable(und, frozenset(absorbed)), "absorbed set must be stable"
+        assert _stable(und, absorbed), "absorbed set must be stable"
         first = frozenset(old[v] for v in sigma)
         part_graph, _ = induced_subdigraph(g, first)
         assert is_type_a(part_graph), "peeled part must be connected type A"
@@ -117,14 +115,10 @@ def decompose_type_a(g: Digraph) -> Decomposition:
         if not rest:
             return
         rest_graph, rest_old = induced_subdigraph(sub, rest)
-        assert all(
-            rest_graph.adj_masks[v] for v in range(rest_graph.n)
-        ), "remainder must have no isolated vertex"
+        assert 0 not in rest_graph.adj_masks, "remainder must have no isolated vertex"
         for comp in underlying(rest_graph).components():
             piece, ids = induced_subdigraph(g, (old[rest_old[v]] for v in comp))
-            peel(piece, ids, underlying(piece), is_type_a(piece))
+            peel(piece, ids)
 
-    # g is already known to be connected and recognized, so it is type A
-    # exactly when its underlying graph is K+S
-    peel(g, tuple(range(g.n)), und, kos_partition(und) is not None)
+    peel(g, tuple(range(g.n)))
     return Decomposition(tuple(parts))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
 
@@ -84,21 +84,6 @@ class Digraph:
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
         return tuple(o | i for o, i in zip(self.out_masks, self.in_masks))
-
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self.out_masks[v]))
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self.in_masks[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
-    def is_sink(self, v: int) -> bool:
-        return self.out_masks[v] == 0
-
-    def is_source(self, v: int) -> bool:
-        return self.in_masks[v] == 0
 
     @cached_property
     def symmetric_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -176,9 +161,6 @@ class UGraph:
             m[u] |= 1 << v
             m[v] |= 1 << u
         return tuple(m)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self.adj_masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -260,13 +242,6 @@ def _mask_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-class Neighborhood(NamedTuple):
-    out: frozenset[int]
-    in_: frozenset[int]
-    is_sink: bool
-    is_source: bool
-
-
 def build_digraph(
     n: int,
     colors: Sequence[int],
@@ -311,15 +286,6 @@ def build_ugraph(
         edges=frozenset(seen),
         names=tuple(names) if names is not None else default_names(n),
     )
-
-
-def neighbors(g: Digraph, v: int) -> Neighborhood:
-    """Out-/in-neighbor sets of v together with sink and source flags."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    out = g.out_neighbors(v)
-    in_ = g.in_neighbors(v)
-    return Neighborhood(out, in_, not out, not in_)
 
 
 def underlying(g: Digraph) -> UGraph:
@@ -372,17 +338,6 @@ def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...
 def weak_components(g: Digraph) -> tuple[frozenset[int], ...]:
     """Connected components of the underlying graph, ordered by smallest member."""
     return _mask_components(g.adj_masks)
-
-
-def equivalent_vertex_pairs(g: Digraph) -> frozenset[tuple[int, int]]:
-    """Unordered pairs of vertices with identical out- and in-neighborhoods."""
-    out, inn = g.out_masks, g.in_masks
-    return frozenset(
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if out[u] == out[v] and inn[u] == inn[v]
-    )
 
 
 @dataclass(frozen=True)
@@ -501,14 +456,9 @@ def canonical_form(g: Digraph) -> CanonicalForm:
     return CanonicalForm(_pack_levels(g.n, levels))
 
 
-def symmetric_digraph(u: UGraph) -> Digraph:
-    """Both directions of every undirected edge."""
-    edges = frozenset((a, b) for a, b in u.edges) | frozenset((b, a) for a, b in u.edges)
-    return Digraph(n=u.n, colors=u.colors, edges=edges, names=u.names)
-
-
 def ugraph_canonical_form(u: UGraph) -> CanonicalForm:
-    return canonical_form(symmetric_digraph(u))
+    """The canonical form of the digraph with both directions of every edge."""
+    return canonical_form(_trusted_digraph(u.n, u.colors, u.names, u.adj_masks, u.adj_masks))
 
 
 def infer_bipartition(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -13,13 +13,7 @@ from typing import Iterator, NamedTuple
 
 from .axioms import find_n2_violation
 from .bicliques import Biclique
-from .digraph import (
-    Digraph,
-    _trusted_digraph,
-    equivalent_vertex_pairs,
-    induced_subdigraph,
-    underlying,
-)
+from .digraph import Digraph, _trusted_digraph, induced_subdigraph
 from .errors import NotBiclique, NotOriented, TooLarge
 
 ORIENT_MAX_PAIRS = 16
@@ -39,17 +33,10 @@ class BitournamentReport(NamedTuple):
 def star_conditions(g: Digraph) -> StarConditions:
     """star: no vertex lies on two symmetric pairs; starstar: no two vertices
     share both neighborhoods."""
-    pairs = g.symmetric_pairs
-    touched: set[int] = set()
-    star = True
-    for u, v in pairs:
-        if u in touched or v in touched:
-            star = False
-            break
-        touched.add(u)
-        touched.add(v)
-    starstar = not equivalent_vertex_pairs(g)
-    return StarConditions(star, starstar, pairs)
+    out, inn = g.out_masks, g.in_masks
+    star = all((o & i).bit_count() <= 1 for o, i in zip(out, inn))
+    starstar = len(set(zip(out, inn))) == g.n
+    return StarConditions(star, starstar, g.symmetric_pairs)
 
 
 def orient(g: Digraph) -> Digraph:
@@ -121,18 +108,11 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
 def bitournament_report(g: Digraph) -> BitournamentReport:
     """is_bitournament: oriented with exactly one edge per opposite-color pair;
     is_bitransitive: no bi-transitivity violation."""
-    oriented = not g.symmetric_pairs
-    is_bt = oriented
-    if is_bt:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.colors[u] == g.colors[v]:
-                    continue
-                if not ((u, v) in g.edges or (v, u) in g.edges):
-                    is_bt = False
-                    break
-            if not is_bt:
-                break
+    classes = [0, 0]
+    for v, c in enumerate(g.colors):
+        classes[c] |= 1 << v
+    is_bt = not g.symmetric_pairs and all(
+        a == classes[1 - c] for a, c in zip(g.adj_masks, g.colors))
     return BitournamentReport(is_bt, find_n2_violation(g) is None)
 
 
@@ -140,14 +120,16 @@ def oriented_biclique_subdigraph(g: Digraph, b: Biclique) -> Digraph:
     """Sub-digraph on the biclique's vertices with the edges of the canonical
     orientation of g (not the induced sub-digraph when a symmetric pair lies
     inside the biclique)."""
-    und = underlying(g)
+    for v in b.left | b.right:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
     if not b.left or not b.right:
         raise NotBiclique("both biclique sides must be nonempty")
     if b.left & b.right:
         raise NotBiclique("biclique sides must be disjoint")
     for t in b.left:
         for z in b.right:
-            if not und.has_edge(t, z):
+            if not g.adj_masks[t] >> z & 1:
                 raise NotBiclique(
                     f"vertices {g.names[t]} and {g.names[z]} are not adjacent")
     return induced_subdigraph(orient(g), b.left | b.right)[0]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from qbmg.bicliques import Biclique
 from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
@@ -275,6 +275,18 @@ def caterpillar_newick(colors: list[int]) -> str:
     n = len(colors)
     head = "".join(f"(x{i}={colors[i - 1]}," for i in range(1, n - 1))
     return f"{head}(x{n - 1}={colors[-2]},x{n}={colors[-1]}){')' * (n - 2)};"
+
+
+def format_newick(nested: Nested, colors: dict[str, int], gap: Callable[[], str]) -> str:
+    """The text ``parse_tree`` reads back as ``nested`` colored by leaf name;
+    ``gap()`` supplies the whitespace before and after each token."""
+
+    def node(x: Nested) -> str:
+        if isinstance(x, str):
+            return f"{gap()}{x}={colors[x]}{gap()}"
+        return f"{gap()}({','.join(node(child) for child in x)}){gap()}"
+
+    return f"{node(nested)};{gap()}"
 
 
 def random_surjective_coloring(rng: random.Random, leaves: tuple[int, ...]) -> dict[int, int]:

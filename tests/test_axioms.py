@@ -149,8 +149,10 @@ def test_witnesses_replay_and_match_naive_n4():
                 assert (u, v) in E and (v, w) in E and (w, t) in E and (u, t) not in E
             if n3 is not None:
                 u, v, s = n3.vertices
-                assert g.has_edge(u, s) and g.has_edge(v, s)
-                ou, ov = g.out_neighbors(u), g.out_neighbors(v)
+                E = g.edges
+                assert (u, s) in E and (v, s) in E
+                ou = {b for a, b in E if a == u}
+                ov = {b for a, b in E if a == v}
                 assert not (ou <= ov) and not (ov <= ou)
 
 

@@ -6,7 +6,7 @@ import pytest
 from helpers import caterpillar_newick, crown_graph
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
-from qbmg.digraph import build_digraph, symmetric_digraph
+from qbmg.digraph import build_digraph
 from qbmg.enumeration import cycle_template, path_template
 from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import topological_order
@@ -121,8 +121,11 @@ def test_crown_graph_is_bad_input(capsys, tmp_path, verb):
     # 2^17 - 2 maximal bicliques pass the |L|^2*|R|^2 bound, so dominate
     # stops with TooLarge; decompose rejects the graph at recognition first,
     # since a recognized graph is C6-free and stays below the bound
+    crown = crown_graph(17)
+    both_ways = build_digraph(
+        crown.n, crown.colors, [e for a, b in crown.edges for e in ((a, b), (b, a))])
     path = tmp_path / "crown.dgf"
-    path.write_text(format_dgf(symmetric_digraph(crown_graph(17))), encoding="utf-8")
+    path.write_text(format_dgf(both_ways), encoding="utf-8")
     code, out, err = run_cli(capsys, verb, str(path))
     assert code == 2
     assert out == ""
@@ -161,6 +164,29 @@ def test_per_graph_verbs_pinned(capsys, tmp_path):
             digest.append(h.hexdigest())
         digests[verb] = tuple(digest)
     assert digests == pinned
+
+
+@pytest.mark.parametrize(("n", "colors", "edges", "text", "as_json"), [
+    # the first graph all_bipartite_digraphs yields that fails on each axiom
+    (4, (0, 0, 1, 1), [(0, 3), (1, 3), (2, 1)],  # witness N1 (2, 1, 3, 0)
+     "4c70848d3b4df44eb477686aa24ad5634a08e8100c96952e0c176adf75173203",
+     "bbdfe1346f58b3e505884387ba14e9fc39ef9f1091508d21f45521a746b63ff4"),
+    (4, (0, 0, 1, 1), [(0, 3), (1, 2), (3, 1)],  # witness N2 (0, 3, 1, 2)
+     "011919e58c176f6d9072b6f40002507a7d99195a12e46391e1a2f915ae8d8e62",
+     "8e5e66f14671d58f9da40ad120199347318d746e7d879a3494bd75c4bc584a8f"),
+    (5, (0, 0, 0, 1, 1), [(3, 1), (3, 2), (4, 0), (4, 2)],  # witness N3 (3, 4, 2)
+     "a10000414862c38de0bd8d81c174d82df3126fd59dfad2832fddbed069afd6f6",
+     "95c97b2384928fa0cdd0b4f328a5186e1193a5c7c22e2047535cb11d5bd6d612"),
+], ids=["N1", "N2", "N3"])
+def test_recognize_rejects_pinned(capsys, tmp_path, n, colors, edges, text, as_json):
+    path = tmp_path / "reject.dgf"
+    path.write_text(format_dgf(build_digraph(n, colors, edges)), encoding="utf-8")
+    digests = []
+    for fmt in ((), ("--json",)):
+        code, out, _ = run_cli(capsys, *fmt, "recognize", str(path))
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == [text, as_json]
 
 
 def test_orient_p5ab(capsys, tmp_path):

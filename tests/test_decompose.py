@@ -110,3 +110,18 @@ def test_decompose_parts_replay():
             sub, _ = induced_subdigraph(g, part)
             assert is_type_a(sub)
         assert covered == set(range(g.n))
+
+
+def test_peel_recursion_when_the_input_is_not_type_a(monkeypatch):
+    # every connected recognized graph seen so far is type A, so peel's
+    # recursion only runs when kos_partition is told the input is not K+S
+    g = build_digraph(
+        6, (0, 0, 0, 1, 1, 1), [(0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (5, 0), (5, 2)])
+    real = qbmg.decompose.kos_partition
+    monkeypatch.setattr(
+        qbmg.decompose, "kos_partition", lambda u: None if u is underlying(g) else real(u))
+    result = decompose_type_a(g)  # internal per-step assertions must not fire
+    assert [sorted(g.names[v] for v in part) for part in result.parts] == [
+        ["v1", "v2", "v5", "v6"], ["v3", "v4"]]
+    for part in result.parts:
+        assert is_type_a(induced_subdigraph(g, part)[0])

@@ -12,10 +12,8 @@ from qbmg.digraph import (
     build_ugraph,
     canonical_form,
     canonical_order,
-    equivalent_vertex_pairs,
     identity_levels,
     induced_subdigraph,
-    neighbors,
     underlying,
     weak_components,
 )
@@ -45,24 +43,6 @@ def test_build_digraph_rejects_loop():
 def test_build_digraph_rejects_duplicate():
     with pytest.raises(DuplicateEdge):
         build_digraph(2, (0, 1), [(0, 1), (0, 1)])
-
-
-def test_neighbors_p5a_source_and_sink():
-    nb = neighbors(P5A, 2)  # v3
-    assert nb.out == {1, 3}
-    assert nb.in_ == frozenset()
-    assert nb.is_source and not nb.is_sink
-    nb = neighbors(P5A, 4)  # v5
-    assert nb.out == frozenset()
-    assert nb.in_ == {3}
-    assert nb.is_sink and not nb.is_source
-
-
-def test_neighbors_isolated_vertex():
-    g = build_digraph(3, (0, 1, 0), [(0, 1)])
-    nb = neighbors(g, 2)
-    assert nb.is_sink and nb.is_source
-    assert nb.out == nb.in_ == frozenset()
 
 
 def test_underlying_p5ab_is_path():
@@ -194,19 +174,6 @@ def test_canonical_form_too_large():
     g = build_digraph(11, tuple(i % 2 for i in range(11)), [])
     with pytest.raises(TooLarge):
         canonical_form(g)
-
-
-def test_equivalent_pairs_ex7_empty():
-    assert equivalent_vertex_pairs(EX7) == frozenset()
-
-
-def test_equivalent_pairs_edgeless():
-    g = build_digraph(3, (0, 1, 0), [])
-    assert equivalent_vertex_pairs(g) == {(0, 1), (0, 2), (1, 2)}
-
-
-def test_equivalent_pairs_p5a_empty():
-    assert equivalent_vertex_pairs(P5A) == frozenset()
 
 
 def test_validator_accepts_all_fixtures():

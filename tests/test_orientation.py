@@ -199,6 +199,29 @@ def test_oriented_biclique_subdigraph_rejects_non_biclique():
         )
 
 
+@pytest.mark.parametrize("right", [99, 10, -1])
+def test_oriented_biclique_subdigraph_rejects_out_of_range_vertex(right):
+    with pytest.raises(ValueError, match=f"vertex {right} out of range"):
+        oriented_biclique_subdigraph(EX10, Biclique(frozenset({0}), frozenset({right})))
+
+
+def test_mask_predicates_match_edge_set_definitions():
+    # star, starstar and bitournament read from the edge set, on every
+    # bipartite digraph with four vertices
+    for g in all_bipartite_digraphs(4):
+        E = g.edges
+        pairs = {frozenset(e) for e in E if e[::-1] in E}
+        star = all(sum(v in p for p in pairs) <= 1 for v in range(g.n))
+        hoods = [({b for a, b in E if a == v}, {a for a, b in E if b == v}) for v in range(g.n)]
+        starstar = all(hoods[u] != hoods[v] for u in range(g.n) for v in range(u))
+        sc = star_conditions(g)
+        assert (sc.star, sc.starstar) == (star, starstar)
+        joined = all(
+            ((u, v) in E) != ((v, u) in E)
+            for u in range(g.n) for v in range(u) if g.colors[u] != g.colors[v])
+        assert bitournament_report(g).is_bitournament == joined
+
+
 def test_orientations_of_small_qbmgs_all_acyclic():
     # four-vertex layer of the acyclicity claim, exhaustive
     for g in all_bipartite_digraphs(4):

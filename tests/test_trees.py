@@ -2,11 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbmg.trees as trees
 from helpers import (
     caterpillar_newick,
     digraph_from_masks,
+    format_newick,
     naive_best_match_graph,
     naive_is_qbmg,
     random_nested,
@@ -322,3 +325,22 @@ def test_qbmg_from_tree_rejects_repeated_leaf_names():
     sigma = dict(zip(tree.leaves, (0, 1, 1)))
     with pytest.raises(ValueError, match="unique"):
         qbmg_from_tree(tree, sigma, root_truncation(tree, sigma))
+
+
+# the characters a leaf name may use in parse_tree's Newick subset
+LEAF_NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.+-"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_newick_round_trip(data):
+    names = data.draw(st.lists(
+        st.text(LEAF_NAME_CHARS, min_size=1, max_size=4), min_size=2, max_size=12, unique=True))
+    nested = random_nested(random.Random(data.draw(st.integers(0, 2**32))), names)
+    k = len(names)
+    both = st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(lambda c: len(set(c)) == 2)
+    colors = dict(zip(names, data.draw(both)))
+    text = format_newick(nested, colors, lambda: data.draw(st.text(" \t\r\n", max_size=2)))
+    tree, sigma = parse_tree(text)
+    assert tree == tree_from_nested(nested)
+    assert {tree.names[leaf]: color for leaf, color in sigma.items()} == colors

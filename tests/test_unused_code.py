@@ -1,23 +1,18 @@
 """Static checks on the package source: every import is used, every
-function, method and class is named somewhere besides its definition, and
-every public top-level function and class is reached from outside the unit
-tests."""
+function, method and class is referenced somewhere, and every public
+function, method and class is referenced from outside the unit tests."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qbmg"
 SEARCHED = ("src", "tests", "perfbench")
-# what a public definition must be named from: the package itself, the
+# what a public definition must be referenced from: the package itself, the
 # benchmark and the acceptance suite with its fixtures and oracles, but no
 # unit test, so a definition only its own unit test calls does not count
 ENTRY_POINTS = ("src", "perfbench", "tests/test_acceptance.py", "tests/conftest.py", "tests/helpers.py")
-
-_WORD = re.compile(r"[A-Za-z_]\w*")
-_DEFINITION = re.compile(r"\b(?:def|class)\s+([A-Za-z_]\w*)")
 
 
 def _modules() -> dict[Path, ast.Module]:
@@ -50,45 +45,47 @@ def test_package_has_no_unused_imports():
     assert unused == {}
 
 
-def _name_counts(paths) -> tuple[Counter[str], Counter[str]]:
-    """Occurrences of every word and of every defined name in the files."""
-    words: Counter[str] = Counter()
-    definitions: Counter[str] = Counter()
+def _references(paths) -> Counter[str]:
+    """Identifiers the files refer to: names, attributes, imported names and
+    their aliases, and string constants that are identifiers (a ``getattr``
+    or ``monkeypatch`` target).  A definition's own name is not among them,
+    and neither is a word in a comment or docstring."""
+    refs: Counter[str] = Counter()
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        words.update(_WORD.findall(text))
-        definitions.update(_DEFINITION.findall(text))
-    return words, definitions
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs.update(filter(None, (node.name.rpartition(".")[2], node.asname)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                refs[node.value] += 1
+    return refs
 
 
-def test_package_defines_nothing_left_unnamed():
-    words, definitions = _name_counts(
-        path for folder in SEARCHED for path in (ROOT / folder).rglob("*.py"))
-    unnamed = sorted(
+def _unreferenced(refs: Counter[str], public_only: bool) -> list[str]:
+    return sorted(
         f"{path.name}:{node.lineno} {node.name}"
         for path, tree in _modules().items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and words[node.name] <= definitions[node.name]
+        and not (public_only and node.name.startswith("_"))
+        and not refs[node.name]
     )
-    assert unnamed == []
+
+
+def test_package_defines_nothing_left_unnamed():
+    refs = _references(path for folder in SEARCHED for path in (ROOT / folder).rglob("*.py"))
+    assert _unreferenced(refs, public_only=False) == []
 
 
 def test_public_definitions_are_reached_from_an_entry_point():
-    paths = [
+    refs = _references(
         path
         for entry in ENTRY_POINTS
         for path in ((ROOT / entry).rglob("*.py") if (ROOT / entry).is_dir() else [ROOT / entry])
         if path != PACKAGE / "__init__.py"  # an export alone reaches nothing
-    ]
-    words, definitions = _name_counts(paths)
-    unreached = sorted(
-        f"{path.name}:{node.lineno} {node.name}"
-        for path, tree in _modules().items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and words[node.name] <= definitions[node.name]
     )
-    assert unreached == []
+    assert _unreferenced(refs, public_only=True) == []
