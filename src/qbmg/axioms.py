@@ -21,6 +21,14 @@ in-neighbors of t's out-neighbors ORed together, so it cannot name that
 witness.  Over the 43,321 graphs of the n <= 5 mask sweep the three finders
 take 1.2 times the kernel's time (0.26 s against 0.22 s, best of 7, Python
 3.11 on 2 vCPUs), so one kernel serving both would slow the sweep by that.
+
+The full and the delta kernel stay separate too.  Chained over m = 1..n,
+``is_qbmg_masks_delta`` gives the verdict of ``is_qbmg_masks`` on all
+3,653,946 graphs of the n <= 6 sweep at about its speed (17.1-18.1 against
+16.6-17.4 s), but costs 2.2-2.8 times as much per graph on the benchmark's
+tree-built graphs (56-60 against 20-24 us) and explain graphs (18-23
+against 7-10 us).  As the prefix test of ``classify_all_qbmgs`` the full
+kernel takes n = 5 from 52-64 to 68-76 ms and n = 6 from 1.25 to 1.66 s.
 """
 
 from __future__ import annotations

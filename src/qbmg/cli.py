@@ -57,9 +57,15 @@ def _as_ugraph(g: Digraph | UGraph) -> UGraph:
     return underlying(g) if isinstance(g, Digraph) else g
 
 
-def _is_number(text: str) -> bool:
-    """Non-empty ASCII digits only; ``isdigit`` also accepts superscripts, which ``int`` rejects."""
-    return text.isascii() and text.isdigit()
+def _parse_count(text: str, message: str, line: int | None = None) -> int:
+    """``text`` as a count: ASCII digits (``isdigit`` also takes superscripts),
+    at most the 4,300 that ``int`` converts.  Anything else is a ``ParseError``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(message, line)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"a count of {len(text)} digits is too large", line) from None
 
 
 def _names(g: Digraph | UGraph, vertices) -> list[str]:
@@ -115,9 +121,10 @@ def _parse_checks(spec: str) -> list[tuple[str, int]]:
         if not token:
             continue
         kind, length = token[0], token[1:]
-        if kind not in ("p", "c") or not _is_number(length):
-            raise ParseError(f"bad check {token!r}; use forms like p6 or c4", 1)
-        k = int(length)
+        message = f"bad check {token!r}; use forms like p6 or c4"
+        if kind not in ("p", "c"):
+            raise ParseError(message, 1)
+        k = _parse_count(length, message, 1)
         if kind == "p" and k < 2 or kind == "c" and k < 3:
             raise ParseError(f"check {token!r} too short", 1)
         out.append((kind, k))
@@ -212,9 +219,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 def _parse_template(spec: str) -> UGraph:
     kind, _, length = spec.partition(":")
-    if not _is_number(length):
-        raise ParseError(f"bad template {spec!r}; use path:<k> or cycle:<k>", 1)
-    k = int(length)
+    k = _parse_count(length, f"bad template {spec!r}; use path:<k> or cycle:<k>", 1)
     if kind == "path":
         return path_template(k)
     if kind == "cycle":
@@ -232,11 +237,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         result = classify_qbmgs(orientations_of(template))
         label = args.underlying
     else:
-        if not _is_number(args.all.removeprefix("-")):
-            raise ParseError(f"bad vertex count {args.all!r} for --all")
-        n = int(args.all)
-        if n < 0:
-            raise ParseError(f"--all needs a vertex count of at least 0, got {n}")
+        n = _parse_count(args.all.removeprefix("-"), f"bad vertex count {args.all!r} for --all")
+        if n and args.all.startswith("-"):
+            raise ParseError(f"--all needs a vertex count of at least 0, got {args.all}")
         result = classify_all_qbmgs(n)
         label = f"all:{n}"
     classes = [
@@ -270,13 +273,12 @@ def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
         name, color_text, node_text = tokens
         if color_text not in ("0", "1"):
             raise ParseError(f"invalid color {color_text!r}", lineno)
-        if not _is_number(node_text):
-            raise ParseError(f"invalid node id {node_text!r}", lineno)
+        node = _parse_count(node_text, f"invalid node id {node_text!r}", lineno)
         try:
             leaf = tree.leaf_by_name(name)
         except KeyError:
             raise ParseError(f"unknown leaf {name!r}", lineno) from None
-        u[(leaf, int(color_text))] = int(node_text)
+        u[(leaf, int(color_text))] = node
     validate_truncation(tree, sigma, u)
     return u
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
@@ -129,6 +130,26 @@ def _trusted_digraph(
     if oriented:
         vars(g)["symmetric_pairs"] = ()
     return g
+
+
+def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequence[tuple[int, int]],
+                    states: Sequence[int], base: tuple[Sequence[int], Sequence[int]] | None = None,
+                    oriented: bool = False) -> Iterator[Digraph]:
+    """One digraph per assignment of a state to each pair (u, v), in
+    ``product`` order (the last pair varies fastest): state 1 flips u -> v in
+    the out- and in-masks ``base`` (no edges by default), 2 flips v -> u, 3
+    both and 0 neither.  The pairs must be distinct and join opposite colors,
+    and ``oriented`` must hold when set: ``_trusted_digraph`` checks nothing."""
+    n = len(colors)
+    out0, in0 = base or ((0,) * n, (0,) * n)
+    arcs = [[[(u, v)] * (s & 1) + [(v, u)] * (s >> 1) for s in states] for u, v in pairs]
+    for choice in product(*arcs):
+        out, inn = list(out0), list(in0)
+        for state_arcs in choice:
+            for u, v in state_arcs:
+                out[u] ^= 1 << v
+                inn[v] ^= 1 << u
+        yield _trusted_digraph(n, colors, names, tuple(out), tuple(inn), oriented)
 
 
 @dataclass(frozen=True)
@@ -459,27 +480,3 @@ def canonical_form(g: Digraph) -> CanonicalForm:
 def ugraph_canonical_form(u: UGraph) -> CanonicalForm:
     """The canonical form of the digraph with both directions of every edge."""
     return canonical_form(_trusted_digraph(u.n, u.colors, u.names, u.adj_masks, u.adj_masks))
-
-
-def infer_bipartition(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Two-color vertices so every edge is bichromatic; smallest vertex of each
-    component gets color 0.  Raises ValueError on odd cycles."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    colors = [-1] * n
-    for start in range(n):
-        if colors[start] != -1:
-            continue
-        colors[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if colors[w] == -1:
-                    colors[w] = 1 - colors[v]
-                    queue.append(w)
-                elif colors[w] == colors[v]:
-                    raise ValueError("graph is not bipartite")
-    return tuple(colors)

@@ -37,14 +37,16 @@ from .digraph import (
     CanonicalForm,
     Digraph,
     UGraph,
+    _mask_components,
     _pack_levels,
+    _state_digraphs,
+    _trusted_digraph,
     build_ugraph,
     canonical_form,
     canonical_order,
     default_names,
     identity_levels,
     induced_subdigraph,
-    infer_bipartition,
     iter_bits,
 )
 from .errors import TooLarge
@@ -53,18 +55,20 @@ ENUM_MAX_VERTICES = 6
 
 
 def path_template(k: int) -> UGraph:
-    """Chordless path v1-...-vk with alternating colors (v1 gets color 1)."""
+    """Chordless path v1-...-vk with alternating colors (v1 gets color 1).
+    Raises ``TooLarge`` for more vertices than ``orientations_of`` takes."""
+    if k > CANONICAL_MAX_VERTICES:
+        raise TooLarge(f"templates support at most {CANONICAL_MAX_VERTICES} vertices")
     colors = tuple((i + 1) % 2 for i in range(k))
     return build_ugraph(k, colors, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle_template(k: int) -> UGraph:
-    """Chordless k-cycle (k even) with alternating colors."""
+    """The path template closed into a chordless k-cycle (k even)."""
     if k % 2:
         raise ValueError("bipartite cycles need even length")
-    colors = tuple((i + 1) % 2 for i in range(k))
-    edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
-    return build_ugraph(k, colors, edges)
+    path = path_template(k)
+    return build_ugraph(k, path.colors, [*path.edges, (0, k - 1)])
 
 
 def orientations_of(g: UGraph) -> Iterator[Digraph]:
@@ -76,9 +80,8 @@ def orientations_of(g: UGraph) -> Iterator[Digraph]:
     not be classified anyway."""
     if g.n > CANONICAL_MAX_VERTICES:
         raise TooLarge(f"orientation enumeration supports at most {CANONICAL_MAX_VERTICES} vertices")
-    # forward, backward, both: edge states 1-3 of ``_edge_sets``
-    for edges in _edge_sets(g.sorted_edges(), (1, 2, 3)):
-        yield Digraph(n=g.n, colors=g.colors, edges=edges, names=g.names)
+    # forward, backward, both: edge states 1-3 of ``_state_digraphs``
+    yield from _state_digraphs(g.colors, g.names, g.sorted_edges(), (1, 2, 3))
 
 
 def opposite_pairs(colors: Sequence[int]) -> list[tuple[int, int]]:
@@ -97,23 +100,7 @@ def all_bipartite_digraphs(n: int) -> Iterator[Digraph]:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
     names = default_names(n)
     for colors in product((0, 1), repeat=n):
-        for edges in _edge_sets(opposite_pairs(colors), range(4)):
-            yield Digraph(n=n, colors=colors, edges=edges, names=names)
-
-
-def _edge_sets(pairs: Sequence[tuple[int, int]],
-               states: Sequence[int]) -> Iterator[frozenset[tuple[int, int]]]:
-    """One edge set per assignment of a state to each pair (u, v), in
-    ``product`` order: state 1 holds u -> v, 2 holds v -> u, 3 holds both
-    and 0 neither."""
-    for choice in product(states, repeat=len(pairs)):
-        edges: list[tuple[int, int]] = []
-        for (u, v), state in zip(pairs, choice):
-            if state & 1:
-                edges.append((u, v))
-            if state & 2:
-                edges.append((v, u))
-        yield frozenset(edges)
+        yield from _state_digraphs(colors, names, opposite_pairs(colors), range(4))
 
 
 def run_mask_sweep(
@@ -264,8 +251,9 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     which member was found first.  Its identity levels are the canonical
     levels, the least over the orbit, and border levels determine the edge
     set, so it is the orbit member with the least identity levels, which the
-    reference keeps.  It is colored by ``infer_bipartition``: the first
-    valid coloring in sweep order, as the reference keeps on ties.
+    reference keeps.  It takes the sweep's coloring, relabeled, with every
+    component flipped so that its least vertex has color 0: the first valid
+    coloring in sweep order, as the reference keeps on ties.
     """
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
@@ -296,14 +284,21 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         position = [0] * n
         for k, v in enumerate(order):
             position[v] = k
-        edges = [(position[u], position[v]) for u in range(n) for v in iter_bits(out[u])]
-        rep = Digraph(n=n, colors=infer_bipartition(n, edges), edges=frozenset(edges), names=names)
+        rows = tuple(sum(1 << position[w] for w in iter_bits(out[v])) for v in order)
+        cols = tuple(sum(1 << position[w] for w in iter_bits(inn[v])) for v in order)
+        recolored = [colors[v] for v in order]
+        for comp in _mask_components([r | c for r, c in zip(rows, cols)]):
+            if recolored[min(comp)]:
+                for v in comp:
+                    recolored[v] ^= 1
+        rep = _trusted_digraph(n, tuple(recolored), names, rows, cols)
         code = _pack_levels(n, levels)
         classes[code] = (CanonicalForm(code), rep)
 
     for k in range(n, (n - 1) // 2, -1):
         weight = comb(n, k) * (1 if 2 * k == n else 2)
-        run_mask_sweep((0,) * k + (1,) * (n - k), visit, keep=is_qbmg_masks_delta)
+        colors = (0,) * k + (1,) * (n - k)
+        run_mask_sweep(colors, visit, keep=is_qbmg_masks_delta)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 
 
@@ -359,12 +354,8 @@ def check_path3_classes() -> TheoremCheck:
 
 
 def check_three_vertex_recognition() -> TheoremCheck:
-    total = 0
-    good = 0
-    for g in all_bipartite_digraphs(3):
-        total += 1
-        if recognize(g).is_qbmg:
-            good += 1
+    verdicts = [recognize(g).is_qbmg for g in all_bipartite_digraphs(3)]
+    good, total = sum(verdicts), len(verdicts)
     return TheoremCheck(
         "three-vertex-recognition", good == total,
         f"{good}/{total} bipartite digraphs on 3 vertices recognized")

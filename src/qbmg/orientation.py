@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 from .axioms import find_n2_violation
 from .bicliques import Biclique
-from .digraph import Digraph, _trusted_digraph, induced_subdigraph
+from .digraph import Digraph, _state_digraphs, _trusted_digraph, induced_subdigraph
 from .errors import NotBiclique, NotOriented, TooLarge
 
 ORIENT_MAX_PAIRS = 16
@@ -58,21 +58,9 @@ def all_orientations(g: Digraph) -> Iterator[Digraph]:
         raise TooLarge(
             f"orientation sweep supports at most {ORIENT_MAX_PAIRS} symmetric pairs, "
             f"got {len(pairs)}")
-    # the parent's masks with both directions of every pair dropped
-    out0, in0 = list(g.out_masks), list(g.in_masks)
-    for u, v in pairs:
-        out0[u] ^= 1 << v
-        out0[v] ^= 1 << u
-        in0[u] ^= 1 << v
-        in0[v] ^= 1 << u
-    for choice in range(1 << len(pairs)):
-        out, inn = out0[:], in0[:]
-        for i, (u, v) in enumerate(pairs):
-            if not choice >> i & 1:
-                u, v = v, u
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        yield _trusted_digraph(g.n, g.colors, g.names, tuple(out), tuple(inn), oriented=True)
+    # drop u -> v (state 1) or else v -> u; reversed, so the first pair varies fastest
+    base = (g.out_masks, g.in_masks)
+    yield from _state_digraphs(g.colors, g.names, pairs[::-1], (1, 2), base, oriented=True)
 
 
 def topological_order(g: Digraph) -> tuple[int, ...] | None:

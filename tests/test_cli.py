@@ -6,8 +6,8 @@ import pytest
 from helpers import caterpillar_newick, crown_graph
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
-from qbmg.digraph import build_digraph
-from qbmg.enumeration import cycle_template, path_template
+from qbmg.digraph import build_digraph, build_ugraph
+from qbmg.enumeration import cycle_template
 from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import topological_order
 
@@ -66,30 +66,46 @@ def test_analyze_custom_checks(capsys, tmp_path):
 
 @pytest.mark.parametrize("check", ["p1200", "c1200"])
 def test_analyze_search_too_long_is_bad_input(capsys, tmp_path, check):
-    # the searches recurse once per placed vertex
+    # the searches recurse once per placed vertex; the path templates stop
+    # at 10 vertices, so the 1,500-vertex path is built here
+    long_path = build_ugraph(1500, [i % 2 for i in range(1500)], [(i, i + 1) for i in range(1499)])
     path = tmp_path / "path.dgf"
-    path.write_text(format_dgf(path_template(1500)), encoding="utf-8")
+    path.write_text(format_dgf(long_path), encoding="utf-8")
     code, out, err = run_cli(capsys, "analyze", str(path), "--check", check)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["template", "check", "truncation"])
-def test_non_ascii_digits_are_bad_input(capsys, tmp_path, case):
-    # str.isdigit accepts the superscript two, which int rejects
+def _count_argv(tmp_path, case: str, count: str) -> list[str]:
+    """Arguments that pass ``count`` to the CLI as the given kind of count."""
     graph = tmp_path / "g.dgf"
     graph.write_text(format_dgf(P5A), encoding="utf-8")
     tree = tmp_path / "t.nwk"
     tree.write_text("((a=0,b=1),c=1);\n", encoding="utf-8")
     trunc = tmp_path / "u.map"
-    trunc.write_text("a 1 \u00b2\n", encoding="utf-8")
-    argv = {
-        "template": ["enumerate", "--underlying", "path:\u00b2"],
-        "check": ["analyze", str(graph), "--check", "p\u00b2"],
+    trunc.write_text(f"a 1 {count}\n", encoding="utf-8")
+    return {
+        "all": ["enumerate", "--all", count],
+        "template": ["enumerate", "--underlying", f"path:{count}"],
+        "check": ["analyze", str(graph), "--check", f"p{count}"],
         "truncation": ["explain", "--tree", str(tree), "--trunc", str(trunc)],
     }[case]
-    code, out, err = run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("case", ["template", "check", "truncation"])
+def test_non_ascii_digits_are_bad_input(capsys, tmp_path, case):
+    # str.isdigit accepts the superscript two, which int rejects
+    code, out, err = run_cli(capsys, *_count_argv(tmp_path, case, "\u00b2"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["all", "template", "check", "truncation"])
+def test_oversized_counts_are_bad_input(capsys, tmp_path, case):
+    # int() raises ValueError on a string of more than 4,300 digits
+    code, out, err = run_cli(capsys, *_count_argv(tmp_path, case, "9" * 5000))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -200,7 +216,7 @@ def test_orient_p5ab(capsys, tmp_path):
 
 
 def test_orient_cyclic(capsys, tmp_path):
-    from qbmg.digraph import build_digraph
+    from qbmg.digraph import build_digraph, build_ugraph
 
     g = build_digraph(4, (0, 1, 0, 1), [(0, 1), (1, 2), (2, 3), (3, 0)])
     path = tmp_path / "cycle.dgf"
@@ -279,8 +295,20 @@ def test_enumerate_template_too_large_is_bad_input(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr("qbmg.enumeration.product", fail)
+    monkeypatch.setattr("qbmg.digraph.product", fail)
     code, out, err = run_cli(capsys, "enumerate", "--underlying", "path:14")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["path:1000000000", "cycle:1000000000"])
+def test_enumerate_huge_template_is_bad_input(capsys, monkeypatch, spec):
+    def fail(*args, **kwargs):
+        raise AssertionError("template built before the size check")
+
+    monkeypatch.setattr("qbmg.enumeration.build_ugraph", fail)
+    code, out, err = run_cli(capsys, "enumerate", "--underlying", spec)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -17,7 +17,13 @@ from qbmg.digraph import (
     underlying,
     weak_components,
 )
-from qbmg.enumeration import all_bipartite_digraphs
+from qbmg.enumeration import (
+    all_bipartite_digraphs,
+    classify_all_qbmgs,
+    cycle_template,
+    orientations_of,
+    path_template,
+)
 from qbmg.errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
 from qbmg.fixtures import ALL_FIXTURES, C4_1, EX7, EX10, P4_1, P5A, P5AB, P5B, P5B1
 from qbmg.orientation import all_orientations, orient
@@ -277,6 +283,14 @@ def test_mask_built_graphs_equal_validated_rebuilds(sweep):
         assert oriented.edges == g.edges - {(v, u) for u, v in g.symmetric_pairs}
         for variant in all_orientations(g):
             _assert_validated(variant)
+    # the exhaustive families, also built from masks
+    for g in [
+        *(g for n in range(5) for g in all_bipartite_digraphs(n)),
+        *orientations_of(path_template(5)),
+        *orientations_of(cycle_template(4)),
+        *(rep for n in range(6) for _, rep in classify_all_qbmgs(n).classes),
+    ]:
+        _assert_validated(g)
     rng = random.Random(5)
     for leaves in range(2, 6):
         for nested in phylogenetic_topologies("abcde"[:leaves]):

@@ -55,6 +55,13 @@ def test_all_bipartite_digraph_counts():
     assert sum(1 for _ in all_bipartite_digraphs(3)) == 98
 
 
+def test_orientations_of_too_large():
+    # the templates stop at the same bound, so only another graph reaches this check
+    star = build_ugraph(11, (0,) + (1,) * 10, [(0, v) for v in range(1, 11)])
+    with pytest.raises(TooLarge):
+        next(orientations_of(star))
+
+
 def test_all_bipartite_digraphs_too_large():
     with pytest.raises(TooLarge):
         next(all_bipartite_digraphs(7))
@@ -132,26 +139,27 @@ def test_classify_all_matches_labeled_reference(n):
     assert [format_dgf(g) for _, g in fast.classes] == [format_dgf(g) for _, g in ref.classes]
 
 
-def test_classify_all_five_vertices_pinned():
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(["--json", "enumerate", "--all", "5"]) == 0
-    text = out.getvalue()
-    report = json.loads(text)
-    assert (report["class_count"], report["total_filtered"]) == (137, 25_802)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4b7dd25071bfce4392e3f4a65dff2a47e610b34f001b6a4d7ff9b51e0b994a57")
+# class count, filtered count and sha256 of ``--json enumerate --all n``
+ALL_PINNED = {
+    1: (1, 2, "d58577a38cb791934c235b7efc11df3396c6b81a85bd86315fe8de2cdca10891"),
+    2: (3, 10, "0ad7de438bc0011aaaf82440a76b2eb11769897e10d2811f3a8d6ecac20c4176"),
+    3: (9, 98, "a7a6cb6b86b608cb7cd9f8747e220a6c91ca7bc091b89402f16725133674aa80"),
+    4: (36, 1_390, "ebc23aca61b43ea01fa92f2b22d481de9e32cc8ca0622d0d02d27832cc5379e1"),
+    5: (137, 25_802, "4b7dd25071bfce4392e3f4a65dff2a47e610b34f001b6a4d7ff9b51e0b994a57"),
+    6: (578, 598_390, "7ebc5fd56774b43ff641d017b75a434ea3525dcb552f063888d7f8df808fd9d0"),
+}
 
 
-def test_classify_all_six_vertices_pinned():
+@pytest.mark.parametrize("n", sorted(ALL_PINNED))
+def test_classify_all_pinned(n):
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(["--json", "enumerate", "--all", "6"]) == 0
+        assert main(["--json", "enumerate", "--all", str(n)]) == 0
     text = out.getvalue()
     report = json.loads(text)
-    assert (report["class_count"], report["total_filtered"]) == (578, 598_390)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "7ebc5fd56774b43ff641d017b75a434ea3525dcb552f063888d7f8df808fd9d0")
+    classes, filtered, digest = ALL_PINNED[n]
+    assert (report["class_count"], report["total_filtered"]) == (classes, filtered)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _stdout_sha256(argv: list[str]) -> str:

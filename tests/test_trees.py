@@ -166,7 +166,15 @@ def test_topology_counts():
     assert sum(1 for _ in phylogenetic_topologies(["a", "b"])) == 1
     assert sum(1 for _ in phylogenetic_topologies(["a", "b", "c"])) == 4
     assert sum(1 for _ in phylogenetic_topologies(list("abcd"))) == 26
-    assert sum(1 for _ in phylogenetic_topologies(list("abcde"))) == 236
+    # the order is pinned too: the search returns the first topology that fits
+    pinned = {
+        5: (236, "4c0774c9f683b1c40189895fdba688067d9c295210316bbff5960ed1c8f482d9"),
+        6: (2_752, "45b8513595c6157ac396169e2835c34198e00fb482bf3090c0a3a02619413e2e"),
+    }
+    for k, (count, digest) in pinned.items():
+        topologies = list(phylogenetic_topologies([f"v{i}" for i in range(1, k + 1)]))
+        assert len(topologies) == count
+        assert hashlib.sha256(repr(topologies).encode()).hexdigest() == digest
 
 
 def test_search_explanation_p5ab():

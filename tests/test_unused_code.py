@@ -89,3 +89,28 @@ def test_public_definitions_are_reached_from_an_entry_point():
         if path != PACKAGE / "__init__.py"  # an export alone reaches nothing
     )
     assert _unreferenced(refs, public_only=True) == []
+
+
+# constructors that validate their input, and where the package may call
+# them: the modules that read outside input (DGF text, the fixtures, the
+# public builders) and the two templates; every graph the package derives
+# is built from masks it already trusts
+VALIDATING = {"Digraph", "UGraph", "build_digraph", "build_ugraph"}
+BOUNDARY_MODULES = {"digraph.py", "dgf.py", "fixtures.py"}
+BOUNDARY_FUNCTIONS = {"path_template", "cycle_template"}
+
+
+def test_package_validates_only_at_its_input_boundary():
+    callers = set()
+    for path, tree in _modules().items():
+        if path.name in BOUNDARY_MODULES:
+            continue
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and owner not in BOUNDARY_FUNCTIONS:
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in VALIDATING:
+                        callers.add(f"{path.name} {owner}")
+    assert sorted(callers) == []
