@@ -120,5 +120,10 @@ def decompose_type_a(g: Digraph) -> Decomposition:
             piece, ids = induced_subdigraph(g, (old[rest_old[v]] for v in comp))
             peel(piece, ids)
 
-    peel(g, tuple(range(g.n)))
+    try:
+        peel(g, tuple(range(g.n)))
+    finally:
+        # peel's closure refers to peel itself; the cycle would keep every
+        # component's digraph, underlying graph and bicliques alive
+        del peel
     return Decomposition(tuple(parts))

@@ -11,9 +11,8 @@ the masks of a validated one reads its edge set off those masks on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
 
@@ -31,6 +30,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+class _memo:
+    """A property computed on first read and stored in the instance's
+    ``__dict__``, which later reads find first.  Unlike
+    ``functools.cached_property`` it takes no lock, and since it defines only
+    ``__get__`` a value a trusted build stored beforehand wins."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
 
 
 def _validate_vertex_table(n: int, colors: tuple[int, ...], names: tuple[str, ...]) -> None:
@@ -82,11 +98,11 @@ class Digraph:
         object.__setattr__(self, "out_masks", tuple(out))
         object.__setattr__(self, "in_masks", tuple(inn))
 
-    @cached_property
+    @_memo
     def adj_masks(self) -> tuple[int, ...]:
         return tuple(o | i for o, i in zip(self.out_masks, self.in_masks))
 
-    @cached_property
+    @_memo
     def symmetric_pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered pairs {u, v} (as u < v tuples) with both directions present."""
         pairs = []
@@ -107,7 +123,7 @@ class Digraph:
     def id_of(self, name: str) -> int:
         return self._name_index[name]
 
-    @cached_property
+    @_memo
     def _name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
@@ -175,7 +191,7 @@ class UGraph:
                     f"edge {self.names[u]} -- {self.names[v]} joins vertices of equal color"
                 )
 
-    @cached_property
+    @_memo
     def adj_masks(self) -> tuple[int, ...]:
         m = [0] * self.n
         for u, v in self.edges:
@@ -397,7 +413,11 @@ def canonical_order(
     """Lexicographically minimal layered border encoding over all vertex
     orderings, and an ordering that reaches it (``order[k]`` is the vertex
     placed at position k).  The graph relabeled by ``order`` has the
-    minimal encoding as its own identity levels."""
+    minimal encoding as its own identity levels.
+
+    Each search level carries the free vertices in increasing id order with
+    their border codes against the vertices placed so far; placing v appends
+    each free w's two bits toward v to its code, so a level costs O(n)."""
     if n == 0:
         return [], []
     swap = _swappable_matrix(n, rows, cols)
@@ -405,24 +425,17 @@ def canonical_order(
     best_order: list[int] = []
     prefix: list[int] = []
     placed: list[int] = []
-    used = 0
 
-    def rec() -> None:
-        nonlocal best, best_order, used
-        k = len(placed)
-        if k == n:
+    def rec(free: list[int], codes: list[int]) -> None:
+        nonlocal best, best_order
+        if not free:
             if best is None or prefix < best:
                 best = prefix.copy()
                 best_order = placed.copy()
             return
+        k = len(placed)
         groups: dict[int, list[int]] = {}
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            border = 0
-            rv, cv = rows[v], cols[v]
-            for p in placed:
-                border = (border << 2) | ((rv >> p & 1) << 1) | (cv >> p & 1)
+        for v, border in zip(free, codes):
             groups.setdefault(border, []).append(v)
         for border in sorted(groups):
             prefix.append(border)
@@ -436,15 +449,31 @@ def canonical_order(
                 reps.append(v)
             for v in reps:
                 placed.append(v)
-                used |= 1 << v
-                rec()
-                used &= ~(1 << v)
+                rec([w for w in free if w != v], [
+                    (code << 2) | (rows[w] >> v & 1) << 1 | (cols[w] >> v & 1)
+                    for w, code in zip(free, codes) if w != v
+                ])
                 placed.pop()
             prefix.pop()
 
-    rec()
+    try:
+        rec(list(range(n)), [0] * n)
+    finally:
+        # rec's closure refers to rec itself; see run_mask_sweep
+        del rec
     assert best is not None
     return best, best_order
+
+
+def _relabel_masks(masks: Sequence[int], position: Sequence[int]) -> list[int]:
+    """The adjacency masks with each vertex v renamed ``position[v]``."""
+    moved = [0] * len(masks)
+    for v, mask in enumerate(masks):
+        image = 0
+        for w in iter_bits(mask):
+            image |= 1 << position[w]
+        moved[position[v]] = image
+    return moved
 
 
 def _pack_levels(n: int, levels: Sequence[int]) -> bytes:

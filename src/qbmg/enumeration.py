@@ -15,8 +15,9 @@ Recognition is invariant under relabeling, so it sweeps one sorted coloring
 ``(0,)*k + (1,)*(n-k)`` per color-class size k >= n/2 and weights each
 recognized edge set by the number of colorings with those class sizes,
 complements included.  It runs one canonical search per isomorphism class:
-the ordering that search finds gives the class representative, and the rest
-of the class is marked seen through its vertex-permutation orbit.
+the ordering that search finds gives the class representative, and the
+members of the class that a later swept coloring can still fit are marked
+seen, through the relabelings that keep that coloring's classes in place.
 ``all_bipartite_digraphs`` yields the same labeled graphs as ``Digraph``
 values for small-n checks and as the reference that tests compare
 ``classify_all_qbmgs`` against.
@@ -39,6 +40,7 @@ from .digraph import (
     UGraph,
     _mask_components,
     _pack_levels,
+    _relabel_masks,
     _state_digraphs,
     _trusted_digraph,
     build_ugraph,
@@ -47,7 +49,6 @@ from .digraph import (
     default_names,
     identity_levels,
     induced_subdigraph,
-    iter_bits,
 )
 from .errors import TooLarge
 
@@ -243,29 +244,45 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     counted among the ``comb(n, k)``).  For n = 0 the single empty coloring
     adds 1.
 
-    The first recognized edge set of a class gets one canonical search
-    (``canonical_order``); all n! relabelings of it are then marked seen, so
-    later members, in this coloring or another, cost a set lookup.  Every
-    class has a member in some sorted coloring.  The witness is the edge set
-    relabeled by the ordering that search returns, so it does not depend on
-    which member was found first.  Its identity levels are the canonical
-    levels, the least over the orbit, and border levels determine the edge
-    set, so it is the orbit member with the least identity levels, which the
-    reference keeps.  It takes the sweep's coloring, relabeled, with every
-    component flipped so that its least vertex has color 0: the first valid
-    coloring in sweep order, as the reference keeps on ties.
+    The first recognized edge set E of a class gets one canonical search
+    (``canonical_order``), and the members the rest of the sweep can still
+    reach are then marked seen, so a later visit to one costs a set lookup.
+    The sweep visits a member E' = phi(E) only under a swept coloring c_j
+    with j zeros that E' fits, and then c_j composed with phi is a valid
+    2-coloring chi of E with j zeros.  The valid colorings of E are the
+    2^c flips of the sweep coloring over E's c components (isolated vertices
+    included).  Let pi_chi map chi's zeros in increasing order onto 0..j-1
+    and its ones onto j..n-1; c_j composed with pi_chi is chi as well, so
+    sigma = phi composed with the inverse of pi_chi maps 0..j-1 onto itself.
+    So the marks are the images of pi_chi(E), for each flip chi with
+    j >= n/2 zeros, under the j!(n-j)! relabelings that keep 0..j-1 in
+    place as a set.  A connected class needs one flip, or two when 2k = n;
+    the n! relabelings of E would mark graphs no swept coloring fits.
+
+    Every class has a member in some sorted coloring.  The witness is the
+    edge set relabeled by the ordering that search returns, so it does not
+    depend on which member was found first.  Its identity levels are the
+    canonical levels, the least over the orbit, and border levels determine
+    the edge set, so it is the orbit member with the least identity levels,
+    which the reference keeps.  It takes the sweep's coloring, relabeled,
+    with every component flipped so that its least vertex has color 0: the
+    first valid coloring in sweep order, as the reference keeps on ties.
     """
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
     names = default_names(n)
-    # each vertex permutation with the image of every vertex bitmask under it
-    relabelings: list[tuple[tuple[int, ...], list[int]]] = []
-    for perm in permutations(range(n)):
-        image = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-        relabelings.append((perm, image))
+    # per zero count j: each vertex permutation mapping 0..j-1 onto itself,
+    # with the image of every vertex bitmask under it
+    fixing: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    for j in range(n, (n - 1) // 2, -1):
+        fixing[j] = []
+        for low_part, high_part in product(permutations(range(j)), permutations(range(j, n))):
+            perm = low_part + high_part
+            image = [0] * (1 << n)
+            for mask in range(1, 1 << n):
+                low = mask & -mask
+                image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+            fixing[j].append((perm, image))
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
     total = 0
@@ -275,23 +292,32 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         total += weight
         if tuple(out) in seen:
             return
-        for perm, image in relabelings:
-            rows = [0] * n
-            for v in range(n):
-                rows[perm[v]] = image[out[v]]
-            seen.add(tuple(rows))
+        comps = _mask_components([o | i for o, i in zip(out, inn)])
+        for flips in product((0, 1), repeat=len(comps)):
+            chi = list(colors)
+            for flip, comp in zip(flips, comps):
+                if flip:
+                    for v in comp:
+                        chi[v] ^= 1
+            zeros = n - sum(chi)
+            if 2 * zeros < n:
+                continue
+            # pi_chi: chi's zeros, then its ones, each in increasing order
+            moved = _relabel_masks(out, _inverse(sorted(range(n), key=chi.__getitem__)))
+            for perm, image in fixing[zeros]:
+                rows = [0] * n
+                for v in range(n):
+                    rows[perm[v]] = image[moved[v]]
+                seen.add(tuple(rows))
         levels, order = canonical_order(n, out, inn)
-        position = [0] * n
-        for k, v in enumerate(order):
-            position[v] = k
-        rows = tuple(sum(1 << position[w] for w in iter_bits(out[v])) for v in order)
-        cols = tuple(sum(1 << position[w] for w in iter_bits(inn[v])) for v in order)
-        recolored = [colors[v] for v in order]
-        for comp in _mask_components([r | c for r, c in zip(rows, cols)]):
-            if recolored[min(comp)]:
-                for v in comp:
-                    recolored[v] ^= 1
-        rep = _trusted_digraph(n, tuple(recolored), names, rows, cols)
+        position = _inverse(order)
+        recolored = [0] * n
+        for comp in comps:
+            flip = colors[min(comp, key=position.__getitem__)]
+            for v in comp:
+                recolored[position[v]] = colors[v] ^ flip
+        rep = _trusted_digraph(n, tuple(recolored), names, tuple(_relabel_masks(out, position)),
+                               tuple(_relabel_masks(inn, position)))
         code = _pack_levels(n, levels)
         classes[code] = (CanonicalForm(code), rep)
 
@@ -300,6 +326,14 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         colors = (0,) * k + (1,) * (n - k)
         run_mask_sweep(colors, visit, keep=is_qbmg_masks_delta)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
+
+
+def _inverse(order: Sequence[int]) -> list[int]:
+    """The position of each vertex in ``order``."""
+    position = [0] * len(order)
+    for k, v in enumerate(order):
+        position[v] = k
+    return position
 
 
 @dataclass(frozen=True)

@@ -64,11 +64,14 @@ def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ..
                 return True
         return False
 
-    for start in range(n):
-        path[0] = start
-        if extend(1, start, 0, 1 << start):
-            return tuple(path)
-    return None
+    try:
+        for start in range(n):
+            path[0] = start
+            if extend(1, start, 0, 1 << start):
+                return tuple(path)
+        return None
+    finally:
+        del extend  # extend's closure refers to extend itself
 
 
 def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
@@ -101,13 +104,16 @@ def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, .
                 return True
         return False
 
-    for start in range(n):
-        path[0] = start
-        # the first start on any induced k-cycle is the least vertex of each
-        # one through it, so no vertex below start is ever needed
-        if extend(1, start, 0, (2 << start) - 1):
-            return tuple(path)
-    return None
+    try:
+        for start in range(n):
+            path[0] = start
+            # the first start on any induced k-cycle is the least vertex of
+            # each one through it, so no vertex below start is ever needed
+            if extend(1, start, 0, (2 << start) - 1):
+                return tuple(path)
+        return None
+    finally:
+        del extend  # extend's closure refers to extend itself
 
 
 def find_induced_path(g: UGraph, k: int) -> InducedPath | None:

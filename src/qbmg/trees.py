@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .axioms import is_qbmg_masks
-from .digraph import Digraph, _trusted_digraph, _validate_vertex_table, iter_bits
+from .digraph import Digraph, _memo, _trusted_digraph, _validate_vertex_table, iter_bits
 from .errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -78,11 +77,11 @@ class PhyloTree:
     def size(self) -> int:
         return len(self.parent)
 
-    @cached_property
+    @_memo
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.size) if not self.children[v])
 
-    @cached_property
+    @_memo
     def depth(self) -> tuple[int, ...]:
         d = [0] * self.size
         for v in range(1, self.size):
@@ -338,7 +337,10 @@ def phylogenetic_topologies(names: Sequence[str]) -> Iterator[Nested]:
             blocks = sorted((tuple(b) for b in part), key=lambda b: b[0])
             yield from product(*map(gen, blocks))
 
-    yield from gen(ordered)
+    try:
+        yield from gen(ordered)
+    finally:
+        del gen  # gen's closure refers to gen itself
 
 
 def _build_informative(g: Digraph) -> Nested | None:
@@ -390,7 +392,10 @@ def _build_informative(g: Digraph) -> Nested | None:
         kids.sort()  # least leaf names are distinct, so subtrees are never compared
         return kids[0][0], tuple(nested for _, nested in kids)
 
-    built = build((1 << n) - 1)
+    try:
+        built = build((1 << n) - 1)
+    finally:
+        del build  # build's closure refers to build itself
     return None if built is None else built[1]
 
 

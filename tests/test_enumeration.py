@@ -216,7 +216,10 @@ def test_sorted_coloring_weights_are_exact(n):
         assert recognized(colors) == by_zeros[zeros] == by_zeros[n - zeros], colors
 
 
-@pytest.mark.parametrize(("n", "classes"), [(4, 36), (5, 137)])
+# no output pin sees a class searched twice, since the witness does not
+# depend on which member was found first; only this count catches a marking
+# rule that leaves some reachable member of a class unmarked
+@pytest.mark.parametrize(("n", "classes"), [(0, 1), (1, 1), (2, 3), (3, 9), (4, 36), (5, 137), (6, 578)])
 def test_classify_all_canonicalizes_once_per_class(monkeypatch, n, classes):
     calls = 0
     real = qbmg.enumeration.canonical_order

@@ -114,3 +114,38 @@ def test_package_validates_only_at_its_input_boundary():
                     if name in VALIDATING:
                         callers.add(f"{path.name} {owner}")
     assert sorted(callers) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_functions(func: ast.AST):
+    """The functions defined in ``func``'s own scope, not in a deeper one."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            yield node
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_self_referencing_closures_are_deleted():
+    # a nested function that names itself and its closure cell refer to each
+    # other, so only the cyclic collector frees them, and with them all they
+    # close over; the enclosing function must break the cycle with ``del``
+    kept = []
+    for path, tree in _modules().items():
+        for outer in ast.walk(tree):
+            if not isinstance(outer, FUNCTIONS):
+                continue
+            deleted = {
+                target.id
+                for node in ast.walk(outer) if isinstance(node, ast.Delete)
+                for target in node.targets if isinstance(target, ast.Name)
+            }
+            for inner in _scope_functions(outer):
+                named = any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner))
+                if named and inner.name not in deleted:
+                    kept.append(f"{path.name} {outer.name}.{inner.name}")
+    assert sorted(kept) == []
