@@ -9,6 +9,12 @@ has at most |L|^2 * |R|^2 of them (Prisner, *Bicliques in graphs I*,
 Combinatorica 20, 2000), and the enumeration raises ``TooLarge`` once that
 count is passed, so an input with exponentially many, such as a crown graph,
 cannot run without bound.  They are listed once per graph and kept on it.
+
+Right vertices with the same neighborhood lie in the same intents, and left
+vertices with the same neighborhood in the same extents.  So Close-by-One
+extends only by the least right vertex of each twin class, since any other
+fails the canonicity test when its lower twin enters the closure, and
+intersects a closure over the least left vertex of each class only.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digraph import UGraph, iter_bits
+from .digraph import UGraph, _twin_representatives, iter_bits
 from .errors import Disconnected, TooLarge
 
 @dataclass(frozen=True)
@@ -54,13 +60,17 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int) -> list[tu
     Close-by-One over the right vertices in increasing id: a concept is
     extended by a right vertex y outside its right side only when the
     closure adds no right vertex below y, so each concept is reached once.
-    Raises ``TooLarge`` once more than |L|^2 * |R|^2 are found."""
+    Twin classes are taken per side: isolated vertices of both sides share
+    the empty mask.  Raises ``TooLarge`` once more than |L|^2 * |R|^2 are
+    found."""
     bound = left.bit_count() ** 2 * right.bit_count() ** 2
     found: list[tuple[int, int]] = []
     if not left:
         return found
+    left_reps = _twin_representatives(adj, left)
+    right_reps = _twin_representatives(adj, right)
     top = right
-    for x in iter_bits(left):
+    for x in iter_bits(left_reps):
         top &= adj[x]
     stack = [(left, top, 0)]
     while stack:
@@ -71,12 +81,12 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int) -> list[tu
                 raise TooLarge(
                     f"more than {bound} maximal bicliques, the |L|^2*|R|^2 bound "
                     "of a C6-free bipartite graph")
-        for y in iter_bits(right & ~intent & -(1 << lo)):
+        for y in iter_bits(right_reps & ~intent & -(1 << lo)):
             sub = ext & adj[y]
             if not sub:
                 continue  # only the empty left side lies below
             closed = right
-            for x in iter_bits(sub):
+            for x in iter_bits(sub & left_reps):
                 closed &= adj[x]
             if (closed ^ intent) & ((1 << y) - 1):
                 continue  # reached from the concept that adds that lower vertex

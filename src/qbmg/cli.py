@@ -9,6 +9,7 @@ text or, with --json, as the same facts in JSON.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -312,7 +313,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept, so repeated ``main``
+    calls do not build it again; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qbmg",
         description="Recognition, analysis, decomposition, enumeration and "
@@ -364,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (QbmgError, OSError) as exc:

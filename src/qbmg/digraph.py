@@ -203,8 +203,12 @@ class UGraph:
         return (min(u, v), max(u, v)) in self.edges
 
     def components(self) -> tuple[frozenset[int], ...]:
-        """Connected components ordered by smallest member id."""
-        return _mask_components(self.adj_masks)
+        """Connected components ordered by smallest member id; computed once
+        and kept on the graph."""
+        memo = vars(self)
+        if "_components" not in memo:
+            memo["_components"] = _mask_components(self.adj_masks)
+        return memo["_components"]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -260,23 +264,39 @@ Digraph.edges = UGraph.edges = property(_edge_set, _store_edge_set)  # type: ign
 def _mask_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Connected components of the graph with adjacency masks ``adj``,
     ordered by smallest member id."""
-    seen = 0
     out: list[frozenset[int]] = []
-    for start in range(len(adj)):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        members = [start]
-        frontier = [start]
+    rest = (1 << len(adj)) - 1
+    while rest:
+        # grow the component of the least vertex not yet placed, one
+        # frontier of newly reached vertices at a time
+        comp = frontier = rest & -rest
         while frontier:
-            new = adj[frontier.pop()] & ~comp
-            comp |= new
-            fresh = list(iter_bits(new))
-            members += fresh
-            frontier += fresh
-        seen |= comp
-        out.append(frozenset(members))
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest &= ~comp
+        out.append(frozenset(iter_bits(comp)))
     return tuple(out)
+
+
+def _twin_representatives(adj: Sequence[int], within: int) -> int:
+    """The least vertex of each group of vertices in the mask ``within``
+    that have the same adjacency mask, as a mask.  Such false twins are
+    interchangeable in any vertex set that holds at most one of them."""
+    reps = 0
+    masks: set[int] = set()
+    while within:
+        low = within & -within
+        within ^= low
+        mask = adj[low.bit_length() - 1]
+        if mask not in masks:
+            masks.add(mask)
+            reps |= low
+    return reps
 
 
 def build_digraph(

@@ -257,7 +257,9 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     So the marks are the images of pi_chi(E), for each flip chi with
     j >= n/2 zeros, under the j!(n-j)! relabelings that keep 0..j-1 in
     place as a set.  A connected class needs one flip, or two when 2k = n;
-    the n! relabelings of E would mark graphs no swept coloring fits.
+    the n! relabelings of E would mark graphs no swept coloring fits.  Two
+    flips with the same zero count and the same pi_chi(E) mark the same
+    images, so only the first of them marks.
 
     Every class has a member in some sorted coloring.  The witness is the
     edge set relabeled by the ordering that search returns, so it does not
@@ -293,6 +295,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         if tuple(out) in seen:
             return
         comps = _mask_components([o | i for o, i in zip(out, inn)])
+        marked = set()
         for flips in product((0, 1), repeat=len(comps)):
             chi = list(colors)
             for flip, comp in zip(flips, comps):
@@ -304,6 +307,9 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
                 continue
             # pi_chi: chi's zeros, then its ones, each in increasing order
             moved = _relabel_masks(out, _inverse(sorted(range(n), key=chi.__getitem__)))
+            if (zeros, *moved) in marked:
+                continue  # an earlier flip marked the same images
+            marked.add((zeros, *moved))
             for perm, image in fixing[zeros]:
                 rows = [0] * n
                 for v in range(n):

@@ -11,6 +11,21 @@ Freeness is hereditary in the length: an induced P_j with j >= k, and an
 induced C_j with j > k, each contain an induced P_k.  So a graph remembers
 the least k for which a search found no induced P_k, and answers longer
 path and cycle queries with None without searching.
+
+False twins, vertices with the same neighborhood, never lie together on an
+induced P_k with k >= 4 or an induced C_k with k >= 5.  Two twins on one
+have the same neighbors on it: as the two ends of a path they make it a
+P3, and otherwise they and their two common neighbors close a C4.  Putting
+the least twin of its class in place of another vertex of a witness gives
+an induced path or cycle again and a smaller sequence, so the least witness
+holds least twins only.  From those lengths on, the searches therefore
+start from and extend by the least vertex of each twin class only.
+Underlying graphs of tree-built graphs are full of twins.
+
+Each search raises ``TooLarge`` before it starts when its tree of vertex
+sequences may have more than 10,000,000 leaves, bounded as
+n * d * (d - 1)^(k - 2) from the n vertices it starts from and the most
+neighbors d any of them has among them.
 """
 
 from __future__ import annotations
@@ -18,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import UGraph
+from .digraph import UGraph, _twin_representatives, iter_bits
 from .errors import TooLarge
 
 # the searches recurse once per placed vertex, so k stays far below the recursion limit
 INDUCED_MAX_LENGTH = 64
+# leaves of the sequence tree: every 16-vertex graph at k = 6 stays within it
+_SEARCH_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -35,11 +52,32 @@ class InducedCycle:
     vertices: tuple[int, ...]
 
 
+def _search_vertices(adj: Sequence[int], n: int, k: int, twin_free_from: int) -> int:
+    """The vertices a search for k vertices starts from and extends by: the
+    least of each twin class once ``k >= twin_free_from``, else all n; none
+    when fewer than k are left.  Raises ``TooLarge`` when the sequences it
+    may walk exceed the budget."""
+    within = (1 << n) - 1
+    if k >= twin_free_from:
+        within = _twin_representatives(adj, within)
+    count = within.bit_count()
+    if count < k:
+        return 0
+    if count ** k > _SEARCH_BUDGET:  # else n * d * (d - 1)^(k - 2) is within it
+        degree = max((adj[v] & within).bit_count() for v in iter_bits(within))
+        if count * degree * (degree - 1) ** (k - 2) > _SEARCH_BUDGET:
+            raise TooLarge(
+                f"an induced {k}-vertex search over {count} vertices of degree up to "
+                f"{degree} may walk more than {_SEARCH_BUDGET} sequences")
+    return within
+
+
 def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
     if k > n or k < 1:
         return None
     if k == 1:
         return (0,)
+    within = _search_vertices(adj, n, k, 4)
     path = [0] * k
 
     # path[:depth] is placed and ends at last; near ORs the neighborhoods of
@@ -65,9 +103,10 @@ def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ..
         return False
 
     try:
-        for start in range(n):
+        # vertices outside within count as used, so no search places them
+        for start in iter_bits(within):
             path[0] = start
-            if extend(1, start, 0, 1 << start):
+            if extend(1, start, 0, ~within | 1 << start):
                 return tuple(path)
         return None
     finally:
@@ -77,6 +116,7 @@ def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ..
 def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
     if k > n or k < 3:
         return None
+    within = _search_vertices(adj, n, k, 5)
     path = [0] * k
 
     # path[:depth] is placed and ends at last; near ORs the neighborhoods of
@@ -105,11 +145,11 @@ def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, .
         return False
 
     try:
-        for start in range(n):
+        for start in iter_bits(within):
             path[0] = start
             # the first start on any induced k-cycle is the least vertex of
             # each one through it, so no vertex below start is ever needed
-            if extend(1, start, 0, (2 << start) - 1):
+            if extend(1, start, 0, ~within | (2 << start) - 1):
                 return tuple(path)
         return None
     finally:

@@ -152,6 +152,15 @@ def subset_walk_maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
     return tuple(out)
 
 
+def grid_graph(side: int) -> UGraph:
+    """The side x side grid: no two vertices are twins, and long induced
+    paths abound."""
+    n = side * side
+    return build_ugraph(n, [(v // side + v % side) % 2 for v in range(n)], [
+        (v, v + d) for v in range(n) for d in (1, side)
+        if v + d < n and (d == side or (v + 1) % side)])
+
+
 def crown_graph(m: int) -> UGraph:
     """K_{m,m} minus a perfect matching: 2^m - 2 maximal bicliques."""
     return build_ugraph(
@@ -233,6 +242,24 @@ def masks_connected(n: int, adj: list[int]) -> bool:
             seen |= low
             frontier.append(low.bit_length() - 1)
     return seen == (1 << n) - 1
+
+
+def twin_blow_up(rng: random.Random, adj: Sequence[int], colors: Sequence[int],
+                 size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Adjacency masks and colors of a graph on ``size`` vertices: the base
+    graph ``adj``, extra copies of its vertices as false twins (same
+    neighborhood, not adjacent to the original; the first extra vertex is
+    one) and isolated vertices of random color, under a random relabeling."""
+    origin: list[int | None] = list(range(len(adj)))
+    while len(origin) < size:
+        twin = len(origin) == len(adj) or rng.random() < 0.75
+        origin.append(rng.randrange(len(adj)) if twin else None)
+    rng.shuffle(origin)
+    masks = []
+    for a in origin:
+        masks.append(sum(1 << j for j, b in enumerate(origin)
+                         if a is not None and b is not None and adj[a] >> b & 1))
+    return tuple(masks), tuple(rng.randint(0, 1) if a is None else colors[a] for a in origin)
 
 
 def relabel(g: Digraph, perm: Sequence[int]) -> Digraph:

@@ -11,10 +11,12 @@ from helpers import (
     crown_graph,
     random_surjective_coloring,
     subset_walk_maximal_bicliques,
+    twin_blow_up,
 )
 from qbmg.bicliques import (
     find_dominating_biclique,
     is_dominating_set,
+    maximal_biclique_masks,
     maximal_bicliques,
 )
 from qbmg.decompose import decompose_type_a, is_type_a
@@ -71,6 +73,31 @@ def test_maximal_bicliques_match_brute_force():
                 else:
                     want.add((rs, ls))
             assert got == want
+
+
+def test_maximal_bicliques_match_brute_force_on_twin_rich_graphs():
+    # bipartite bases blown up by false twins on both sides and isolated
+    # vertices of both colors, which share the empty mask with each other
+    rng = random.Random(16)
+    for trial in range(150):
+        m = rng.randint(2, 6)
+        colors = [rng.randint(0, 1) for _ in range(m)]
+        base = [0] * m
+        for u in range(m):
+            for v in range(u + 1, m):
+                if colors[u] != colors[v] and rng.random() < 0.6:
+                    base[u] |= 1 << v
+                    base[v] |= 1 << u
+        n = m + 1 + trial % 6
+        adj, colors = twin_blow_up(rng, base, colors, n)
+        g = build_ugraph(n, colors, [(u, v) for u in range(n) for v in iter_bits(adj[u]) if u < v])
+        side = [sum(1 << v for v in range(n) if colors[v] == c) for c in (0, 1)]
+        got = {(frozenset(iter_bits(lm)), frozenset(iter_bits(rm)))
+               for lm, rm in maximal_biclique_masks(adj, side[0], side[1])}
+        want = {(ls, rs) if g.colors[min(ls)] == 0 else (rs, ls)
+                for ls, rs in brute_maximal_bicliques(g)}
+        assert got == want
+        assert {(b.left, b.right) for b in maximal_bicliques(g)} == want
 
 
 def test_maximal_bicliques_are_subset_of_all_bicliques():

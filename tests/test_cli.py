@@ -1,9 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from helpers import caterpillar_newick, crown_graph
+from helpers import caterpillar_newick, crown_graph, grid_graph
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
 from qbmg.digraph import build_digraph, build_ugraph
@@ -75,6 +76,33 @@ def test_analyze_search_too_long_is_bad_input(capsys, tmp_path, check):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("side,check", [(7, "p34"), (8, "p44")])
+def test_analyze_search_past_budget_is_bad_input(capsys, tmp_path, side, check):
+    # unbounded, these searches run for seconds (7x7) and minutes (8x8);
+    # the bound is computed before the search starts
+    path = tmp_path / "grid.dgf"
+    path.write_text(format_dgf(grid_graph(side)), encoding="utf-8")
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", check)
+    assert time.monotonic() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_main_calls_give_identical_output(capsys, ex10_file):
+    # the parser is built once and kept; a failed parse in between must not
+    # leave state behind
+    argvs = [["--json", "analyze", ex10_file], ["analyze", ex10_file, "--check", "p4"],
+             ["enumerate", "--all", "3"], ["--json", "decompose", ex10_file]]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    with pytest.raises(SystemExit):
+        main(["analyze"])
+    capsys.readouterr()
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    assert [run_cli(capsys, *argv) for argv in reversed(argvs)] == first[::-1]
 
 
 def _count_argv(tmp_path, case: str, count: str) -> list[str]:

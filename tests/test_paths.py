@@ -4,9 +4,16 @@ from typing import NamedTuple
 
 import pytest
 
-from helpers import brute_least_induced_cycle, brute_least_induced_path
+from helpers import (
+    brute_least_induced_cycle,
+    brute_least_induced_path,
+    crown_graph,
+    grid_graph,
+    twin_blow_up,
+)
 from qbmg.digraph import build_ugraph, underlying
 from qbmg.enumeration import cycle_template, halved_colorings, path_template
+from qbmg.errors import TooLarge
 from qbmg.fixtures import ALL_FIXTURES, C4_3, EX7, EX10, P5A
 from qbmg.paths import (
     find_induced_cycle,
@@ -116,23 +123,74 @@ class MaskGraph(NamedTuple):
         return bool(self.adj[u] >> v & 1)
 
 
+def _random_masks(rng: random.Random, n: int, density: float) -> list[int]:
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
 def test_mask_search_least_witnesses_random_graphs():
     # not only bipartite graphs: odd cycles, triangles and dense graphs too
     rng = random.Random(5)
     for trial in range(48):
         n = 2 + trial % 8
-        density = rng.choice((0.25, 0.4, 0.6))
-        adj = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < density:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-        g = MaskGraph(n, tuple(adj))
+        g = MaskGraph(n, tuple(_random_masks(rng, n, rng.choice((0.25, 0.4, 0.6)))))
         for k in range(2, 8):
             assert find_induced_path_masks(g.adj, n, k) == brute_least_induced_path(g, k)
         for k in range(3, 8):
             assert find_induced_cycle_masks(g.adj, n, k) == brute_least_induced_cycle(g, k)
+
+
+def test_mask_search_least_witnesses_twin_rich_graphs():
+    # the random graphs above rarely hold false twins; these are blown up
+    # from small bases (paths, cycles and random graphs) by copying
+    # vertices as twins and adding isolated vertices, labels shuffled, so
+    # the least twin of a class is often not the one a witness would use
+    rng = random.Random(16)
+    c5 = (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)  # not bipartite, so no template
+    bases = [cycle_template(4).adj_masks, c5, cycle_template(6).adj_masks]
+    bases += [path_template(k).adj_masks for k in (4, 5, 6)]
+    bases += [_random_masks(rng, rng.randint(3, 6), rng.choice((0.3, 0.5))) for _ in range(18)]
+    for trial, base in enumerate(bases):
+        n = min(8, len(base) + 1 + trial % 3)
+        adj, _ = twin_blow_up(rng, base, [0] * len(base), n)
+        g = MaskGraph(n, adj)
+        assert len(set(adj)) < n
+        for k in range(2, 8):
+            assert find_induced_path_masks(adj, n, k) == brute_least_induced_path(g, k)
+        for k in range(4, 9):
+            assert find_induced_cycle_masks(adj, n, k) == brute_least_induced_cycle(g, k)
+
+
+@pytest.mark.parametrize("side,k", [(7, 34), (8, 44)])
+def test_search_past_the_budget_is_too_large(side, k):
+    # a grid has no twins, so no class shrinks the search, and unbounded
+    # these searches run for seconds (7x7) and minutes (8x8)
+    g = grid_graph(side)
+    with pytest.raises(TooLarge):
+        find_induced_path(g, k)
+    with pytest.raises(TooLarge):
+        find_induced_cycle(g, k)
+
+
+def test_searches_that_need_no_budget_answer():
+    # the crown graph on 8 + 8 vertices has no twins and no induced P6, and
+    # a P12 search on it may walk 16 * 7 * 6^10 sequences; once a search
+    # found it P6-free, longer queries answer before the bound
+    g = crown_graph(8)
+    with pytest.raises(TooLarge):
+        find_induced_path(g, 12)
+    assert find_induced_path(g, 6) is None
+    assert find_induced_path(g, 12) is None
+    assert find_induced_cycle(g, 12) is None
+    assert find_induced_path(grid_graph(7), 50) is None  # k beyond n
+    # the bound is taken over twin classes: a star's 63 leaves are one
+    star = build_ugraph(64, [0] + [1] * 63, [(0, v) for v in range(1, 64)])
+    assert find_induced_path(star, 5) is None
 
 
 def test_witnesses_replay():
