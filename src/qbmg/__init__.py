@@ -85,7 +85,6 @@ from .trees import (
     PhyloTree,
     TruncationMap,
     best_match_graph,
-    lca,
     parse_tree,
     qbmg_from_tree,
     root_truncation,

@@ -18,7 +18,9 @@ from .bicliques import Biclique, find_dominating_biclique, maximal_bicliques
 from .digraph import (
     Digraph,
     UGraph,
+    _component_masks,
     induced_subdigraph,
+    iter_bits,
     underlying,
     weak_components,
 )
@@ -79,7 +81,8 @@ def decompose_type_a(g: Digraph) -> Decomposition:
 
     Each step takes a dominating biclique of the current underlying graph,
     absorbs the vertices whose neighborhoods are contained in it, emits that
-    set as a part, and recurses per connected component of the remainder.
+    set as a part, and recurses per connected component of the remainder,
+    split on g's own adjacency masks.
     The decomposition is canonical for this package's deterministic biclique
     preference but not unique in general.
     """
@@ -111,14 +114,10 @@ def decompose_type_a(g: Digraph) -> Decomposition:
         part_graph, _ = induced_subdigraph(g, first)
         assert is_type_a(part_graph), "peeled part must be connected type A"
         parts.append(first)
-        rest = [v for v in range(sub.n) if v not in sigma]
-        if not rest:
-            return
-        rest_graph, rest_old = induced_subdigraph(sub, rest)
-        assert 0 not in rest_graph.adj_masks, "remainder must have no isolated vertex"
-        for comp in underlying(rest_graph).components():
-            piece, ids = induced_subdigraph(g, (old[rest_old[v]] for v in comp))
-            peel(piece, ids)
+        comps = _component_masks(g.adj_masks, sum(1 << v for v in old if v not in first))
+        assert all(c & (c - 1) for c in comps), "remainder must have no isolated vertex"
+        for comp in comps:
+            peel(*induced_subdigraph(g, iter_bits(comp)))
 
     try:
         peel(g, tuple(range(g.n)))

@@ -6,6 +6,8 @@ they are safe to share across concurrent workers.  A view derived from one
 graph (its underlying graph, its maximal bicliques, its path-freeness) is
 computed once and kept on the graph value it describes; a graph built from
 the masks of a validated one reads its edge set off those masks on first use.
+Connected components come from one core over vertex masks,
+``_component_masks``; a digraph's are kept on its underlying graph.
 """
 
 from __future__ import annotations
@@ -207,15 +209,12 @@ class UGraph:
         and kept on the graph."""
         memo = vars(self)
         if "_components" not in memo:
-            memo["_components"] = _mask_components(self.adj_masks)
+            memo["_components"] = tuple(
+                frozenset(iter_bits(c)) for c in _component_masks(self.adj_masks, (1 << self.n) - 1))
         return memo["_components"]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
-
-    def induced(self, vertices: Iterable[int]) -> tuple["UGraph", tuple[int, ...]]:
-        """Induced subgraph re-indexed densely; also returns old ids per new id."""
-        return induced_subdigraph(self, vertices)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -261,26 +260,26 @@ def _store_edge_set(g: "Digraph | UGraph", edges: frozenset[tuple[int, int]]) ->
 Digraph.edges = UGraph.edges = property(_edge_set, _store_edge_set)  # type: ignore[assignment]
 
 
-def _mask_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
-    """Connected components of the graph with adjacency masks ``adj``,
-    ordered by smallest member id."""
-    out: list[frozenset[int]] = []
-    rest = (1 << len(adj)) - 1
-    while rest:
+def _component_masks(adj: Sequence[int], within: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex mask
+    ``within`` of the graph with adjacency masks ``adj``, as masks ordered
+    by least member."""
+    out = []
+    while within:
         # grow the component of the least vertex not yet placed, one
         # frontier of newly reached vertices at a time
-        comp = frontier = rest & -rest
+        comp = frontier = within & -within
         while frontier:
             reach = 0
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
                 reach |= adj[low.bit_length() - 1]
-            frontier = reach & ~comp
+            frontier = reach & within & ~comp
             comp |= frontier
-        rest &= ~comp
-        out.append(frozenset(iter_bits(comp)))
-    return tuple(out)
+        within &= ~comp
+        out.append(comp)
+    return out
 
 
 def _twin_representatives(adj: Sequence[int], within: int) -> int:
@@ -393,8 +392,9 @@ def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...
 
 
 def weak_components(g: Digraph) -> tuple[frozenset[int], ...]:
-    """Connected components of the underlying graph, ordered by smallest member."""
-    return _mask_components(g.adj_masks)
+    """Connected components of the underlying graph, ordered by smallest
+    member; kept on that graph, so a digraph's components are computed once."""
+    return underlying(g).components()
 
 
 @dataclass(frozen=True)

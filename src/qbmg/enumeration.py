@@ -38,7 +38,7 @@ from .digraph import (
     CanonicalForm,
     Digraph,
     UGraph,
-    _mask_components,
+    _component_masks,
     _pack_levels,
     _relabel_masks,
     _state_digraphs,
@@ -49,6 +49,7 @@ from .digraph import (
     default_names,
     identity_levels,
     induced_subdigraph,
+    iter_bits,
 )
 from .errors import TooLarge
 
@@ -273,6 +274,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
     names = default_names(n)
+    everyone = (1 << n) - 1
     # per zero count j: each vertex permutation mapping 0..j-1 onto itself,
     # with the image of every vertex bitmask under it
     fixing: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
@@ -294,19 +296,16 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         total += weight
         if tuple(out) in seen:
             return
-        comps = _mask_components([o | i for o, i in zip(out, inn)])
+        comps = _component_masks([o | i for o, i in zip(out, inn)], everyone)
         marked = set()
         for flips in product((0, 1), repeat=len(comps)):
-            chi = list(colors)
-            for flip, comp in zip(flips, comps):
-                if flip:
-                    for v in comp:
-                        chi[v] ^= 1
-            zeros = n - sum(chi)
+            # chi: the mask of color-1 vertices once the chosen components flip
+            chi = ones ^ sum(comp for flip, comp in zip(flips, comps) if flip)
+            zeros = n - chi.bit_count()
             if 2 * zeros < n:
                 continue
             # pi_chi: chi's zeros, then its ones, each in increasing order
-            moved = _relabel_masks(out, _inverse(sorted(range(n), key=chi.__getitem__)))
+            moved = _relabel_masks(out, _inverse([*iter_bits(everyone & ~chi), *iter_bits(chi)]))
             if (zeros, *moved) in marked:
                 continue  # an earlier flip marked the same images
             marked.add((zeros, *moved))
@@ -319,8 +318,8 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         position = _inverse(order)
         recolored = [0] * n
         for comp in comps:
-            flip = colors[min(comp, key=position.__getitem__)]
-            for v in comp:
+            flip = colors[min(iter_bits(comp), key=position.__getitem__)]
+            for v in iter_bits(comp):
                 recolored[position[v]] = colors[v] ^ flip
         rep = _trusted_digraph(n, tuple(recolored), names, tuple(_relabel_masks(out, position)),
                                tuple(_relabel_masks(inn, position)))
@@ -330,6 +329,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     for k in range(n, (n - 1) // 2, -1):
         weight = comb(n, k) * (1 if 2 * k == n else 2)
         colors = (0,) * k + (1,) * (n - k)
+        ones = everyone & -(1 << k)
         run_mask_sweep(colors, visit, keep=is_qbmg_masks_delta)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .axioms import is_qbmg_masks
-from .digraph import Digraph, _memo, _trusted_digraph, _validate_vertex_table, iter_bits
+from .digraph import Digraph, _component_masks, _memo, _trusted_digraph, _validate_vertex_table, iter_bits
 from .errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -132,16 +132,6 @@ def tree_from_nested(nested: Nested) -> PhyloTree:
             names.append(None)
             stack.extend((child, idx) for child in reversed(node))
     return PhyloTree(tuple(parent), tuple(tuple(c) for c in children), tuple(names))
-
-
-def lca(t: PhyloTree, x: int, y: int) -> int:
-    """Deepest common ancestor; lca(x, x) = x."""
-    while x != y:
-        if t.depth[x] < t.depth[y]:
-            y = t.parent[y]  # type: ignore[assignment]
-        else:
-            x = t.parent[x]  # type: ignore[assignment]
-    return x
 
 
 _LEAF_TOKEN = re.compile(r"([A-Za-z0-9_.+-]+)=([A-Za-z0-9_.+-]*)")
@@ -371,20 +361,11 @@ def _build_informative(g: Digraph) -> Nested | None:
                 link[x] |= ys
                 for y in iter_bits(ys):
                     link[y] |= 1 << x
+        comps = _component_masks(link, leafset)
+        if len(comps) == 1:
+            return None
         kids = []
-        # components grown here: _mask_components raised explain's op_p50_ms by 40%
-        rest = leafset
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                for v in iter_bits(frontier):
-                    reach |= link[v]
-                frontier = reach & ~comp
-                comp |= frontier
-            if comp == leafset:
-                return None
-            rest &= ~comp
+        for comp in comps:
             kid = build(comp)
             if kid is None:
                 return None

@@ -244,6 +244,38 @@ def masks_connected(n: int, adj: list[int]) -> bool:
     return seen == (1 << n) - 1
 
 
+def random_masks(rng: random.Random, n: int, density: float) -> list[int]:
+    """Adjacency masks of a random graph: each pair is an edge with
+    probability ``density``."""
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def brute_components(adj: Sequence[int], within: int) -> set[frozenset[int]]:
+    """The connected components of the subgraph induced on the vertex mask
+    ``within``, by breadth-first search over vertex lists."""
+    inside = [v for v in range(len(adj)) if within >> v & 1]
+    placed: set[int] = set()
+    comps = set()
+    for start in inside:
+        if start in placed:
+            continue
+        comp, queue = {start}, [start]
+        for v in queue:
+            for w in inside:
+                if w not in comp and adj[v] >> w & 1:
+                    comp.add(w)
+                    queue.append(w)
+        placed |= comp
+        comps.add(frozenset(comp))
+    return comps
+
+
 def twin_blow_up(rng: random.Random, adj: Sequence[int], colors: Sequence[int],
                  size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Adjacency masks and colors of a graph on ``size`` vertices: the base

@@ -293,7 +293,7 @@ def test_c08_liu_zhou_equivalence():
             has_all = True
             for r in range(2, g.n + 1):
                 for subset in combinations(range(g.n), r):
-                    sub, _ = g.induced(subset)
+                    sub, _ = induced_subdigraph(g, subset)
                     if not sub.is_connected():
                         continue
                     if find_dominating_biclique(sub) is None:

@@ -1,10 +1,11 @@
 import pytest
 
 import qbmg.decompose
+import qbmg.digraph
 from qbmg.cli import main
 from qbmg.decompose import decompose_type_a, is_type_a, kos_partition
 from qbmg.dgf import format_dgf
-from qbmg.digraph import build_digraph, induced_subdigraph, underlying
+from qbmg.digraph import build_digraph, induced_subdigraph, underlying, weak_components
 from qbmg.enumeration import cycle_template
 from qbmg.errors import Disconnected, NotQbmg
 from qbmg.fixtures import EX10, P5A1, P5AB
@@ -88,6 +89,25 @@ def test_decompose_recognizes_a_type_a_input_once(monkeypatch, capsys, tmp_path)
     assert capsys.readouterr().out.endswith("(type-A: yes)\n")
 
 
+def test_components_are_computed_once_per_digraph(monkeypatch):
+    calls = 0
+    real = qbmg.digraph._component_masks
+
+    def counted(adj, within):
+        nonlocal calls
+        calls += 1
+        return real(adj, within)
+
+    monkeypatch.setattr(qbmg.digraph, "_component_masks", counted)
+    monkeypatch.setattr(qbmg.decompose, "_component_masks", counted)
+    # a fresh copy of EX10 (connected, type A), with no views kept on it yet
+    g = build_digraph(EX10.n, EX10.colors, EX10.edges, EX10.names)
+    assert weak_components(g) is underlying(g).components()
+    assert is_type_a(g)
+    assert decompose_type_a(g).parts == (frozenset(range(10)),)
+    assert calls == 1
+
+
 def test_decompose_rejects_unrecognized():
     g = build_digraph(4, (1, 0, 1, 0), [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotQbmg):
@@ -114,14 +134,23 @@ def test_decompose_parts_replay():
 
 def test_peel_recursion_when_the_input_is_not_type_a(monkeypatch):
     # every connected recognized graph seen so far is type A, so peel's
-    # recursion only runs when kos_partition is told the input is not K+S
-    g = build_digraph(
-        6, (0, 0, 0, 1, 1, 1), [(0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (5, 0), (5, 2)])
+    # recursion only runs when kos_partition is told the input is not K+S;
+    # the second graph, a component of a seeded tree graph, leaves a
+    # remainder of two components after the first peel
+    cases = [
+        (build_digraph(6, (0, 0, 0, 1, 1, 1), [(0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (5, 0), (5, 2)]),
+         [["v1", "v2", "v5", "v6"], ["v3", "v4"]]),
+        (build_digraph(12, (1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0), [
+            (0, 1), (0, 4), (0, 7), (0, 8), (1, 2), (2, 1), (3, 4), (3, 7), (3, 8), (4, 5), (4, 6),
+            (5, 7), (7, 5), (7, 6), (8, 9), (10, 1), (10, 4), (10, 7), (10, 8), (11, 0), (11, 2),
+            (11, 3), (11, 5), (11, 6), (11, 9), (11, 10)]),
+         [["v1", "v11", "v12", "v4", "v5", "v6", "v7", "v8"], ["v2", "v3"], ["v10", "v9"]]),
+    ]
     real = qbmg.decompose.kos_partition
-    monkeypatch.setattr(
-        qbmg.decompose, "kos_partition", lambda u: None if u is underlying(g) else real(u))
-    result = decompose_type_a(g)  # internal per-step assertions must not fire
-    assert [sorted(g.names[v] for v in part) for part in result.parts] == [
-        ["v1", "v2", "v5", "v6"], ["v3", "v4"]]
-    for part in result.parts:
-        assert is_type_a(induced_subdigraph(g, part)[0])
+    for g, expected in cases:
+        monkeypatch.setattr(
+            qbmg.decompose, "kos_partition", lambda u, g=g: None if u is underlying(g) else real(u))
+        result = decompose_type_a(g)  # internal per-step assertions must not fire
+        assert [sorted(g.names[v] for v in part) for part in result.parts] == expected
+        for part in result.parts:
+            assert is_type_a(induced_subdigraph(g, part)[0])

@@ -5,15 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import digraph_from_masks, random_surjective_coloring, random_truncation, relabel
+from helpers import (
+    brute_components,
+    digraph_from_masks,
+    random_masks,
+    random_surjective_coloring,
+    random_truncation,
+    relabel,
+    twin_blow_up,
+)
 from qbmg.digraph import (
     Digraph,
+    _component_masks,
     build_digraph,
     build_ugraph,
     canonical_form,
     canonical_order,
     identity_levels,
     induced_subdigraph,
+    iter_bits,
     underlying,
     weak_components,
 )
@@ -101,6 +111,29 @@ def test_weak_components_disjoint_union():
     g = build_digraph(9, colors, edges)
     comps = weak_components(g)
     assert [sorted(c) for c in comps] == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+
+
+def test_component_masks_match_brute_force_partition():
+    # random graphs on 0-12 vertices, often with isolated vertices, and
+    # twin blow-ups, each under an empty, a full and a random vertex mask
+    rng = random.Random(17)
+    bridged = 0
+    for trial in range(240):
+        n = trial % 13
+        if trial % 3 == 2 and n >= 2:
+            base = random_masks(rng, rng.randint(1, n - 1), 0.5)
+            adj = twin_blow_up(rng, base, [0] * len(base), n)[0]
+        else:
+            adj = random_masks(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        full = (1 << n) - 1
+        whole = _component_masks(adj, full)
+        for within in (0, full, rng.getrandbits(n) if n else 0):
+            comps = _component_masks(adj, within)
+            assert {frozenset(iter_bits(c)) for c in comps} == brute_components(adj, within)
+            assert comps == sorted(comps, key=lambda c: c & -c)
+            # a path through vertices outside the mask joins no components
+            bridged += sum(1 for c in whole if sum(1 for d in comps if d & c) > 1)
+    assert bridged  # the inputs do hold such paths
 
 
 def test_canonical_form_p5b_plus_edge_is_p5b1():
@@ -223,7 +256,7 @@ def test_underlying_commutes_with_induced_small_exhaustive():
             for mask in range(1 << n):
                 subset = [v for v in range(n) if mask >> v & 1]
                 sub_d, _ = induced_subdigraph(g, subset)
-                sub_u, _ = und.induced(subset)
+                sub_u, _ = induced_subdigraph(und, subset)
                 assert underlying(sub_d) == sub_u
 
 
@@ -237,7 +270,7 @@ def test_underlying_commutes_with_induced_n5_exhaustive():
         for mask in range(1 << 5):
             subset = [v for v in range(5) if mask >> v & 1]
             sub_d, _ = induced_subdigraph(g, subset)
-            sub_u, _ = und.induced(subset)
+            sub_u, _ = induced_subdigraph(und, subset)
             assert underlying(sub_d) == sub_u
 
 
@@ -277,7 +310,7 @@ def test_mask_built_graphs_equal_validated_rebuilds(sweep):
             assert sub.edges == {
                 (index[u], index[v]) for u, v in g.edges if u in index and v in index
             }
-            _assert_validated(und.induced(subset)[0])
+            _assert_validated(induced_subdigraph(und, subset)[0])
         oriented = orient(g)
         _assert_validated(oriented)
         assert oriented.edges == g.edges - {(v, u) for u, v in g.symmetric_pairs}

@@ -9,6 +9,7 @@ from helpers import (
     brute_least_induced_path,
     crown_graph,
     grid_graph,
+    random_masks,
     twin_blow_up,
 )
 from qbmg.digraph import build_ugraph, underlying
@@ -123,22 +124,12 @@ class MaskGraph(NamedTuple):
         return bool(self.adj[u] >> v & 1)
 
 
-def _random_masks(rng: random.Random, n: int, density: float) -> list[int]:
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
-
-
 def test_mask_search_least_witnesses_random_graphs():
     # not only bipartite graphs: odd cycles, triangles and dense graphs too
     rng = random.Random(5)
     for trial in range(48):
         n = 2 + trial % 8
-        g = MaskGraph(n, tuple(_random_masks(rng, n, rng.choice((0.25, 0.4, 0.6)))))
+        g = MaskGraph(n, tuple(random_masks(rng, n, rng.choice((0.25, 0.4, 0.6)))))
         for k in range(2, 8):
             assert find_induced_path_masks(g.adj, n, k) == brute_least_induced_path(g, k)
         for k in range(3, 8):
@@ -154,7 +145,7 @@ def test_mask_search_least_witnesses_twin_rich_graphs():
     c5 = (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)  # not bipartite, so no template
     bases = [cycle_template(4).adj_masks, c5, cycle_template(6).adj_masks]
     bases += [path_template(k).adj_masks for k in (4, 5, 6)]
-    bases += [_random_masks(rng, rng.randint(3, 6), rng.choice((0.3, 0.5))) for _ in range(18)]
+    bases += [random_masks(rng, rng.randint(3, 6), rng.choice((0.3, 0.5))) for _ in range(18)]
     for trial, base in enumerate(bases):
         n = min(8, len(base) + 1 + trial % 3)
         adj, _ = twin_blow_up(rng, base, [0] * len(base), n)

@@ -29,7 +29,6 @@ from qbmg.errors import (
 from qbmg.fixtures import P5AB, R4
 from qbmg.trees import (
     best_match_graph,
-    lca,
     parse_tree,
     phylogenetic_topologies,
     qbmg_from_tree,
@@ -92,15 +91,6 @@ def test_parse_tree_deep_single_child_nest():
     with pytest.raises(ParseError) as info:
         parse_tree("(" * 3000 + "a=0;")
     assert str(info.value).startswith("expected ',' or ')'")
-
-
-def test_lca_examples():
-    t, _ = parse_tree("((a=0,b=1),c=1);")
-    a, b, c = (t.leaf_by_name(x) for x in "abc")
-    inner = t.parent[a]
-    assert lca(t, a, b) == inner
-    assert lca(t, a, c) == 0
-    assert lca(t, a, a) == a
 
 
 def test_best_match_graph_three_leaves():

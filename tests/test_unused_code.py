@@ -45,16 +45,24 @@ def test_package_has_no_unused_imports():
     assert unused == {}
 
 
-def _references(paths) -> Counter[str]:
+def _references(paths, local_names: bool = True) -> Counter[str]:
     """Identifiers the files refer to: names, attributes, imported names and
     their aliases, and string constants that are identifiers (a ``getattr``
     or ``monkeypatch`` target).  A definition's own name is not among them,
-    and neither is a word in a comment or docstring."""
+    and neither is a word in a comment or docstring.  Without
+    ``local_names``, a bare name that a file outside the package defines as
+    a function or class refers to that definition, not to the package's."""
     refs: Counter[str] = Counter()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set() if local_names or path.parent == PACKAGE else {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs[node.id] += 1
+                if node.id not in defined:
+                    refs[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 refs[node.attr] += 1
             elif isinstance(node, ast.alias):
@@ -82,12 +90,14 @@ def test_package_defines_nothing_left_unnamed():
 
 
 def test_public_definitions_are_reached_from_an_entry_point():
-    refs = _references(
+    paths = [
         path
         for entry in ENTRY_POINTS
         for path in ((ROOT / entry).rglob("*.py") if (ROOT / entry).is_dir() else [ROOT / entry])
         if path != PACKAGE / "__init__.py"  # an export alone reaches nothing
-    )
+    ]
+    # a test helper's own nested function reaches no package function of its name
+    refs = _references(paths, local_names=False)
     assert _unreferenced(refs, public_only=True) == []
 
 
