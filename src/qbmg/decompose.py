@@ -22,7 +22,6 @@ from .digraph import (
     induced_subdigraph,
     iter_bits,
     underlying,
-    weak_components,
 )
 from .errors import Disconnected, NotQbmg
 
@@ -68,7 +67,7 @@ def kos_partition(g: UGraph) -> KosPartition | None:
 
 def is_type_a(g: Digraph) -> bool:
     """Connected, passes recognition, and underlying graph is K+S."""
-    if len(weak_components(g)) != 1:
+    if not underlying(g).is_connected():
         return False
     if not is_qbmg(g):
         return False
@@ -88,7 +87,7 @@ def decompose_type_a(g: Digraph) -> Decomposition:
     """
     if not is_qbmg(g):
         raise NotQbmg("decomposition requires a recognized graph")
-    if len(underlying(g).components()) != 1:
+    if not underlying(g).is_connected():
         raise Disconnected("decomposition requires a connected graph")
 
     parts: list[frozenset[int]] = []

@@ -4,10 +4,11 @@ Vertices are dense integer ids 0..n-1 with unique display names.  All values
 are immutable after construction and all operations are pure functions, so
 they are safe to share across concurrent workers.  A view derived from one
 graph (its underlying graph, its maximal bicliques, its path-freeness) is
-computed once and kept on the graph value it describes; a graph built from
-the masks of a validated one reads its edge set off those masks on first use.
-Connected components come from one core over vertex masks,
-``_component_masks``; a digraph's are kept on its underlying graph.
+computed once and kept on the graph value it describes.  Adjacency masks are
+the stored form of both graph types; the edge set is read off them on first
+use, and a validated build keeps the edge set it was given.  Connected
+components come from one core over vertex masks, ``_component_masks``; a
+digraph's are kept on its underlying graph.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class _memo:
     """A property computed on first read and stored in the instance's
     ``__dict__``, which later reads find first.  Unlike
     ``functools.cached_property`` it takes no lock, and since it defines only
-    ``__get__`` a value a trusted build stored beforehand wins."""
+    ``__get__`` a value a build stored beforehand wins, such as the edge set
+    a validated build was given."""
 
     def __init__(self, func: Callable[[Any], Any]) -> None:
         self.func = func
@@ -65,7 +67,7 @@ def _validate_vertex_table(n: int, colors: tuple[int, ...], names: tuple[str, ..
         raise ValueError("vertex names must be unique")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Digraph:
     """Bipartite two-colored digraph without loops or parallel edges.
 
@@ -75,18 +77,17 @@ class Digraph:
 
     n: int
     colors: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
     names: tuple[str, ...]
     # bit v of out_masks[u] (of in_masks[v] for bit u) is set iff u -> v is an edge
-    out_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    in_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    out_masks: tuple[int, ...]
+    in_masks: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        n, colors, names = self.n, self.colors, self.names
+    def __init__(self, n: int, colors: tuple[int, ...], edges: frozenset[tuple[int, int]],
+                 names: tuple[str, ...]) -> None:
         _validate_vertex_table(n, colors, names)
         out = [0] * n
         inn = [0] * n
-        for u, v in self.edges:
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
@@ -97,8 +98,12 @@ class Digraph:
                 )
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        object.__setattr__(self, "out_masks", tuple(out))
-        object.__setattr__(self, "in_masks", tuple(inn))
+        vars(self).update(n=n, colors=colors, names=names, edges=edges,
+                          out_masks=tuple(out), in_masks=tuple(inn))
+
+    @_memo
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return _mask_edges(self.out_masks, False)
 
     @_memo
     def adj_masks(self) -> tuple[int, ...]:
@@ -139,10 +144,9 @@ def _trusted_digraph(
     oriented: bool = False,
 ) -> Digraph:
     """A ``Digraph`` from masks derived from a validated graph, without the
-    range, loop and color checks of ``Digraph.__post_init__``; its edge set
-    is read off ``out_masks`` on first use.  ``in_masks`` must be the
-    transpose of ``out_masks``, and ``oriented`` (no symmetric pair) must
-    hold when set."""
+    range, loop and color checks of ``Digraph.__init__``.  ``in_masks`` must
+    be the transpose of ``out_masks``, and ``oriented`` (no symmetric pair)
+    must hold when set."""
     g = object.__new__(Digraph)
     vars(g).update(n=n, colors=colors, names=names, out_masks=out_masks, in_masks=in_masks)
     if oriented:
@@ -170,36 +174,37 @@ def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequ
         yield _trusted_digraph(n, colors, names, tuple(out), tuple(inn), oriented)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UGraph:
     """Undirected bipartite graph; edges are normalized (u, v) pairs with u < v."""
 
     n: int
     colors: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
     names: tuple[str, ...]
+    adj_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _validate_vertex_table(self.n, self.colors, self.names)
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+    def __init__(self, n: int, colors: tuple[int, ...], edges: frozenset[tuple[int, int]],
+                 names: tuple[str, ...]) -> None:
+        _validate_vertex_table(n, colors, names)
+        adj = [0] * n
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
-                raise LoopEdge(f"loop at vertex {self.names[u]}")
+                raise LoopEdge(f"loop at vertex {names[u]}")
             if u > v:
                 raise ValueError(f"undirected edge ({u}, {v}) not normalized")
-            if self.colors[u] == self.colors[v]:
+            if colors[u] == colors[v]:
                 raise MonochromaticEdge(
-                    f"edge {self.names[u]} -- {self.names[v]} joins vertices of equal color"
+                    f"edge {names[u]} -- {names[v]} joins vertices of equal color"
                 )
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        vars(self).update(n=n, colors=colors, names=names, edges=edges, adj_masks=tuple(adj))
 
     @_memo
-    def adj_masks(self) -> tuple[int, ...]:
-        m = [0] * self.n
-        for u, v in self.edges:
-            m[u] |= 1 << v
-            m[v] |= 1 << u
-        return tuple(m)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return _mask_edges(self.adj_masks, True)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -214,7 +219,9 @@ class UGraph:
         return memo["_components"]
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """Exactly one component: a single vertex is connected, the graph
+        without vertices is not."""
+        return len(self.components()) == 1
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -224,40 +231,16 @@ def _trusted_ugraph(
     n: int, colors: tuple[int, ...], names: tuple[str, ...], adj_masks: tuple[int, ...]
 ) -> UGraph:
     """A ``UGraph`` from symmetric adjacency masks derived from a validated
-    graph, without the checks of ``UGraph.__post_init__``; its edge set is
-    read off the masks on first use."""
+    graph, without the checks of ``UGraph.__init__``."""
     u = object.__new__(UGraph)
     vars(u).update(n=n, colors=colors, names=names, adj_masks=adj_masks)
     return u
 
 
-def _edge_set(g: "Digraph | UGraph") -> frozenset[tuple[int, int]]:
-    """The ``edges`` field of both graph types.  A graph from a trusted
-    build stores no edge set; it is read off the masks on first use: (u, v)
-    for each bit v of ``out_masks[u]``, or of ``adj_masks[u]`` above u."""
-    d = vars(g)
-    if "_edges" not in d:
-        upper = isinstance(g, UGraph)
-        edges = []
-        for u, m in enumerate(g.adj_masks if upper else g.out_masks):
-            if upper:
-                m &= -(2 << u)
-            while m:
-                low = m & -m
-                m ^= low
-                edges.append((u, low.bit_length() - 1))
-        d["_edges"] = frozenset(edges)
-    return d["_edges"]
-
-
-def _store_edge_set(g: "Digraph | UGraph", edges: frozenset[tuple[int, int]]) -> None:
-    vars(g)["_edges"] = edges
-
-
-# The dataclass __init__ stores the edges field through this property, and a
-# trusted build skips it.  A property on the class, unlike __getattr__, leaves
-# the interpreter's fast path for every other attribute read in place.
-Digraph.edges = UGraph.edges = property(_edge_set, _store_edge_set)  # type: ignore[assignment]
+def _mask_edges(masks: Sequence[int], upper: bool) -> frozenset[tuple[int, int]]:
+    """(u, v) for each bit v of ``masks[u]``, only those above u when ``upper``."""
+    return frozenset((u, v) for u, m in enumerate(masks)
+                     for v in iter_bits(m & -(2 << u) if upper else m))
 
 
 def _component_masks(adj: Sequence[int], within: int) -> list[int]:

@@ -52,6 +52,7 @@ from .digraph import (
     iter_bits,
 )
 from .errors import TooLarge
+from .orientation import ORIENT_MAX_PAIRS
 
 ENUM_MAX_VERTICES = 6
 
@@ -79,11 +80,15 @@ def orientations_of(g: UGraph) -> Iterator[Digraph]:
 
     Raises ``TooLarge`` before the first orientation when g has more than
     ``CANONICAL_MAX_VERTICES`` vertices, beyond which its orientations could
-    not be classified anyway."""
+    not be classified anyway, or when its 3^m orientations exceed the
+    2^``ORIENT_MAX_PAIRS`` that ``all_orientations`` walks at most."""
     if g.n > CANONICAL_MAX_VERTICES:
         raise TooLarge(f"orientation enumeration supports at most {CANONICAL_MAX_VERTICES} vertices")
+    edges = g.sorted_edges()
+    if 3 ** len(edges) > 2 ** ORIENT_MAX_PAIRS:
+        raise TooLarge(f"orientation enumeration supports at most 2^{ORIENT_MAX_PAIRS} orientations")
     # forward, backward, both: edge states 1-3 of ``_state_digraphs``
-    yield from _state_digraphs(g.colors, g.names, g.sorted_edges(), (1, 2, 3))
+    yield from _state_digraphs(g.colors, g.names, edges, (1, 2, 3))
 
 
 def opposite_pairs(colors: Sequence[int]) -> list[tuple[int, int]]:

@@ -46,31 +46,32 @@ EXPLAIN_MAX_LEAVES = 6
 @dataclass(frozen=True)
 class PhyloTree:
     """Rooted phylogenetic tree in preorder; ``names`` holds leaf names
-    (internal nodes carry None)."""
+    (internal nodes carry None).  The parent array is the stored form; the
+    child lists are read off it."""
 
     parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
     names: tuple[str | None, ...]
 
     def __post_init__(self) -> None:
         size = len(self.parent)
-        if not (size == len(self.children) == len(self.names)):
-            raise ValueError("parent, children and names must align")
+        if size != len(self.names):
+            raise ValueError("parent and names must align")
         if size == 0:
             raise ValueError("empty tree")
         if self.parent[0] is not None:
             raise ValueError("node 0 must be the root")
+        child_count = [0] * size
         for node in range(1, size):
             p = self.parent[node]
             if p is None or not (0 <= p < node):
                 raise ValueError("nodes must be in preorder with parents before children")
-        for node in range(size):
-            kids = self.children[node]
-            if len(kids) == 1:
+            child_count[p] += 1
+        for node, (k, name) in enumerate(zip(child_count, self.names)):
+            if k == 1:
                 raise NotPhylogenetic(f"internal node {node} has a single child")
-            if not kids and self.names[node] is None:
+            if not k and name is None:
                 raise ValueError(f"leaf {node} has no name")
-            if kids and self.names[node] is not None:
+            if k and name is not None:
                 raise ValueError(f"internal node {node} must not carry a name")
 
     @property
@@ -78,8 +79,17 @@ class PhyloTree:
         return len(self.parent)
 
     @_memo
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children in increasing id."""
+        kids: list[list[int]] = [[] for _ in self.parent]
+        for node in range(1, self.size):
+            kids[self.parent[node]].append(node)  # type: ignore[index]
+        return tuple(map(tuple, kids))
+
+    @_memo
     def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.size) if not self.children[v])
+        internal = set(self.parent)
+        return tuple(v for v in range(self.size) if v not in internal)
 
     @_memo
     def depth(self) -> tuple[int, ...]:
@@ -115,7 +125,6 @@ class PhyloTree:
 def tree_from_nested(nested: Nested) -> PhyloTree:
     """Build a tree from nested tuples of leaf names, e.g. (("a", "b"), "c")."""
     parent: list[int | None] = []
-    children: list[list[int]] = []
     names: list[str | None] = []
     # preorder with an explicit stack, so deep nests need no recursion
     stack: list[tuple[Nested, int | None]] = [(nested, None)]
@@ -123,15 +132,12 @@ def tree_from_nested(nested: Nested) -> PhyloTree:
         node, par = stack.pop()
         idx = len(parent)
         parent.append(par)
-        children.append([])
-        if par is not None:
-            children[par].append(idx)
         if isinstance(node, str):
             names.append(node)
         else:
             names.append(None)
             stack.extend((child, idx) for child in reversed(node))
-    return PhyloTree(tuple(parent), tuple(tuple(c) for c in children), tuple(names))
+    return PhyloTree(tuple(parent), tuple(names))
 
 
 _LEAF_TOKEN = re.compile(r"([A-Za-z0-9_.+-]+)=([A-Za-z0-9_.+-]*)")
@@ -314,7 +320,10 @@ def _set_partitions(items: tuple[str, ...]) -> Iterator[list[list[str]]]:
 
 def phylogenetic_topologies(names: Sequence[str]) -> Iterator[Nested]:
     """All rooted phylogenetic trees on the given (labeled) leaf set,
-    as nested tuples, in a deterministic order."""
+    as nested tuples, in a deterministic order.  Raises ``TooLarge`` before
+    the first tree for more than ``EXPLAIN_MAX_LEAVES`` leaves."""
+    if len(names) > EXPLAIN_MAX_LEAVES:
+        raise TooLarge(f"topology enumeration supports at most {EXPLAIN_MAX_LEAVES} leaves")
     ordered = tuple(sorted(names))
 
     def gen(leafset: tuple[str, ...]) -> Iterator[Nested]:

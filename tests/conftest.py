@@ -5,6 +5,12 @@ on at most six labeled vertices.  Color-swapped twins carry identical edge
 sets, so the sweep walks one coloring per complement pair; recognized graphs
 are recorded once per distinct (n, edge-set) pair together with the first
 coloring that produced them.
+
+The sweep prunes with ``keep=is_qbmg_masks_delta``, whose precondition holds
+for the reason ``classify_all_qbmgs`` gives: the prefix before the first
+vertex boundary is edgeless and monochromatic.  A rejected prefix with r
+pairs still unset stands for its 4^r completions, which are all counted, so
+``total_graphs`` still counts every graph.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from qbmg.axioms import is_qbmg_masks
-from qbmg.enumeration import halved_colorings, run_mask_sweep
+from qbmg.axioms import is_qbmg_masks_delta
+from qbmg.enumeration import halved_colorings, opposite_pairs, run_mask_sweep
 
 SWEEP_MAX_N = 6
 
@@ -47,16 +53,25 @@ def sweep() -> SweepData:
     distinct: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     for n in range(1, SWEEP_MAX_N + 1):
         for colors in halved_colorings(n):
+            # unset[m]: the pairs still unset when keep tests m vertices
+            pairs = opposite_pairs(colors)
+            unset = [sum(v >= m for _, v in pairs) for m in range(n + 1)]
+
+            def keep(m, out, inn, unset=unset):
+                nonlocal total
+                if is_qbmg_masks_delta(m, out, inn):
+                    return True
+                total += 4 ** unset[m]
+                return False
 
             def visit(out, inn, n=n, colors=colors):
                 nonlocal recognized
-                if is_qbmg_masks(n, out, inn):
-                    recognized += 1
-                    key = (n, tuple(out))
-                    if key not in distinct:
-                        distinct[key] = colors
+                recognized += 1
+                distinct.setdefault((n, tuple(out)), colors)
 
-            total += run_mask_sweep(colors, visit)
+            # keep adds to total during the sweep, so add the return value after it
+            visited = run_mask_sweep(colors, visit, keep)
+            total += visited
     records = tuple(
         SweepRecord(n, out, colors) for (n, out), colors in distinct.items()
     )

@@ -176,6 +176,17 @@ def test_crown_graph_is_bad_input(capsys, tmp_path, verb):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["dominate", "decompose"])
+def test_vertexless_graph_is_disconnected(capsys, tmp_path, verb):
+    # a graph without vertices has no component, so it is not connected
+    path = tmp_path / "empty.dgf"
+    path.write_text(format_dgf(build_digraph(0, (), [])), encoding="utf-8")
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_per_graph_verbs_pinned(capsys, tmp_path):
     # stdout and exit code of each verb on every fixture, text and --json
     pinned = {

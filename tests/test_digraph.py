@@ -113,6 +113,13 @@ def test_weak_components_disjoint_union():
     assert [sorted(c) for c in comps] == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
 
 
+def test_is_connected_means_exactly_one_component():
+    assert not build_ugraph(0, (), []).is_connected()
+    assert build_ugraph(1, (0,), []).is_connected()
+    assert not build_ugraph(2, (0, 1), []).is_connected()
+    assert build_ugraph(2, (0, 1), [(0, 1)]).is_connected()
+
+
 def test_component_masks_match_brute_force_partition():
     # random graphs on 0-12 vertices, often with isolated vertices, and
     # twin blow-ups, each under an empty, a full and a random vertex mask
@@ -293,6 +300,19 @@ def _assert_validated(g) -> None:
     if isinstance(g, Digraph):
         assert (g.out_masks, g.in_masks) == (ref.out_masks, ref.in_masks)
         assert g.symmetric_pairs == ref.symmetric_pairs
+
+
+def test_mask_built_graphs_compare_by_masks():
+    # equality and hashing read the stored masks and build no edge set
+    pairs = []
+    for g in (EX10, P5AB, P4_1):
+        a, b = (induced_subdigraph(g, range(g.n))[0] for _ in range(2))
+        pairs += [(a, b), (underlying(a), underlying(b))]
+    for a, b in pairs:
+        stored = (set(vars(a)), set(vars(b)))
+        assert a == b and hash(a) == hash(b)
+        assert (set(vars(a)), set(vars(b))) == stored
+    assert pairs[0][0] != pairs[2][0] and pairs[1][0] != pairs[3][0]
 
 
 def test_mask_built_graphs_equal_validated_rebuilds(sweep):

@@ -60,6 +60,10 @@ def test_orientations_of_too_large():
     star = build_ugraph(11, (0,) + (1,) * 10, [(0, v) for v in range(1, 11)])
     with pytest.raises(TooLarge):
         next(orientations_of(star))
+    # K5,5 has ten vertices but 3^25 orientations; the templates stop at ten edges
+    k55 = build_ugraph(10, (0,) * 5 + (1,) * 5, [(u, v) for u in range(5) for v in range(5, 10)])
+    with pytest.raises(TooLarge):
+        next(orientations_of(k55))
 
 
 def test_all_bipartite_digraphs_too_large():

@@ -28,6 +28,8 @@ from qbmg.errors import (
 )
 from qbmg.fixtures import P5AB, R4
 from qbmg.trees import (
+    EXPLAIN_MAX_LEAVES,
+    PhyloTree,
     best_match_graph,
     parse_tree,
     phylogenetic_topologies,
@@ -73,6 +75,32 @@ def test_tree_from_nested_numbers_nodes_in_preorder():
     assert t.parent == (None, 0, 1, 1, 0, 0, 5, 5, 7, 7)
     assert t.children[0] == (1, 4, 5)
     assert t.names == (None, None, "a", "b", "c", None, "d", None, "e", "f")
+
+
+def test_children_are_read_off_the_parent_array():
+    rng = random.Random(18)
+    for size in range(1, 16):
+        nested = random_nested(rng, [f"x{i}" for i in range(size)])
+        # child lists of the nested tuples, under preorder ids
+        kids: list[tuple[int, ...]] = []
+
+        def number(node) -> int:
+            idx = len(kids)
+            kids.append(())
+            if not isinstance(node, str):
+                kids[idx] = tuple(number(child) for child in node)
+            return idx
+
+        number(nested)
+        assert tree_from_nested(nested).children == tuple(kids)
+
+
+def test_tree_checks_parent_against_names():
+    with pytest.raises(ValueError, match="parent and names must align"):
+        PhyloTree((None, 0, 0), (None, "a"))
+    t = PhyloTree((None, 0, 1, 1, 0), (None, None, "a", "b", "c"))
+    assert t.children == ((1, 4), (2, 3), (), (), ())
+    assert t.leaves == (2, 3, 4)
 
 
 def test_parse_tree_deep_caterpillar():
@@ -165,6 +193,11 @@ def test_topology_counts():
         topologies = list(phylogenetic_topologies([f"v{i}" for i in range(1, k + 1)]))
         assert len(topologies) == count
         assert hashlib.sha256(repr(topologies).encode()).hexdigest() == digest
+
+
+def test_topologies_too_large():
+    with pytest.raises(TooLarge):
+        next(phylogenetic_topologies([f"v{i}" for i in range(EXPLAIN_MAX_LEAVES + 1)]))
 
 
 def test_search_explanation_p5ab():
