@@ -96,6 +96,8 @@ class Digraph:
                 raise MonochromaticEdge(
                     f"edge {names[u]} -> {names[v]} joins vertices of equal color"
                 )
+            if out[u] >> v & 1:
+                raise DuplicateEdge(f"edge ({u}, {v}) given twice")
             out[u] |= 1 << v
             inn[v] |= 1 << u
         vars(self).update(n=n, colors=colors, names=names, edges=edges,
@@ -198,6 +200,8 @@ class UGraph:
                 raise MonochromaticEdge(
                     f"edge {names[u]} -- {names[v]} joins vertices of equal color"
                 )
+            if adj[u] >> v & 1:
+                raise DuplicateEdge(f"edge {{{u}, {v}}} given twice")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         vars(self).update(n=n, colors=colors, names=names, edges=edges, adj_masks=tuple(adj))
@@ -207,7 +211,7 @@ class UGraph:
         return _mask_edges(self.adj_masks, True)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_masks[u] >> v & 1)
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components ordered by smallest member id; computed once
@@ -394,9 +398,9 @@ class CanonicalForm:
     code: bytes
 
 
-def _swappable_matrix(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[list[bool]]:
-    # swap[u][v]: transposing u and v is an automorphism fixing everything else
-    swap = [[False] * n for _ in range(n)]
+def _swappable_masks(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[int]:
+    # bit v of swap[u]: transposing u and v is an automorphism fixing everything else
+    swap = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             mask = ~((1 << u) | (1 << v))
@@ -406,7 +410,8 @@ def _swappable_matrix(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[
                 continue
             if (rows[u] >> v & 1) != (rows[v] >> u & 1):
                 continue
-            swap[u][v] = swap[v][u] = True
+            swap[u] |= 1 << v
+            swap[v] |= 1 << u
     return swap
 
 
@@ -420,51 +425,50 @@ def canonical_order(
 
     Each search level carries the free vertices in increasing id order with
     their border codes against the vertices placed so far; placing v appends
-    each free w's two bits toward v to its code, so a level costs O(n)."""
-    if n == 0:
-        return [], []
-    swap = _swappable_matrix(n, rows, cols)
-    best: list[int] | None = None
+    each free w's two bits toward v to its code.  A level places only the
+    vertices with its least code, one per set that transpositions swap: the
+    first leaf below that code leaves the best encoding equal to the prefix
+    plus it, so a larger code never wins.  While ``tight`` (the prefix equals
+    the best so far), a child whose least code exceeds the best's is skipped."""
+    swap = _swappable_masks(n, rows, cols)
+    # toward[v][w]: w's two border bits toward v
+    toward = [[(rows[w] >> v & 1) << 1 | (cols[w] >> v & 1) for w in range(n)] for v in range(n)]
+    best: list[int] = []
     best_order: list[int] = []
-    prefix: list[int] = []
+    prefix = [0]
     placed: list[int] = []
 
-    def rec(free: list[int], codes: list[int]) -> None:
-        nonlocal best, best_order
-        if not free:
-            if best is None or prefix < best:
-                best = prefix.copy()
-                best_order = placed.copy()
+    def rec(free: list[int], codes: list[int], tight: bool) -> None:
+        # prefix ends with the least of codes, the code this level places
+        k = len(prefix)
+        if k == n:
+            if not tight:
+                best[:], best_order[:] = prefix, placed + free
             return
-        k = len(placed)
-        groups: dict[int, list[int]] = {}
-        for v, border in zip(free, codes):
-            groups.setdefault(border, []).append(v)
-        for border in sorted(groups):
-            prefix.append(border)
-            if best is not None and prefix > best[: k + 1]:
-                prefix.pop()
-                break  # larger border prefix cannot improve; later borders only grow
-            reps: list[int] = []
-            for v in groups[border]:
-                if any(swap[r][v] for r in reps):
-                    continue
-                reps.append(v)
-            for v in reps:
-                placed.append(v)
-                rec([w for w in free if w != v], [
-                    (code << 2) | (rows[w] >> v & 1) << 1 | (cols[w] >> v & 1)
-                    for w, code in zip(free, codes) if w != v
-                ])
-                placed.pop()
+        border = prefix[-1]
+        reps = 0
+        for i, v in enumerate(free):
+            if codes[i] != border or swap[v] & reps:
+                continue
+            reps |= 1 << v
+            bits = toward[v]
+            child = [(c << 2) | bits[w] for w, c in zip(free, codes)]
+            del child[i]
+            least = min(child)
+            if tight and least > best[k]:
+                continue
+            placed.append(v)
+            prefix.append(least)
+            rec(free[:i] + free[i + 1:], child, tight and least == best[k])
+            placed.pop()
             prefix.pop()
+            tight = True
 
     try:
-        rec(list(range(n)), [0] * n)
+        rec(list(range(n)), [0] * n, False)
     finally:
         # rec's closure refers to rec itself; see run_mask_sweep
         del rec
-    assert best is not None
     return best, best_order
 
 

@@ -281,17 +281,18 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     names = default_names(n)
     everyone = (1 << n) - 1
     # per zero count j: each vertex permutation mapping 0..j-1 onto itself,
-    # with the image of every vertex bitmask under it
-    fixing: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    # as its inverse with the image of every vertex bitmask under it
+    fixing: dict[int, list[tuple[list[int], list[int]]]] = {}
     for j in range(n, (n - 1) // 2, -1):
         fixing[j] = []
         for low_part, high_part in product(permutations(range(j)), permutations(range(j, n))):
             perm = low_part + high_part
-            image = [0] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-            fixing[j].append((perm, image))
+            # doubling: image[mask | 1 << v] is image[mask] | 1 << perm[v] for mask < 1 << v
+            image = [0]
+            for w in perm:
+                bit = 1 << w
+                image += [mask | bit for mask in image]
+            fixing[j].append((_inverse(perm), image))
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
     total = 0
@@ -314,11 +315,8 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
             if (zeros, *moved) in marked:
                 continue  # an earlier flip marked the same images
             marked.add((zeros, *moved))
-            for perm, image in fixing[zeros]:
-                rows = [0] * n
-                for v in range(n):
-                    rows[perm[v]] = image[moved[v]]
-                seen.add(tuple(rows))
+            # moved relabeled by perm: row perm[v] is image[moved[v]]
+            seen.update(tuple([image[moved[v]] for v in inverse]) for inverse, image in fixing[zeros])
         levels, order = canonical_order(n, out, inn)
         position = _inverse(order)
         recolored = [0] * n

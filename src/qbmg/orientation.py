@@ -70,27 +70,23 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
     """
     if g.symmetric_pairs:
         raise NotOriented("topological order requires an orientation (no symmetric pairs)")
-    out, inn = g.out_masks, g.in_masks
-    placed = 0
-    ready = 0
-    for v in range(g.n):
-        if not inn[v]:
-            ready |= 1 << v
+    inn = g.in_masks
+    left = (1 << g.n) - 1
     order: list[int] = []
-    while ready:
-        low = ready & -ready
-        v = low.bit_length() - 1
+    while left:
+        # place the least unplaced vertex with no unplaced in-neighbor
+        rest = left
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if not inn[v] & left:
+                break
+            rest ^= low
+        else:
+            return None
         order.append(v)
-        placed |= low
-        ready ^= low
-        # a successor becomes ready once all of its in-neighbors are placed
-        succ = out[v]
-        while succ:
-            lw = succ & -succ
-            succ ^= lw
-            if not inn[lw.bit_length() - 1] & ~placed:
-                ready |= lw
-    return tuple(order) if len(order) == g.n else None
+        left ^= low
+    return tuple(order)
 
 
 def bitournament_report(g: Digraph) -> BitournamentReport:

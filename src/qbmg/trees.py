@@ -60,10 +60,17 @@ class PhyloTree:
             raise ValueError("empty tree")
         if self.parent[0] is not None:
             raise ValueError("node 0 must be the root")
+        parent = self.parent
         child_count = [0] * size
         for node in range(1, size):
-            p = self.parent[node]
-            if p is None or not (0 <= p < node):
+            p = parent[node]
+            # in preorder a node's parent is the previous node or one of its
+            # ancestors; a walk passes only nodes whose subtrees end here,
+            # so it passes each node at most once
+            q = node - 1
+            while q is not None and q != p:
+                q = parent[q]
+            if q is None:
                 raise ValueError("nodes must be in preorder with parents before children")
             child_count[p] += 1
         for node, (k, name) in enumerate(zip(child_count, self.names)):
@@ -98,13 +105,19 @@ class PhyloTree:
             d[v] = d[self.parent[v]] + 1
         return tuple(d)
 
+    @_memo
+    def _last(self) -> tuple[int, ...]:
+        """The largest node id in each node's subtree; in preorder the
+        subtree of a is the id range a.._last[a]."""
+        last = list(range(self.size))
+        for node in range(self.size - 1, 0, -1):  # descendants before ancestors
+            p = self.parent[node]
+            last[p] = max(last[p], last[node])  # type: ignore[index]
+        return tuple(last)
+
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff a is b or lies on the path from the root to b."""
-        while b is not None and self.depth[b] >= self.depth[a]:
-            if b == a:
-                return True
-            b = self.parent[b]  # type: ignore[assignment]
-        return False
+        return a <= b <= self._last[a]
 
     def root_path(self, x: int) -> tuple[int, ...]:
         """Nodes from the root down to x, inclusive."""

@@ -1,13 +1,16 @@
 import hashlib
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbmg.enumeration
 from helpers import (
     brute_components,
     digraph_from_masks,
+    in_masks_from_out,
     random_masks,
     random_surjective_coloring,
     random_truncation,
@@ -16,6 +19,7 @@ from helpers import (
 )
 from qbmg.digraph import (
     Digraph,
+    UGraph,
     _component_masks,
     build_digraph,
     build_ugraph,
@@ -216,6 +220,65 @@ def test_canonical_order_relabels_to_canonical_levels():
         assert identity_levels(shuffled) >= tuple(levels), name
 
 
+def _levels_under(rows, cols, order) -> list[int]:
+    """The layered border encoding of the masks under the vertex order."""
+    levels = []
+    for k, v in enumerate(order):
+        border = 0
+        for w in order[:k]:
+            border = border << 2 | (rows[v] >> w & 1) << 1 | (cols[v] >> w & 1)
+        levels.append(border)
+    return levels
+
+
+def test_canonical_order_matches_brute_force():
+    # arbitrary arcs (odd cycles and tournaments included) and twin-rich
+    # blow-ups; colors play no part in the encoding
+    rng = random.Random(19)
+    cases = []
+    for trial in range(40):
+        n = rng.randint(0, 7)
+        density = rng.choice((0.2, 0.5, 0.8))
+        cases.append([sum(1 << v for v in range(n) if v != u and rng.random() < density)
+                      for u in range(n)])
+        k = rng.randint(1, 4)
+        base = [sum(1 << v for v in range(k) if v != u and rng.random() < density) for u in range(k)]
+        cases.append(list(twin_blow_up(rng, base, [0] * k, rng.randint(k + 1, 7))[0]))
+    for rows in cases:
+        n = len(rows)
+        cols = in_masks_from_out(n, rows)
+        levels, order = canonical_order(n, rows, cols)
+        assert levels == min(_levels_under(rows, cols, p) for p in permutations(range(n))), rows
+        assert sorted(order) == list(range(n))
+        assert _levels_under(rows, cols, order) == levels, rows
+
+
+def test_canonical_order_pinned_on_classification_inputs(monkeypatch):
+    # (levels, order) for every search that classify_all_qbmgs(n) runs for
+    # n <= 5, then for every fixture; the digest predates the search that
+    # explores only the least border code of each level
+    digest = hashlib.sha256()
+    calls = 0
+
+    def recorded(n, rows, cols):
+        nonlocal calls
+        calls += 1
+        levels, order = canonical_order(n, rows, cols)
+        digest.update(f"{list(rows)} {list(cols)}: {levels} {order}\n".encode())
+        return levels, order
+
+    monkeypatch.setattr(qbmg.enumeration, "canonical_order", recorded)
+    for n in range(6):
+        classify_all_qbmgs(n)
+    assert calls == 1 + 1 + 3 + 9 + 36 + 137
+    for name in sorted(ALL_FIXTURES):
+        g = ALL_FIXTURES[name]
+        levels, order = canonical_order(g.n, g.out_masks, g.in_masks)
+        digest.update(f"{name}: {levels} {order}\n".encode())
+    assert digest.hexdigest() == (
+        "b043f2aa7421aaafd897962cc327aee7cfa60d068332742dfd6842b14db7cfe7")
+
+
 def test_canonical_form_too_large():
     g = build_digraph(11, tuple(i % 2 for i in range(11)), [])
     with pytest.raises(TooLarge):
@@ -245,6 +308,34 @@ def test_masks_and_symmetric_pairs_match_edges():
 def test_digraph_rejects_out_of_range_edge(edge):
     with pytest.raises(ValueError, match="out of range"):
         Digraph(n=3, colors=(0, 1, 0), edges=frozenset({edge}), names=("a", "b", "c"))
+
+
+def test_constructors_reject_a_repeated_edge():
+    names = ("a", "b", "c")
+    with pytest.raises(DuplicateEdge, match=r"edge \(0, 1\) given twice"):
+        Digraph(n=3, colors=(0, 1, 0), edges=[(0, 1), (2, 1), (0, 1)], names=names)
+    with pytest.raises(DuplicateEdge, match=r"edge \{1, 2\} given twice"):
+        UGraph(n=3, colors=(0, 1, 0), edges=[(1, 2), (1, 2)], names=names)
+    # each edge is checked in turn, so an earlier bad edge is reported first
+    with pytest.raises(LoopEdge):
+        Digraph(n=3, colors=(0, 1, 0), edges=[(1, 1), (0, 1), (0, 1)], names=names)
+    with pytest.raises(ValueError, match="not normalized"):
+        UGraph(n=3, colors=(0, 1, 0), edges=[(2, 1), (1, 2), (1, 2)], names=names)
+    # a symmetric pair is two distinct edges
+    both = Digraph(n=3, colors=(0, 1, 0), edges=[(0, 1), (1, 0)], names=names)
+    assert both.symmetric_pairs == ((0, 1),)
+
+
+def test_ugraph_has_edge_reads_the_masks():
+    for g in [*ALL_FIXTURES.values(), *all_bipartite_digraphs(3)]:
+        pairs = {(min(a, b), max(a, b)) for a, b in g.edges}
+        # a fresh copy built from masks, without an edge set
+        und, _ = induced_subdigraph(underlying(g), range(g.n))
+        # in range, out of range on either side, and u == v
+        for u in range(-2, g.n + 2):
+            for v in range(-2, g.n + 2):
+                assert und.has_edge(u, v) == ((min(u, v), max(u, v)) in pairs), (u, v)
+        assert "edges" not in vars(und)
 
 
 def test_digraph_rejects_loop_and_monochromatic_edge():

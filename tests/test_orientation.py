@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import naive_topological_order
@@ -117,16 +119,26 @@ def test_topological_order_none_on_directed_cycle():
 
 
 def test_topological_order_matches_naive_scan():
-    # every orientation of every fixture, then every oriented bipartite
-    # digraph on four vertices, directed cycles included
+    # every orientation of every fixture, every oriented bipartite digraph
+    # on four vertices, then seeded random oriented bipartite digraphs with
+    # up to 12 vertices, directed cycles included
     graphs = [o for g in ALL_FIXTURES.values() for o in all_orientations(g)]
     graphs += [g for g in all_bipartite_digraphs(4) if not g.symmetric_pairs]
-    cyclic = 0
+    rng = random.Random(26)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        colors = [rng.randrange(2) for _ in range(n)]
+        density = rng.random()
+        edges = [rng.choice(((u, v), (v, u))) for u in range(n) for v in range(u + 1, n)
+                 if colors[u] != colors[v] and rng.random() < density]
+        graphs.append(build_digraph(n, colors, edges))
+    cyclic = large_cyclic = 0
     for g in graphs:
         order = topological_order(g)
         assert order == naive_topological_order(g)
         cyclic += order is None
-    assert cyclic > 0
+        large_cyclic += order is None and g.n > 8
+    assert cyclic > large_cyclic > 0
 
 
 def test_all_orientations_too_large_before_any_work():

@@ -103,6 +103,23 @@ def test_tree_checks_parent_against_names():
     assert t.leaves == (2, 3, 4)
 
 
+def test_tree_rejects_parent_array_out_of_preorder():
+    # the same tree under breadth-first ids: leaf 2 hangs off the root
+    # before the children of node 1
+    with pytest.raises(ValueError, match="nodes must be in preorder"):
+        PhyloTree((None, 0, 0, 1, 1), (None, None, "a", "b", "c"))
+
+
+def test_is_ancestor_matches_parent_walk():
+    rng = random.Random(43)
+    for size in range(1, 20):
+        t = tree_from_nested(random_nested(rng, [f"x{i}" for i in range(size)]))
+        for b in range(t.size):
+            on_path = t.root_path(b)  # walks the parent array up from b
+            for a in range(t.size):
+                assert t.is_ancestor(a, b) == (a in on_path), (size, a, b)
+
+
 def test_parse_tree_deep_caterpillar():
     n = 1200
     t, sigma = parse_tree(caterpillar_newick([1] + [0] * (n - 1)))
