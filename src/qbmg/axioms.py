@@ -11,8 +11,8 @@ Violation finders return the lexicographically first witness tuple so reports
 are deterministic.  ``is_qbmg_masks`` is a boolean-only fast path over
 adjacency bitmasks used by the exhaustive generators; the test suite checks
 it against ``recognize`` and against a naive quantifier scan.
-``is_qbmg_masks_delta`` gives the same verdict for a graph grown by one
-vertex from a passing one, testing only the tuples through that vertex.
+``_admissible_rows`` derives from N1-N3 every row a new vertex can take over
+a recognized prefix, so ``classify_all_qbmgs`` grows only recognized graphs.
 
 The finders and the kernel stay separate.  A finder names the
 lexicographically first witness, with u the outermost loop.  The kernel
@@ -22,13 +22,13 @@ witness.  Over the 43,321 graphs of the n <= 5 mask sweep the three finders
 take 1.2 times the kernel's time (0.26 s against 0.22 s, best of 7, Python
 3.11 on 2 vCPUs), so one kernel serving both would slow the sweep by that.
 
-The full and the delta kernel stay separate too.  Chained over m = 1..n,
-``is_qbmg_masks_delta`` gives the verdict of ``is_qbmg_masks`` on all
-3,653,946 graphs of the n <= 6 sweep at about its speed (17.1-18.1 against
-16.6-17.4 s), but costs 2.2-2.8 times as much per graph on the benchmark's
-tree-built graphs (56-60 against 20-24 us) and explain graphs (18-23
-against 7-10 us).  As the prefix test of ``classify_all_qbmgs`` the full
-kernel takes n = 5 from 52-64 to 68-76 ms and n = 6 from 1.25 to 1.66 s.
+The rows replace a test of each state.  Before them, ``classify_all_qbmgs``
+tested all 4^c states of a new vertex's c opposite-color pairs with a kernel
+that checks only the tuples through that vertex (``is_qbmg_masks_delta``,
+now the rows' test oracle in ``tests/helpers.py``).  At the last vertex it
+rejected 2,934 of 4,353 states for n = 5 and 115,022 of 140,929 for n = 6.
+Deriving the rows took ``classify_all_qbmgs(7)``, run with its vertex cap
+raised, from 7.9 to 2.5-3.3 s (Python 3.11 on 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -197,95 +197,103 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
     return True
 
 
-def is_qbmg_masks_delta(m: int, out: Sequence[int], inn: Sequence[int]) -> bool:
-    """``is_qbmg_masks(m, out, inn)`` for masks on vertices 0..m-1 (m >= 1)
-    whose subgraph on 0..m-2 is known to pass; only the tuples through the
-    newest vertex x = m-1 are tested.
+def _admissible_rows(x: int, opposite: int, out: Sequence[int], inn: Sequence[int]) -> list[tuple[int, int]]:
+    """The rows (O, I) that keep the graph recognized when vertex x joins a
+    recognized prefix on 0..x-1: x gets the edges x -> w for w in O and
+    u -> x for u in I, both subsets of ``opposite``, the mask of its
+    opposite-colored predecessors; every edge of the prefix joins one of
+    those to a vertex of x's color.  The rows come in the order the per-pair
+    sweep meets them: pairs (u, x) by increasing u, the first varying
+    slowest, each through no edge, u -> x, both and x -> u.
 
-    A tuple without x keeps its verdict, since x changes no edge among the
-    other vertices.  N1 and N2 are tested with x in each of their four
-    roles, over three masks: ``two`` (ends of 2-paths from x), ``reach``
-    (sources of edges into out[x], x included) and ``back`` (sources of
-    2-paths into x).  For N3 the out-sets that changed are those of x and of
-    its in-neighbors, so only pairs holding one of them are compared.  The
-    checks that reject most often on the n = 6 sweep's prefixes run first.
+    A tuple without x keeps its verdict, so the rows follow from N1-N3 with
+    x in each role (names as in the finders):
+
+    * on I alone: N2 with x as t closes I under in-neighbors of
+      in-neighbors; N1 with x as w makes each in-neighbor of a vertex of I
+      adjacent to all of I; N3 among x's in-neighbors, whose out-sets all
+      gain x, makes their nonempty out-sets meet, and brings in each vertex
+      whose out-set strictly contains a nonempty one in I;
+    * a bound on O per I: N1 with x as t (the in-neighbors of each w in O
+      are adjacent to all of I), N2 with x as v (out[w] lies within out[u]
+      for u in I) and N2 with x as w (O lies within the out-set of each
+      in-neighbor of I);
+    * on O alone: N2 with x as u closes O under out-neighbors of
+      out-neighbors, and N3 makes O nested with or disjoint from each
+      out-set of x's color;
+    * what I must hold per O: N1 with x as u and as v makes each vertex
+      that shares an out-neighbor with a vertex of O, or has a 2-path into
+      one, adjacent to x.
+
+    Each condition is tabled per vertex of ``opposite``, then per subset j
+    (bit i for its i-th vertex) from the subset without its lowest vertex.
     """
-    x = m - 1
-    ox, ix = out[x], inn[x]
-    two = reach = 0
-    rest = ox
-    while rest:
-        lw = rest & -rest
-        rest ^= lw
-        w = lw.bit_length() - 1
-        two |= out[w]
-        reach |= inn[w]
-    # N1 with x as t and N2 with x as v, per in-neighbor u of x
-    back = 0
-    rest = ix
-    while rest:
-        lu = rest & -rest
-        rest ^= lu
-        u = lu.bit_length() - 1
-        ou = out[u]
-        if reach & ~(ou | inn[u] | lu) or two & ~ou:
-            return False
-        back |= inn[u]
-    # N2 with x as u (out[w] within out[x]), then N1 with x as u (every
-    # in-neighbor of some w in two is adjacent to x)
-    adjx = ox | ix | 1 << x
-    srcs = 0
-    rest = two
-    while rest:
-        lw = rest & -rest
-        rest ^= lw
-        w = lw.bit_length() - 1
-        if out[w] & ~ox:
-            return False
-        srcs |= inn[w]
-    if srcs & ~adjx:
-        return False
-    # N1 and N2 with x as w, per u in back; then N2 with x as t (every
-    # source of a 2-path into some v in back is an in-neighbor of x)
-    srcs = 0
-    rest = back
-    while rest:
-        lu = rest & -rest
-        rest ^= lu
-        u = lu.bit_length() - 1
-        ou = out[u]
-        if ix & ~(ou | inn[u] | lu) or ox & ~ou:
-            return False
-        srcs |= inn[u]
-    if srcs & ~ix:
-        return False
-    # N1 with x as v: every in-neighbor of some t in reach is adjacent to x
-    srcs = 0
-    rest = reach
-    while rest:
-        lt = rest & -rest
-        rest ^= lt
-        srcs |= inn[lt.bit_length() - 1]
-    if srcs & ~adjx:
-        return False
-    # (N3): x against every earlier vertex, then each in-neighbor of x
-    # (whose out-set gained x) against every earlier vertex
-    for a in range(x):
-        oa = out[a]
-        c = ox & oa
-        if c and c != ox and c != oa:
-            return False
-    rest = ix
-    while rest:
-        lu = rest & -rest
-        rest ^= lu
-        ou = out[lu.bit_length() - 1]
-        for b in range(x):
+    ps = [v for v in range(x) if opposite >> v & 1]
+    same = [v for v in range(x) if not opposite >> v & 1]
+    # per vertex p of ps: what p in I asks of I (within, closure) and of O
+    # (bound), and what p in O asks of O (closure) and of I (need)
+    tables = []
+    for p in ps:
+        op, ip = out[p], inn[p]
+        two = reach = back = up = 0
+        within = bound = opposite
+        for a in same:
+            if op >> a & 1:
+                two |= out[a]
+                reach |= inn[a]
+            if ip >> a & 1:
+                back |= inn[a]
+                within &= out[a] | inn[a]
+                bound &= out[a]
+        adj = op | ip
+        for b in ps:
             ob = out[b]
-            c = ou & ob
-            if c and c != ou and c != ob:
-                return False
-    return True
+            if op and ob:
+                shared = ob & op
+                if not shared:
+                    within &= ~(1 << b)
+                elif shared == op != ob:
+                    up |= 1 << b
+            if inn[b] & ~adj or ob & ~op:
+                bound &= ~(1 << b)
+        tables.append((within, back | up, bound, two, reach | back))
+    c = len(ps)
+    size = 1 << c
+    # spread[j] has bit 2(c-1-i) for each bit i of j, so that the key
+    # spread[jo] << 1 | spread[jo ^ ji] orders rows as the sweep does
+    subset, spread, in_closed, out_closed, out_need = ([0] * size for _ in range(5))
+    in_within, out_bound = [opposite] * size, [opposite] * size
+    outs = [(0, 0, 0)]  # (jo, O, what I must hold) for each O meeting its own conditions
+    for j in range(1, size):
+        low = j & -j
+        rest = j ^ low
+        i = low.bit_length() - 1
+        within, closure, bound, two, need = tables[i]
+        s = subset[j] = subset[rest] | 1 << ps[i]
+        spread[j] = spread[rest] | 1 << 2 * (c - 1 - i)
+        in_within[j] = in_within[rest] & within
+        in_closed[j] = in_closed[rest] | closure
+        out_bound[j] = out_bound[rest] & bound
+        out_closed[j] = out_closed[rest] | two
+        out_need[j] = out_need[rest] | need
+        if out_closed[j] & ~s:
+            continue
+        for a in same:
+            shared = s & out[a]
+            if shared and shared != s and shared != out[a]:
+                break
+        else:
+            outs.append((j, s, out_need[j] & ~s))
+    rows: list[tuple[int, int, int]] = []
+    for j in range(size):
+        s = subset[j]
+        if s & ~in_within[j] or in_closed[j] & ~s:
+            continue
+        beyond = ~out_bound[j]
+        rows += [(spread[jo] << 1 | spread[jo ^ j], o, s) for jo, o, needs in outs
+                 if not o & beyond and not needs & ~s]
+    rows.sort()
+    return [(o, i) for _, o, i in rows]
 
 
 def is_qbmg(g: Digraph) -> bool:

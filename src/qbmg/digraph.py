@@ -82,9 +82,11 @@ class Digraph:
     out_masks: tuple[int, ...]
     in_masks: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __init__(self, n: int, colors: tuple[int, ...], edges: frozenset[tuple[int, int]],
+    def __init__(self, n: int, colors: tuple[int, ...], edges: Iterable[tuple[int, int]],
                  names: tuple[str, ...]) -> None:
         _validate_vertex_table(n, colors, names)
+        # read an iterator once; a frozenset is stored as it is
+        edges = edges if isinstance(edges, frozenset) else tuple(edges)
         out = [0] * n
         inn = [0] * n
         for u, v in edges:
@@ -100,7 +102,7 @@ class Digraph:
                 raise DuplicateEdge(f"edge ({u}, {v}) given twice")
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        vars(self).update(n=n, colors=colors, names=names, edges=edges,
+        vars(self).update(n=n, colors=colors, names=names, edges=frozenset(edges),
                           out_masks=tuple(out), in_masks=tuple(inn))
 
     @_memo
@@ -185,9 +187,11 @@ class UGraph:
     names: tuple[str, ...]
     adj_masks: tuple[int, ...]
 
-    def __init__(self, n: int, colors: tuple[int, ...], edges: frozenset[tuple[int, int]],
+    def __init__(self, n: int, colors: tuple[int, ...], edges: Iterable[tuple[int, int]],
                  names: tuple[str, ...]) -> None:
         _validate_vertex_table(n, colors, names)
+        # read an iterator once; a frozenset is stored as it is
+        edges = edges if isinstance(edges, frozenset) else tuple(edges)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -204,7 +208,7 @@ class UGraph:
                 raise DuplicateEdge(f"edge {{{u}, {v}}} given twice")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        vars(self).update(n=n, colors=colors, names=names, edges=edges, adj_masks=tuple(adj))
+        vars(self).update(n=n, colors=colors, names=names, edges=frozenset(edges), adj_masks=tuple(adj))
 
     @_memo
     def edges(self) -> frozenset[tuple[int, int]]:

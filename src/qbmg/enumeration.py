@@ -7,11 +7,11 @@ recognized graph (used for the template counts and ``verify``).
 ``run_mask_sweep`` walks every per-pair edge state of one coloring over
 reused bitmasks, without building graphs, setting the pairs vertex by vertex
 so that an optional ``keep`` test can prune a rejected induced prefix with
-all of its completions.  ``classify_all_qbmgs`` drives it with
-``keep=is_qbmg_masks_delta``, which tests only the axiom tuples through the
-newest vertex because the sweep calls it only on extensions of a prefix that
-passed (recognition is hereditary, so no recognized graph is pruned).
-Recognition is invariant under relabeling, so it sweeps one sorted coloring
+all of its completions.  ``classify_all_qbmgs`` walks the same way but
+never meets a graph that fails: each new vertex takes only the rows that
+``_admissible_rows`` derives for its recognized prefix, which are the
+states the pruned sweep would keep, in the sweep's order.
+Recognition is invariant under relabeling, so it walks one sorted coloring
 ``(0,)*k + (1,)*(n-k)`` per color-class size k >= n/2 and weights each
 recognized edge set by the number of colorings with those class sizes,
 complements included.  It runs one canonical search per isomorphism class:
@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import fixtures
-from .axioms import is_qbmg_masks, is_qbmg_masks_delta, recognize
+from .axioms import _admissible_rows, is_qbmg_masks, recognize
 from .digraph import (
     CANONICAL_MAX_VERTICES,
     CanonicalForm,
@@ -231,14 +231,10 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     with one canonical form per class instead of one per recognized graph.
 
     Only the sorted colorings ``(0,)*k + (1,)*(n-k)`` for k from n down to
-    ceil(n/2) are swept, on masks with ``keep=is_qbmg_masks_delta``, so a
-    prefix that fails recognition is never extended and only recognized edge
-    sets reach the visitor.  The delta kernel assumes the prefix without its
-    newest vertex passes.  That holds at every call: the sweep calls
-    ``keep`` only at vertex boundaries, each after the previous boundary's
-    call accepted, and vertices before the first boundary have no
-    opposite-color vertex before them, so they form an edgeless
-    monochromatic prefix, which passes trivially.
+    ceil(n/2) are walked, vertex by vertex over the admissible rows of each
+    new vertex (``_recognized_edge_sets``), so only recognized edge sets
+    reach the visitor, in the order the sweep pruned by recognition meets
+    them.
 
     ``total_filtered`` counts recognized (coloring, edge set) pairs over all
     2^n colorings, as the reference does.  Any coloring with k zeros is a
@@ -297,11 +293,15 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
     total = 0
 
-    def visit(out: list[int], inn: list[int]) -> None:
+    def visit(out: tuple[int, ...]) -> None:
         nonlocal total
         total += weight
-        if tuple(out) in seen:
+        if out in seen:
             return
+        inn = [0] * n
+        for u, mask in enumerate(out):
+            for v in iter_bits(mask):
+                inn[v] |= 1 << u
         comps = _component_masks([o | i for o, i in zip(out, inn)], everyone)
         marked = set()
         for flips in product((0, 1), repeat=len(comps)):
@@ -333,8 +333,39 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
         weight = comb(n, k) * (1 if 2 * k == n else 2)
         colors = (0,) * k + (1,) * (n - k)
         ones = everyone & -(1 << k)
-        run_mask_sweep(colors, visit, keep=is_qbmg_masks_delta)
+        _recognized_edge_sets(colors, visit)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
+
+
+def _recognized_edge_sets(colors: Sequence[int], visit: Callable[[tuple[int, ...]], None]) -> None:
+    """Call ``visit(out_masks)`` with the out-masks of every recognized edge
+    set of the coloring, once each.  The graph grows vertex by vertex, and
+    each new vertex takes only the rows ``_admissible_rows`` derives for its
+    prefix.  That prefix is recognized, as the derivation requires: it is
+    empty or was itself grown by an admissible row."""
+    n = len(colors)
+    if not n:
+        visit(())
+        return
+    opposite = [sum(1 << u for u in range(x) if colors[u] != colors[x]) for x in range(n)]
+
+    def rec(x: int, out: tuple[int, ...], inn: tuple[int, ...]) -> None:
+        bit = 1 << x
+        heads: dict[int, tuple[int, ...]] = {}  # out-masks of 0..x-1 per in-row of x
+        for o, i in _admissible_rows(x, opposite[x], out, inn):
+            head = heads.get(i)
+            if head is None:
+                head = heads[i] = tuple([m | bit if i >> u & 1 else m for u, m in enumerate(out)])
+            if x == n - 1:
+                visit(head + (o,))
+            else:
+                rec(x + 1, head + (o,), tuple([m | bit if o >> w & 1 else m for w, m in enumerate(inn)]) + (i,))
+
+    try:
+        rec(0, (), ())
+    finally:
+        # rec's closure refers to rec itself; see run_mask_sweep
+        del rec
 
 
 def _inverse(order: Sequence[int]) -> list[int]:

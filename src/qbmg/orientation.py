@@ -70,12 +70,12 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
     """
     if g.symmetric_pairs:
         raise NotOriented("topological order requires an orientation (no symmetric pairs)")
-    inn = g.in_masks
-    left = (1 << g.n) - 1
+    out, inn = g.out_masks, g.in_masks
+    left = rest = (1 << g.n) - 1
     order: list[int] = []
     while left:
-        # place the least unplaced vertex with no unplaced in-neighbor
-        rest = left
+        # place the least unplaced vertex with no unplaced in-neighbor; each
+        # unplaced vertex outside rest has one
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
@@ -86,6 +86,10 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
             return None
         order.append(v)
         left ^= low
+        # placing v frees only out-neighbors of v, so the scan goes on above
+        # v with those added; a vertex enters rest once, then once per
+        # in-edge, so all scans take at most n + m steps
+        rest = rest ^ low | out[v] & left
     return tuple(order)
 
 

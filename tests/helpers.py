@@ -58,6 +58,99 @@ def naive_is_qbmg(g: Digraph) -> bool:
     return not (naive_violates_n1(g) or naive_violates_n2(g) or naive_violates_n3(g))
 
 
+def is_qbmg_masks_delta(m: int, out: Sequence[int], inn: Sequence[int]) -> bool:
+    """``is_qbmg_masks(m, out, inn)`` for masks on vertices 0..m-1 (m >= 1)
+    whose subgraph on 0..m-2 is known to pass; only the tuples through the
+    newest vertex x = m-1 are tested.  It prunes the shared sweep fixture,
+    and run over all 4^c states of a new vertex it is the oracle for the
+    rows ``_admissible_rows`` derives.
+
+    A tuple without x keeps its verdict, since x changes no edge among the
+    other vertices.  N1 and N2 are tested with x in each of their four
+    roles, over three masks: ``two`` (ends of 2-paths from x), ``reach``
+    (sources of edges into out[x], x included) and ``back`` (sources of
+    2-paths into x).  For N3 the out-sets that changed are those of x and of
+    its in-neighbors, so only pairs holding one of them are compared.  The
+    checks that reject most often on the n = 6 sweep's prefixes run first.
+    """
+    x = m - 1
+    ox, ix = out[x], inn[x]
+    two = reach = 0
+    rest = ox
+    while rest:
+        lw = rest & -rest
+        rest ^= lw
+        w = lw.bit_length() - 1
+        two |= out[w]
+        reach |= inn[w]
+    # N1 with x as t and N2 with x as v, per in-neighbor u of x
+    back = 0
+    rest = ix
+    while rest:
+        lu = rest & -rest
+        rest ^= lu
+        u = lu.bit_length() - 1
+        ou = out[u]
+        if reach & ~(ou | inn[u] | lu) or two & ~ou:
+            return False
+        back |= inn[u]
+    # N2 with x as u (out[w] within out[x]), then N1 with x as u (every
+    # in-neighbor of some w in two is adjacent to x)
+    adjx = ox | ix | 1 << x
+    srcs = 0
+    rest = two
+    while rest:
+        lw = rest & -rest
+        rest ^= lw
+        w = lw.bit_length() - 1
+        if out[w] & ~ox:
+            return False
+        srcs |= inn[w]
+    if srcs & ~adjx:
+        return False
+    # N1 and N2 with x as w, per u in back; then N2 with x as t (every
+    # source of a 2-path into some v in back is an in-neighbor of x)
+    srcs = 0
+    rest = back
+    while rest:
+        lu = rest & -rest
+        rest ^= lu
+        u = lu.bit_length() - 1
+        ou = out[u]
+        if ix & ~(ou | inn[u] | lu) or ox & ~ou:
+            return False
+        srcs |= inn[u]
+    if srcs & ~ix:
+        return False
+    # N1 with x as v: every in-neighbor of some t in reach is adjacent to x
+    srcs = 0
+    rest = reach
+    while rest:
+        lt = rest & -rest
+        rest ^= lt
+        srcs |= inn[lt.bit_length() - 1]
+    if srcs & ~adjx:
+        return False
+    # (N3): x against every earlier vertex, then each in-neighbor of x
+    # (whose out-set gained x) against every earlier vertex
+    for a in range(x):
+        oa = out[a]
+        c = ox & oa
+        if c and c != ox and c != oa:
+            return False
+    rest = ix
+    while rest:
+        lu = rest & -rest
+        rest ^= lu
+        ou = out[lu.bit_length() - 1]
+        for b in range(x):
+            ob = out[b]
+            c = ou & ob
+            if c and c != ou and c != ob:
+                return False
+    return True
+
+
 # --- brute-force induced path / cycle / biclique oracles
 
 

@@ -2,26 +2,27 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
     digraph_from_masks,
+    is_qbmg_masks_delta,
     naive_is_qbmg,
     naive_violates_n1,
     naive_violates_n2,
     naive_violates_n3,
 )
 from qbmg.axioms import (
+    _admissible_rows,
     find_n1_violation,
     find_n2_violation,
     find_n3_violation,
     is_hereditary_on,
     is_qbmg_masks,
-    is_qbmg_masks_delta,
     recognize,
 )
-from qbmg.digraph import build_digraph, underlying
+from qbmg.digraph import build_digraph, iter_bits, underlying
 from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
 from qbmg.errors import NotQbmg
 from qbmg.fixtures import (
@@ -239,6 +240,76 @@ def test_delta_kernel_matches_full_kernel_on_random_extensions(data):
     low = (1 << (m - 1)) - 1
     assert is_qbmg_masks(m - 1, [o & low for o in out], [i & low for i in inn])
     assert is_qbmg_masks_delta(m, out, inn) == is_qbmg_masks(m, out, inn)
+
+
+def _oracle_rows(x, opposite, out, inn):
+    """The rows (O, I) of vertex x among all 4^c states of its pairs that
+    the delta kernel accepts, in the per-pair sweep's order: pairs (u, x)
+    for u ascending, the first varying slowest, each through no edge,
+    u -> x, both and x -> u."""
+    us = list(iter_bits(opposite))
+    rows = []
+    for states in product((0, 1, 3, 2), repeat=len(us)):
+        i = sum(1 << u for u, state in zip(us, states) if state & 1)
+        o = sum(1 << u for u, state in zip(us, states) if state & 2)
+        if is_qbmg_masks_delta(x + 1, *_grow(out, inn, x, o, i)):
+            rows.append((o, i))
+    return rows
+
+
+def _grow(out, inn, x, o, i):
+    """The masks with vertex x added by the row (O, I)."""
+    bit = 1 << x
+    return ([m | bit if i >> u & 1 else m for u, m in enumerate(out)] + [o],
+            [m | bit if o >> u & 1 else m for u, m in enumerate(inn)] + [i])
+
+
+def _rows_checked_along_walk(colors):
+    # every prefix the walk over admissible rows reaches; returns their count
+    checked = 0
+
+    def rec(out, inn):
+        nonlocal checked
+        x = len(out)
+        if x == len(colors):
+            return
+        opposite = sum(1 << u for u in range(x) if colors[u] != colors[x])
+        rows = _admissible_rows(x, opposite, out, inn)
+        assert rows == _oracle_rows(x, opposite, out, inn), (colors, out, inn)
+        checked += 1
+        for o, i in rows:
+            rec(*_grow(out, inn, x, o, i))
+
+    rec([], [])
+    return checked
+
+
+def test_admissible_rows_match_the_delta_kernel_along_the_walk():
+    # every halved coloring for n <= 5, then the sorted colorings for n = 6
+    # that classify_all_qbmgs walks
+    prefixes = [
+        sum(_rows_checked_along_walk(colors) for colors in halved_colorings(n))
+        for n in range(6)
+    ]
+    prefixes.append(sum(_rows_checked_along_walk((0,) * k + (1,) * (6 - k)) for k in range(6, 2, -1)))
+    assert prefixes == [0, 1, 4, 18, 134, 1_658, 1_503]
+
+
+@seed(2025)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_admissible_rows_match_the_delta_kernel_on_random_prefixes(data):
+    # a random coloring of 7 or 8 vertices; each vertex takes a random row
+    # among those the delta kernel accepts, and the rows of each prefix are
+    # compared on the way
+    n = data.draw(st.integers(7, 8))
+    colors = [data.draw(st.integers(0, 1)) for _ in range(n)]
+    out, inn = [], []
+    for x in range(n):
+        opposite = sum(1 << u for u in range(x) if colors[u] != colors[x])
+        rows = _oracle_rows(x, opposite, out, inn)
+        assert _admissible_rows(x, opposite, out, inn) == rows
+        out, inn = _grow(out, inn, x, *data.draw(st.sampled_from(rows)))
 
 
 def test_hereditary_ex10():

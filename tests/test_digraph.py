@@ -21,6 +21,8 @@ from qbmg.digraph import (
     Digraph,
     UGraph,
     _component_masks,
+    _trusted_digraph,
+    _trusted_ugraph,
     build_digraph,
     build_ugraph,
     canonical_form,
@@ -324,6 +326,27 @@ def test_constructors_reject_a_repeated_edge():
     # a symmetric pair is two distinct edges
     both = Digraph(n=3, colors=(0, 1, 0), edges=[(0, 1), (1, 0)], names=names)
     assert both.symmetric_pairs == ((0, 1),)
+
+
+@pytest.mark.parametrize("make", [iter, list, lambda edges: (e for e in edges)])
+def test_constructors_store_any_iterable_of_edges_as_a_frozenset(make):
+    names = ("a", "b", "c")
+    arcs = [(0, 1), (1, 0), (2, 1)]
+    g = Digraph(n=3, colors=(0, 1, 0), edges=make(arcs), names=names)
+    masked = _trusted_digraph(3, (0, 1, 0), names, (0b010, 0b001, 0b010), (0b010, 0b101, 0))
+    assert type(g.edges) is frozenset and g.edges == frozenset(arcs)
+    assert g == masked and hash(g) == hash(masked)
+    assert g.sorted_edges() == sorted(arcs) and g.edges ^ {(0, 1)} == {(1, 0), (2, 1)}
+    pairs = [(0, 1), (1, 2)]
+    u = UGraph(n=3, colors=(0, 1, 0), edges=make(pairs), names=names)
+    masked_u = _trusted_ugraph(3, (0, 1, 0), names, (0b010, 0b101, 0b010))
+    assert type(u.edges) is frozenset and u.edges == frozenset(pairs)
+    assert u == masked_u and hash(u) == hash(masked_u)
+    # a frozenset is kept as it is
+    given = frozenset(arcs)
+    assert Digraph(n=3, colors=(0, 1, 0), edges=given, names=names).edges is given
+    with pytest.raises(DuplicateEdge):
+        Digraph(n=3, colors=(0, 1, 0), edges=make([(0, 1), (0, 1)]), names=names)
 
 
 def test_ugraph_has_edge_reads_the_masks():

@@ -22,6 +22,7 @@ from qbmg.digraph import (
     underlying,
 )
 from qbmg.enumeration import (
+    _recognized_edge_sets,
     all_bipartite_digraphs,
     classify_all_qbmgs,
     classify_qbmgs,
@@ -134,6 +135,19 @@ def test_pruned_sweep_visits_exactly_the_recognized_graphs(n):
         assert pruned == accepted
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_recognized_edge_sets_follow_the_pruned_sweep(n):
+    # the walk over admissible rows meets the recognized edge sets of each
+    # coloring in the order of the sweep pruned by the full kernel, so each
+    # class is first found by the same member as under that sweep
+    for colors in product((0, 1), repeat=n):
+        swept = []
+        run_mask_sweep(colors, lambda out, inn: swept.append(tuple(out)), is_qbmg_masks)
+        walked = []
+        _recognized_edge_sets(colors, walked.append)
+        assert walked == swept, colors
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_classify_all_matches_labeled_reference(n):
     fast = classify_all_qbmgs(n)
@@ -164,6 +178,24 @@ def test_classify_all_pinned(n):
     classes, filtered, digest = ALL_PINNED[n]
     assert (report["class_count"], report["total_filtered"]) == (classes, filtered)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the text form ``enumerate --all n``, taken before the sweep
+# became a walk over admissible rows
+ALL_TEXT_PINNED = {
+    0: "ddb6412ec3e96cc97db35b8e5efe97d36e0a658973e57732276dcc359366f87b",
+    1: "9523b7720e238441614ef5b87c217040df77e765163b16258da26b4b65ef64e5",
+    2: "d50d0e2f7685f5bd6a779f10fd79d5e3be15563daaf0c1da56a713f2d0cfa23e",
+    3: "5db7c1d71e577bdbc7bdaf7aa5fb7f2e92b9a4185367ea2dc1fa6bad1b77e9bc",
+    4: "bb80ad3a70f3fe020c28cf60e1456095208ce024569a3fc9b48e2bebfa5c152a",
+    5: "65bccd7eb365e6afa608756fea600ccb7ca3a75a1da9de3238fb10f68777a929",
+    6: "7e7619be99715c399fd22113770c68ee2242837b467845be8bc993f4b743ec1e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ALL_TEXT_PINNED))
+def test_classify_all_text_pinned(n):
+    assert _stdout_sha256(["enumerate", "--all", str(n)]) == ALL_TEXT_PINNED[n]
 
 
 def _stdout_sha256(argv: list[str]) -> str:
