@@ -197,14 +197,14 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
     return True
 
 
-def _admissible_rows(x: int, opposite: int, out: Sequence[int], inn: Sequence[int]) -> list[tuple[int, int]]:
+def _admissible_rows(x: int, opposite: int, out: Sequence[int],
+                     inn: Sequence[int]) -> list[tuple[int, list[int]]]:
     """The rows (O, I) that keep the graph recognized when vertex x joins a
     recognized prefix on 0..x-1: x gets the edges x -> w for w in O and
     u -> x for u in I, both subsets of ``opposite``, the mask of its
     opposite-colored predecessors; every edge of the prefix joins one of
-    those to a vertex of x's color.  The rows come in the order the per-pair
-    sweep meets them: pairs (u, x) by increasing u, the first varying
-    slowest, each through no edge, u -> x, both and x -> u.
+    those to a vertex of x's color.  The rows come grouped by in-row, as
+    ``[(I, [O, ...]), ...]``; every admissible I has O = 0 among its rows.
 
     A tuple without x keeps its verdict, so the rows follow from N1-N3 with
     x in each role (names as in the finders):
@@ -257,20 +257,16 @@ def _admissible_rows(x: int, opposite: int, out: Sequence[int], inn: Sequence[in
             if inn[b] & ~adj or ob & ~op:
                 bound &= ~(1 << b)
         tables.append((within, back | up, bound, two, reach | back))
-    c = len(ps)
-    size = 1 << c
-    # spread[j] has bit 2(c-1-i) for each bit i of j, so that the key
-    # spread[jo] << 1 | spread[jo ^ ji] orders rows as the sweep does
-    subset, spread, in_closed, out_closed, out_need = ([0] * size for _ in range(5))
+    size = 1 << len(ps)
+    subset, in_closed, out_closed, out_need = ([0] * size for _ in range(4))
     in_within, out_bound = [opposite] * size, [opposite] * size
-    outs = [(0, 0, 0)]  # (jo, O, what I must hold) for each O meeting its own conditions
+    outs = [(0, 0)]  # (O, what I must hold) for each O meeting its own conditions
     for j in range(1, size):
         low = j & -j
         rest = j ^ low
         i = low.bit_length() - 1
         within, closure, bound, two, need = tables[i]
         s = subset[j] = subset[rest] | 1 << ps[i]
-        spread[j] = spread[rest] | 1 << 2 * (c - 1 - i)
         in_within[j] = in_within[rest] & within
         in_closed[j] = in_closed[rest] | closure
         out_bound[j] = out_bound[rest] & bound
@@ -283,17 +279,15 @@ def _admissible_rows(x: int, opposite: int, out: Sequence[int], inn: Sequence[in
             if shared and shared != s and shared != out[a]:
                 break
         else:
-            outs.append((j, s, out_need[j] & ~s))
-    rows: list[tuple[int, int, int]] = []
+            outs.append((s, out_need[j] & ~s))
+    rows = []
     for j in range(size):
         s = subset[j]
         if s & ~in_within[j] or in_closed[j] & ~s:
             continue
         beyond = ~out_bound[j]
-        rows += [(spread[jo] << 1 | spread[jo ^ j], o, s) for jo, o, needs in outs
-                 if not o & beyond and not needs & ~s]
-    rows.sort()
-    return [(o, i) for _, o, i in rows]
+        rows.append((s, [o for o, needs in outs if not o & beyond and not needs & ~s]))
+    return rows
 
 
 def is_qbmg(g: Digraph) -> bool:

@@ -296,18 +296,8 @@ def build_digraph(
     names: Sequence[str] | None = None,
 ) -> Digraph:
     """Validated digraph constructor; rejects loops, same-color and repeated edges."""
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        pair = (e[0], e[1])
-        if pair in seen:
-            raise DuplicateEdge(f"edge ({pair[0]}, {pair[1]}) given twice")
-        seen.add(pair)
-    return Digraph(
-        n=n,
-        colors=tuple(colors),
-        edges=frozenset(seen),
-        names=tuple(names) if names is not None else default_names(n),
-    )
+    return Digraph(n=n, colors=tuple(colors), edges=[(u, v) for u, v in edges],
+                   names=tuple(names) if names is not None else default_names(n))
 
 
 def build_ugraph(
@@ -317,22 +307,8 @@ def build_ugraph(
     names: Sequence[str] | None = None,
 ) -> UGraph:
     """Validated undirected constructor; pairs are unordered and normalized."""
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if u == v:
-            # normalizing would hide the loop; let UGraph report it with its name
-            pair = (u, v)
-        else:
-            pair = (min(u, v), max(u, v))
-        if pair in seen:
-            raise DuplicateEdge(f"edge {{{pair[0]}, {pair[1]}}} given twice")
-        seen.add(pair)
-    return UGraph(
-        n=n,
-        colors=tuple(colors),
-        edges=frozenset(seen),
-        names=tuple(names) if names is not None else default_names(n),
-    )
+    return UGraph(n=n, colors=tuple(colors), edges=[(u, v) if u <= v else (v, u) for u, v in edges],
+                  names=tuple(names) if names is not None else default_names(n))
 
 
 def underlying(g: Digraph) -> UGraph:

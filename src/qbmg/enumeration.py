@@ -7,17 +7,18 @@ recognized graph (used for the template counts and ``verify``).
 ``run_mask_sweep`` walks every per-pair edge state of one coloring over
 reused bitmasks, without building graphs, setting the pairs vertex by vertex
 so that an optional ``keep`` test can prune a rejected induced prefix with
-all of its completions.  ``classify_all_qbmgs`` walks the same way but
-never meets a graph that fails: each new vertex takes only the rows that
-``_admissible_rows`` derives for its recognized prefix, which are the
-states the pruned sweep would keep, in the sweep's order.
-Recognition is invariant under relabeling, so it walks one sorted coloring
-``(0,)*k + (1,)*(n-k)`` per color-class size k >= n/2 and weights each
-recognized edge set by the number of colorings with those class sizes,
-complements included.  It runs one canonical search per isomorphism class:
-the ordering that search finds gives the class representative, and the
-members of the class that a later swept coloring can still fit are marked
-seen, through the relabelings that keep that coloring's classes in place.
+all of its completions.  ``classify_all_qbmgs`` also grows its graphs
+vertex by vertex but never meets a graph that fails: each new vertex takes
+only the rows that ``_admissible_rows`` derives for its recognized prefix,
+which are the states the pruned sweep would keep.  Its output does not
+depend on the order of that walk.  Recognition is invariant under
+relabeling, so it walks one sorted coloring ``(0,)*k + (1,)*(n-k)`` per
+color-class size k >= n/2 and weights each recognized edge set by the
+number of colorings with those class sizes, complements included.  It
+runs one canonical search per isomorphism class: the ordering that search
+finds gives the class representative, and the members of the class that a
+later walked coloring can still fit are marked seen, through the
+relabelings that keep that coloring's classes in place.
 ``all_bipartite_digraphs`` yields the same labeled graphs as ``Digraph``
 values for small-n checks and as the reference that tests compare
 ``classify_all_qbmgs`` against.
@@ -233,8 +234,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     Only the sorted colorings ``(0,)*k + (1,)*(n-k)`` for k from n down to
     ceil(n/2) are walked, vertex by vertex over the admissible rows of each
     new vertex (``_recognized_edge_sets``), so only recognized edge sets
-    reach the visitor, in the order the sweep pruned by recognition meets
-    them.
+    are met.
 
     ``total_filtered`` counts recognized (coloring, edge set) pairs over all
     2^n colorings, as the reference does.  Any coloring with k zeros is a
@@ -247,19 +247,19 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     adds 1.
 
     The first recognized edge set E of a class gets one canonical search
-    (``canonical_order``), and the members the rest of the sweep can still
+    (``canonical_order``), and the members the rest of the walk can still
     reach are then marked seen, so a later visit to one costs a set lookup.
-    The sweep visits a member E' = phi(E) only under a swept coloring c_j
+    The walk meets a member E' = phi(E) only under a walked coloring c_j
     with j zeros that E' fits, and then c_j composed with phi is a valid
     2-coloring chi of E with j zeros.  The valid colorings of E are the
-    2^c flips of the sweep coloring over E's c components (isolated vertices
+    2^c flips of the walked coloring over E's c components (isolated vertices
     included).  Let pi_chi map chi's zeros in increasing order onto 0..j-1
     and its ones onto j..n-1; c_j composed with pi_chi is chi as well, so
     sigma = phi composed with the inverse of pi_chi maps 0..j-1 onto itself.
     So the marks are the images of pi_chi(E), for each flip chi with
     j >= n/2 zeros, under the j!(n-j)! relabelings that keep 0..j-1 in
     place as a set.  A connected class needs one flip, or two when 2k = n;
-    the n! relabelings of E would mark graphs no swept coloring fits.  Two
+    the n! relabelings of E would mark graphs no walked coloring fits.  Two
     flips with the same zero count and the same pi_chi(E) mark the same
     images, so only the first of them marks.
 
@@ -268,9 +268,9 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     depend on which member was found first.  Its identity levels are the
     canonical levels, the least over the orbit, and border levels determine
     the edge set, so it is the orbit member with the least identity levels,
-    which the reference keeps.  It takes the sweep's coloring, relabeled,
+    which the reference keeps.  It takes the walked coloring, relabeled,
     with every component flipped so that its least vertex has color 0: the
-    first valid coloring in sweep order, as the reference keeps on ties.
+    least valid coloring, which the reference meets first and keeps on ties.
     """
     if n > ENUM_MAX_VERTICES:
         raise TooLarge(f"unconstrained enumeration supports at most {ENUM_MAX_VERTICES} vertices")
@@ -292,80 +292,71 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
     seen: set[tuple[int, ...]] = set()
     classes: dict[bytes, tuple[CanonicalForm, Digraph]] = {}
     total = 0
-
-    def visit(out: tuple[int, ...]) -> None:
-        nonlocal total
-        total += weight
-        if out in seen:
-            return
-        inn = [0] * n
-        for u, mask in enumerate(out):
-            for v in iter_bits(mask):
-                inn[v] |= 1 << u
-        comps = _component_masks([o | i for o, i in zip(out, inn)], everyone)
-        marked = set()
-        for flips in product((0, 1), repeat=len(comps)):
-            # chi: the mask of color-1 vertices once the chosen components flip
-            chi = ones ^ sum(comp for flip, comp in zip(flips, comps) if flip)
-            zeros = n - chi.bit_count()
-            if 2 * zeros < n:
-                continue
-            # pi_chi: chi's zeros, then its ones, each in increasing order
-            moved = _relabel_masks(out, _inverse([*iter_bits(everyone & ~chi), *iter_bits(chi)]))
-            if (zeros, *moved) in marked:
-                continue  # an earlier flip marked the same images
-            marked.add((zeros, *moved))
-            # moved relabeled by perm: row perm[v] is image[moved[v]]
-            seen.update(tuple([image[moved[v]] for v in inverse]) for inverse, image in fixing[zeros])
-        levels, order = canonical_order(n, out, inn)
-        position = _inverse(order)
-        recolored = [0] * n
-        for comp in comps:
-            flip = colors[min(iter_bits(comp), key=position.__getitem__)]
-            for v in iter_bits(comp):
-                recolored[position[v]] = colors[v] ^ flip
-        rep = _trusted_digraph(n, tuple(recolored), names, tuple(_relabel_masks(out, position)),
-                               tuple(_relabel_masks(inn, position)))
-        code = _pack_levels(n, levels)
-        classes[code] = (CanonicalForm(code), rep)
-
     for k in range(n, (n - 1) // 2, -1):
         weight = comb(n, k) * (1 if 2 * k == n else 2)
         colors = (0,) * k + (1,) * (n - k)
         ones = everyone & -(1 << k)
-        _recognized_edge_sets(colors, visit)
+        for out in _recognized_edge_sets(colors):
+            total += weight
+            if out in seen:
+                continue
+            inn = [0] * n
+            for u, mask in enumerate(out):
+                for v in iter_bits(mask):
+                    inn[v] |= 1 << u
+            comps = _component_masks([o | i for o, i in zip(out, inn)], everyone)
+            marked = set()
+            for flips in product((0, 1), repeat=len(comps)):
+                # chi: the mask of color-1 vertices once the chosen components flip
+                chi = ones ^ sum(comp for flip, comp in zip(flips, comps) if flip)
+                zeros = n - chi.bit_count()
+                if 2 * zeros < n:
+                    continue
+                # pi_chi: chi's zeros, then its ones, each in increasing order
+                moved = _relabel_masks(out, _inverse([*iter_bits(everyone & ~chi), *iter_bits(chi)]))
+                if (zeros, *moved) in marked:
+                    continue  # an earlier flip marked the same images
+                marked.add((zeros, *moved))
+                # moved relabeled by perm: row perm[v] is image[moved[v]]
+                seen.update(tuple([image[moved[v]] for v in inverse]) for inverse, image in fixing[zeros])
+            levels, order = canonical_order(n, out, inn)
+            position = _inverse(order)
+            recolored = [0] * n
+            for comp in comps:
+                flip = colors[min(iter_bits(comp), key=position.__getitem__)]
+                for v in iter_bits(comp):
+                    recolored[position[v]] = colors[v] ^ flip
+            rep = _trusted_digraph(n, tuple(recolored), names, tuple(_relabel_masks(out, position)),
+                                   tuple(_relabel_masks(inn, position)))
+            code = _pack_levels(n, levels)
+            classes[code] = (CanonicalForm(code), rep)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)
 
 
-def _recognized_edge_sets(colors: Sequence[int], visit: Callable[[tuple[int, ...]], None]) -> None:
-    """Call ``visit(out_masks)`` with the out-masks of every recognized edge
-    set of the coloring, once each.  The graph grows vertex by vertex, and
-    each new vertex takes only the rows ``_admissible_rows`` derives for its
-    prefix.  That prefix is recognized, as the derivation requires: it is
-    empty or was itself grown by an admissible row."""
+def _recognized_edge_sets(colors: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Yield the out-masks of every recognized edge set of the coloring,
+    once each.  The graph grows vertex by vertex, and each new vertex takes
+    only the rows ``_admissible_rows`` derives for its prefix.  That prefix
+    is recognized, as the derivation requires: it is empty or was itself
+    grown by an admissible row."""
     n = len(colors)
     if not n:
-        visit(())
+        yield ()
         return
     opposite = [sum(1 << u for u in range(x) if colors[u] != colors[x]) for x in range(n)]
-
-    def rec(x: int, out: tuple[int, ...], inn: tuple[int, ...]) -> None:
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    while stack:
+        out, inn = stack.pop()
+        x = len(out)
         bit = 1 << x
-        heads: dict[int, tuple[int, ...]] = {}  # out-masks of 0..x-1 per in-row of x
-        for o, i in _admissible_rows(x, opposite[x], out, inn):
-            head = heads.get(i)
-            if head is None:
-                head = heads[i] = tuple([m | bit if i >> u & 1 else m for u, m in enumerate(out)])
-            if x == n - 1:
-                visit(head + (o,))
+        for i, outs in _admissible_rows(x, opposite[x], out, inn):
+            head = tuple([m | bit if i >> u & 1 else m for u, m in enumerate(out)])
+            if x == n - 1:  # a complete graph needs no in-masks
+                for o in outs:
+                    yield head + (o,)
             else:
-                rec(x + 1, head + (o,), tuple([m | bit if o >> w & 1 else m for w, m in enumerate(inn)]) + (i,))
-
-    try:
-        rec(0, (), ())
-    finally:
-        # rec's closure refers to rec itself; see run_mask_sweep
-        del rec
+                stack += [(head + (o,), tuple([m | bit if o >> w & 1 else m for w, m in enumerate(inn)]) + (i,))
+                          for o in outs]
 
 
 def _inverse(order: Sequence[int]) -> list[int]:

@@ -315,7 +315,7 @@ def test_enumerate_all_too_large_is_bad_input(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr("qbmg.enumeration.run_mask_sweep", fail)
+    monkeypatch.setattr("qbmg.enumeration._recognized_edge_sets", fail)
     code, out, err = run_cli(capsys, "enumerate", "--all", "7")
     assert code == 2
     assert out == ""

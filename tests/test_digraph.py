@@ -67,6 +67,12 @@ def test_build_digraph_rejects_duplicate():
         build_digraph(2, (0, 1), [(0, 1), (0, 1)])
 
 
+@pytest.mark.parametrize("build", [build_digraph, build_ugraph])
+def test_builders_reject_an_edge_that_is_not_a_pair(build):
+    with pytest.raises(ValueError):
+        build(2, (0, 1), [(0, 1, 9)])
+
+
 def test_underlying_p5ab_is_path():
     u = underlying(P5AB)
     assert sorted(u.edges) == [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -257,8 +263,9 @@ def test_canonical_order_matches_brute_force():
 
 def test_canonical_order_pinned_on_classification_inputs(monkeypatch):
     # (levels, order) for every search that classify_all_qbmgs(n) runs for
-    # n <= 5, then for every fixture; the digest predates the search that
-    # explores only the least border code of each level
+    # n <= 5, then for every fixture; which member of a class is searched
+    # depends on the walk's order, which no output shows, so a new visit
+    # order moves this digest but not the count
     digest = hashlib.sha256()
     calls = 0
 
@@ -278,7 +285,7 @@ def test_canonical_order_pinned_on_classification_inputs(monkeypatch):
         levels, order = canonical_order(g.n, g.out_masks, g.in_masks)
         digest.update(f"{name}: {levels} {order}\n".encode())
     assert digest.hexdigest() == (
-        "b043f2aa7421aaafd897962cc327aee7cfa60d068332742dfd6842b14db7cfe7")
+        "76f96e821c9e24565a42b945f2403a1a857518da1a406ac8875777395c1838d1")
 
 
 def test_canonical_form_too_large():

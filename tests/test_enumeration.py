@@ -137,15 +137,12 @@ def test_pruned_sweep_visits_exactly_the_recognized_graphs(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_recognized_edge_sets_follow_the_pruned_sweep(n):
-    # the walk over admissible rows meets the recognized edge sets of each
-    # coloring in the order of the sweep pruned by the full kernel, so each
-    # class is first found by the same member as under that sweep
+    # the walk over admissible rows meets each recognized edge set of each
+    # coloring once, as the sweep pruned by the full kernel does, in any order
     for colors in product((0, 1), repeat=n):
-        swept = []
-        run_mask_sweep(colors, lambda out, inn: swept.append(tuple(out)), is_qbmg_masks)
-        walked = []
-        _recognized_edge_sets(colors, walked.append)
-        assert walked == swept, colors
+        swept = Counter()
+        run_mask_sweep(colors, lambda out, inn: swept.update([tuple(out)]), is_qbmg_masks)
+        assert Counter(_recognized_edge_sets(colors)) == swept, colors
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -268,6 +265,27 @@ def test_classify_all_canonicalizes_once_per_class(monkeypatch, n, classes):
     monkeypatch.setattr(qbmg.enumeration, "canonical_order", counted)
     result = classify_all_qbmgs(n)
     assert result.count == calls == classes
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_classify_all_does_not_depend_on_visit_order(monkeypatch, n):
+    # the walk yields each coloring's edge sets in reverse, so classes are
+    # first met through other members: the output and the one search per
+    # class still hold
+    walk = qbmg.enumeration._recognized_edge_sets
+    monkeypatch.setattr(qbmg.enumeration, "_recognized_edge_sets", lambda colors: reversed([*walk(colors)]))
+    calls = 0
+    real = qbmg.enumeration.canonical_order
+
+    def counted(n, rows, cols):
+        nonlocal calls
+        calls += 1
+        return real(n, rows, cols)
+
+    monkeypatch.setattr(qbmg.enumeration, "canonical_order", counted)
+    classes, _, digest = ALL_PINNED[n]
+    assert _stdout_sha256(["--json", "enumerate", "--all", str(n)]) == digest
+    assert calls == classes
 
 
 @pytest.mark.parametrize("n", range(6))
