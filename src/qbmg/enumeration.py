@@ -5,20 +5,18 @@ digraphs, plus the aggregated verification report.
 undirected template and feeds ``classify_qbmgs``, which canonicalizes every
 recognized graph (used for the template counts and ``verify``).
 ``run_mask_sweep`` walks every per-pair edge state of one coloring over
-reused bitmasks, without building graphs, setting the pairs vertex by vertex
-so that an optional ``keep`` test can prune a rejected induced prefix with
-all of its completions.  ``classify_all_qbmgs`` also grows its graphs
-vertex by vertex but never meets a graph that fails: each new vertex takes
-only the rows that ``_admissible_rows`` derives for its recognized prefix,
-which are the states the pruned sweep would keep.  Its output does not
-depend on the order of that walk.  Recognition is invariant under
-relabeling, so it walks one sorted coloring ``(0,)*k + (1,)*(n-k)`` per
-color-class size k >= n/2 and weights each recognized edge set by the
-number of colorings with those class sizes, complements included.  It
-runs one canonical search per isomorphism class: the ordering that search
-finds gives the class representative, and the members of the class that a
-later walked coloring can still fit are marked seen, through the
-relabelings that keep that coloring's classes in place.
+reused bitmasks, without building or testing graphs.  ``classify_all_qbmgs``
+grows its graphs vertex by vertex and never meets a graph that fails: each
+new vertex takes only the rows that ``_admissible_rows`` derives for its
+recognized prefix, so it meets exactly the recognized edge sets of each
+coloring it walks.  Its output does not depend on the order of that walk.
+Recognition is invariant under relabeling, so it walks one sorted coloring
+``(0,)*k + (1,)*(n-k)`` per color-class size k >= n/2 and weights each
+recognized edge set by the number of colorings with those class sizes,
+complements included.  It runs one canonical search per isomorphism class:
+the ordering that search finds gives the class representative, and the
+members of the class that a later walked coloring can still fit are marked
+seen, through the relabelings that keep that coloring's classes in place.
 ``all_bipartite_digraphs`` yields the same labeled graphs as ``Digraph``
 values for small-n checks and as the reference that tests compare
 ``classify_all_qbmgs`` against.
@@ -111,44 +109,21 @@ def all_bipartite_digraphs(n: int) -> Iterator[Digraph]:
         yield from _state_digraphs(colors, names, opposite_pairs(colors), range(4))
 
 
-def run_mask_sweep(
-    colors: Sequence[int],
-    visit: Callable[[list[int], list[int]], None],
-    keep: Callable[[int, list[int], list[int]], bool] | None = None,
-) -> int:
+def run_mask_sweep(colors: Sequence[int], visit: Callable[[list[int], list[int]], None]) -> int:
     """Drive ``visit(out_masks, in_masks)`` over every edge-state assignment
     for the given coloring; masks are reused in place between calls.  Returns
-    the number of graphs visited.
-
-    Pairs are set vertex by vertex (``opposite_pairs`` order): every pair
-    (j, k) with j < k for k = 1, then for k = 2, and so on.  With ``keep``,
-    the sweep calls ``keep(k + 1, out, inn)`` when vertex k's last pair is
-    set, at which point the masks hold the subgraph induced on vertices
-    0..k, and visits no completion of a prefix it rejects.  The check after
-    the final pair, or before any when the coloring has none, is
-    ``keep(n, out, inn)``, so ``visit`` sees only graphs it accepts.
-    Pruning is exact for a hereditary ``keep`` such as ``is_qbmg_masks``: a
-    rejected prefix is an induced subgraph of each of its completions.
+    the number of graphs visited.  Pairs are set in ``opposite_pairs`` order,
+    each through its four states: none, forward, both, backward.
     """
     n = len(colors)
     pairs = opposite_pairs(colors)
     last = len(pairs)
-    # checks[i]: the vertex count keep tests once pairs[:i] are set (0: none)
-    checks = [0] * (last + 1)
-    if keep is not None:
-        for i in range(1, last):
-            if pairs[i][1] != pairs[i - 1][1]:
-                checks[i] = pairs[i - 1][1] + 1
-        checks[last] = n
     out = [0] * n
     inn = [0] * n
     count = 0
 
     def rec(i: int) -> None:
         nonlocal count
-        m = checks[i]
-        if m and not keep(m, out, inn):
-            return
         if i == last:
             count += 1
             visit(out, inn)

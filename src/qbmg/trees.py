@@ -410,10 +410,10 @@ def search_explanation(
 
     Graphs failing recognition are rejected at once, since every graph a
     tree explains satisfies N1-N3.  A sink-free recognized graph is a
-    best-match graph; its least-resolved tree is built from its informative
-    triples and accepted by the same test as every searched topology, which
-    then gives the root truncation.  Graphs with sinks, and any BUILD tree
-    that fails the test, go to the exhaustive topology search.
+    best-match graph, so the least-resolved tree built from its informative
+    triples explains it (Geiß et al., 2019); the test that every searched
+    topology takes confirms that tree and gives its root truncation.
+    Graphs with sinks go to the exhaustive topology search.
     """
     if max_leaves > EXPLAIN_MAX_LEAVES:
         raise TooLarge(f"explanation search supports at most {EXPLAIN_MAX_LEAVES} leaves")
@@ -425,10 +425,7 @@ def search_explanation(
         return None
     if all(g.out_masks):
         nested = _build_informative(g)
-        if nested is not None:
-            found = _explained_by(g, nested)
-            if found is not None:
-                return found
+        return None if nested is None else _explained_by(g, nested)
     return _search_topologies(g)
 
 

@@ -6,15 +6,15 @@ sets, so the sweep walks one coloring per complement pair; recognized graphs
 are recorded once per distinct (n, edge-set) pair together with the first
 coloring that produced them.
 
-The sweep prunes with ``keep=is_qbmg_masks_delta``, the helpers' kernel
-that tests only the tuples through the newest vertex.  Its precondition,
-that the prefix without that vertex passes, holds at every call: the sweep
-calls ``keep`` only at vertex boundaries, each after the previous
-boundary's call accepted, and the vertices before the first boundary have
-no opposite-color vertex before them, so they form an edgeless
-monochromatic prefix.  A rejected prefix with r pairs still unset stands
-for its 4^r completions, which are all counted, so ``total_graphs`` still
-counts every graph.
+The sweep is the helpers' ``pruned_mask_sweep`` with
+``keep=is_qbmg_masks_delta``, the kernel that tests only the tuples through
+the newest vertex.  Its precondition, that the prefix without that vertex
+passes, holds at every call: the sweep calls ``keep`` only at vertex
+boundaries, each after the previous boundary's call accepted, and the
+vertices before the first boundary have no opposite-color vertex before
+them, so they form an edgeless monochromatic prefix.  A rejected prefix
+with r pairs still unset stands for its 4^r completions, which are all
+counted, so ``total_graphs`` still counts every graph.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from helpers import is_qbmg_masks_delta
-from qbmg.enumeration import halved_colorings, opposite_pairs, run_mask_sweep
+from helpers import is_qbmg_masks_delta, pruned_mask_sweep
+from qbmg.enumeration import halved_colorings, opposite_pairs
 
 SWEEP_MAX_N = 6
 
@@ -74,7 +74,7 @@ def sweep() -> SweepData:
                 distinct.setdefault((n, tuple(out)), colors)
 
             # keep adds to total during the sweep, so add the return value after it
-            visited = run_mask_sweep(colors, visit, keep)
+            visited = pruned_mask_sweep(colors, visit, keep)
             total += visited
     records = tuple(
         SweepRecord(n, out, colors) for (n, out), colors in distinct.items()

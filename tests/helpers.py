@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 
 from qbmg.bicliques import Biclique
 from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
+from qbmg.enumeration import opposite_pairs
 from qbmg.errors import TooLarge
 from qbmg.trees import Nested, PhyloTree
 
@@ -61,9 +62,9 @@ def naive_is_qbmg(g: Digraph) -> bool:
 def is_qbmg_masks_delta(m: int, out: Sequence[int], inn: Sequence[int]) -> bool:
     """``is_qbmg_masks(m, out, inn)`` for masks on vertices 0..m-1 (m >= 1)
     whose subgraph on 0..m-2 is known to pass; only the tuples through the
-    newest vertex x = m-1 are tested.  It prunes the shared sweep fixture,
-    and run over all 4^c states of a new vertex it is the oracle for the
-    rows ``_admissible_rows`` derives.
+    newest vertex x = m-1 are tested.  It prunes the shared sweep fixture
+    through ``pruned_mask_sweep``, and run over all 4^c states of a new
+    vertex it is the oracle for the rows ``_admissible_rows`` derives.
 
     A tuple without x keeps its verdict, since x changes no edge among the
     other vertices.  N1 and N2 are tested with x in each of their four
@@ -149,6 +150,70 @@ def is_qbmg_masks_delta(m: int, out: Sequence[int], inn: Sequence[int]) -> bool:
             if c and c != ou and c != ob:
                 return False
     return True
+
+
+def pruned_mask_sweep(
+    colors: Sequence[int],
+    visit: Callable[[list[int], list[int]], None],
+    keep: Callable[[int, list[int], list[int]], bool],
+) -> int:
+    """``run_mask_sweep`` with prefix pruning: drive ``visit(out_masks,
+    in_masks)`` over the edge-state assignments of the coloring that
+    ``keep`` accepts, reusing the masks in place.  Returns the number of
+    graphs visited.
+
+    Pairs are set vertex by vertex (``opposite_pairs`` order): every pair
+    (j, k) with j < k for k = 1, then for k = 2, and so on.  The sweep calls
+    ``keep(k + 1, out, inn)`` when vertex k's last pair is set, at which
+    point the masks hold the subgraph induced on vertices 0..k, and visits
+    no completion of a prefix it rejects.  The check after the final pair,
+    or before any when the coloring has none, is ``keep(n, out, inn)``, so
+    ``visit`` sees only graphs it accepts.  Pruning is exact for a
+    hereditary ``keep`` such as ``is_qbmg_masks``: a rejected prefix is an
+    induced subgraph of each of its completions.
+    """
+    n = len(colors)
+    pairs = opposite_pairs(colors)
+    last = len(pairs)
+    # checks[i]: the vertex count keep tests once pairs[:i] are set (0: none)
+    checks = [0] * (last + 1)
+    for i in range(1, last):
+        if pairs[i][1] != pairs[i - 1][1]:
+            checks[i] = pairs[i - 1][1] + 1
+    checks[last] = n
+    out = [0] * n
+    inn = [0] * n
+    count = 0
+
+    def rec(i: int) -> None:
+        nonlocal count
+        m = checks[i]
+        if m and not keep(m, out, inn):
+            return
+        if i == last:
+            count += 1
+            visit(out, inn)
+            return
+        u, v = pairs[i]
+        ubit, vbit = 1 << u, 1 << v
+        rec(i + 1)
+        out[u] |= vbit
+        inn[v] |= ubit
+        rec(i + 1)
+        out[v] |= ubit
+        inn[u] |= vbit
+        rec(i + 1)
+        out[u] &= ~vbit
+        inn[v] &= ~ubit
+        rec(i + 1)
+        out[v] &= ~ubit
+        inn[u] &= ~vbit
+
+    try:
+        rec(0)
+    finally:
+        del rec  # rec's closure refers to rec itself
+    return count
 
 
 # --- brute-force induced path / cycle / biclique oracles

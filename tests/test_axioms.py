@@ -12,6 +12,7 @@ from helpers import (
     naive_violates_n1,
     naive_violates_n2,
     naive_violates_n3,
+    pruned_mask_sweep,
 )
 from qbmg.axioms import (
     _admissible_rows,
@@ -202,7 +203,7 @@ def test_delta_kernel_matches_full_kernel_on_sweep_prefixes_n5():
                     sampled.append((digraph_from_masks(m, tuple(out[:m]), colors[:m]), full))
                 return full
 
-            run_mask_sweep(colors, lambda out, inn: None, keep)
+            pruned_mask_sweep(colors, lambda out, inn: None, keep)
     assert calls == 70_306
     assert disagreements == []
     assert len(sampled) > 1000

@@ -9,7 +9,7 @@ from itertools import permutations, product
 import pytest
 
 import qbmg.enumeration
-from helpers import relabel
+from helpers import pruned_mask_sweep, relabel
 from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.cli import main
 from qbmg.dgf import format_dgf
@@ -97,7 +97,7 @@ def test_halved_colorings():
     assert (zero.count, zero.total_filtered) == (1, 1)
 
 
-def test_run_mask_sweep_keep_sees_induced_prefixes():
+def test_pruned_mask_sweep_keep_sees_induced_prefixes():
     colors = (0, 1, 1, 0, 1)
     calls = []
 
@@ -110,39 +110,46 @@ def test_run_mask_sweep_keep_sees_induced_prefixes():
                 assert out[v] >> m == inn[v] >> m == 0
         return True
 
-    visited = run_mask_sweep(colors, lambda out, inn: None, keep)
+    visited = pruned_mask_sweep(colors, lambda out, inn: None, keep)
     # pairs (0,1) | (0,2) | (1,3) (2,3) | (0,4) (3,4), checked after each bar
     # and at the end
     assert visited == 4 ** 6
     assert Counter(calls) == {2: 4, 3: 4 ** 2, 4: 4 ** 4, 5: 4 ** 6}
 
 
+def _recognized_by_full_sweep(colors):
+    """How often the unpruned sweep of the coloring meets each recognized
+    edge set, by out-masks: once each, as every state is met once."""
+    n = len(colors)
+    found = Counter()
+
+    def visit(out, inn):
+        if is_qbmg_masks(n, out, inn):
+            found[tuple(out)] += 1
+
+    run_mask_sweep(colors, visit)
+    return found
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_pruned_sweep_visits_exactly_the_recognized_graphs(n):
     for colors in product((0, 1), repeat=n):
-        accepted = Counter()
         pruned = Counter()
-
-        def visit_all(out, inn):
-            if is_qbmg_masks(n, out, inn):
-                accepted[tuple(out)] += 1
 
         def visit_kept(out, inn):
             pruned[tuple(out)] += 1
 
-        run_mask_sweep(colors, visit_all)
-        assert run_mask_sweep(colors, visit_kept, is_qbmg_masks) == sum(pruned.values())
-        assert pruned == accepted
+        assert pruned_mask_sweep(colors, visit_kept, is_qbmg_masks) == sum(pruned.values())
+        assert pruned == _recognized_by_full_sweep(colors)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_recognized_edge_sets_follow_the_pruned_sweep(n):
     # the walk over admissible rows meets each recognized edge set of each
-    # coloring once, as the sweep pruned by the full kernel does, in any order
+    # coloring once, in any order: the edge sets the pruned sweep keeps,
+    # here taken from every state of the unpruned sweep
     for colors in product((0, 1), repeat=n):
-        swept = Counter()
-        run_mask_sweep(colors, lambda out, inn: swept.update([tuple(out)]), is_qbmg_masks)
-        assert Counter(_recognized_edge_sets(colors)) == swept, colors
+        assert Counter(_recognized_edge_sets(colors)) == _recognized_by_full_sweep(colors), colors
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -241,7 +248,7 @@ def test_sorted_coloring_weights_are_exact(n):
     # as many recognized edge sets as the sorted coloring with its number of
     # zeros, and as the one with its complement's number of zeros
     def recognized(colors):
-        return run_mask_sweep(colors, lambda out, inn: None, is_qbmg_masks)
+        return sum(_recognized_by_full_sweep(colors).values())
 
     by_zeros = [recognized((0,) * k + (1,) * (n - k)) for k in range(n + 1)]
     for colors in product((0, 1), repeat=n):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import naive_topological_order
+from helpers import naive_topological_order, pruned_mask_sweep
 from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.bicliques import Biclique
 from qbmg.digraph import (
@@ -12,7 +12,7 @@ from qbmg.digraph import (
     iter_bits,
     underlying,
 )
-from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
+from qbmg.enumeration import all_bipartite_digraphs, halved_colorings
 from qbmg.errors import NotBiclique, NotOriented, TooLarge
 from qbmg.fixtures import ALL_FIXTURES, EX10, P5A, P5AB
 from qbmg.orientation import (
@@ -88,7 +88,7 @@ def test_all_orientations_match_validated_constructor():
                 edges = [(u, v) for u in range(n) for v in iter_bits(out[u])]
                 graphs.append(build_digraph(n, colors, edges))
 
-            run_mask_sweep(colors, visit, is_qbmg_masks)
+            pruned_mask_sweep(colors, visit, is_qbmg_masks)
     checked = 0
     for g in graphs:
         if len(g.symmetric_pairs) > 8:

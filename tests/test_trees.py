@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from helpers import (
     random_truncation,
 )
 from qbmg.axioms import recognize
-from qbmg.digraph import Digraph, build_digraph
-from qbmg.enumeration import all_bipartite_digraphs
+from qbmg.digraph import Digraph, build_digraph, weak_components
+from qbmg.enumeration import all_bipartite_digraphs, classify_all_qbmgs
 from qbmg.errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -289,7 +290,7 @@ def test_search_explanation_gate_is_sound_n4():
 
 def test_build_replay_alone_rejects_sink_free_non_qbmgs(monkeypatch):
     # with recognition bypassed, BUILD is consistent on some sink-free
-    # non-qBMGs; the check of its tree must send them on to the exhaustive search
+    # non-qBMGs; the replay check of its tree must reject them
     monkeypatch.setattr(trees, "is_qbmg_masks", lambda n, out, inn: True)
     consistent = 0
     for n in range(2, 5):
@@ -318,6 +319,34 @@ def test_search_explanation_builds_every_sink_free_sweep_graph(sweep, monkeypatc
         assert _replays(g, (tree, sigma, trunc))
         built += 1
     assert built == 18288
+
+
+def test_build_explains_every_sink_free_class_under_every_coloring():
+    # a sink-free recognized graph is a best-match graph, so its BUILD tree
+    # explains it under root truncation; search_explanation has no other
+    # path for it.  Every valid coloring of a class is some flip of its
+    # components, and each component of a sink-free graph holds both colors.
+    built = 0
+    for n in range(2, EXPLAIN_MAX_LEAVES + 1):
+        for _, rep in classify_all_qbmgs(n).classes:
+            if not all(rep.out_masks):
+                continue
+            comps = weak_components(rep)
+            for flips in product((0, 1), repeat=len(comps)):
+                colors = list(rep.colors)
+                for flip, comp in zip(flips, comps):
+                    for v in comp:
+                        colors[v] ^= flip
+                g = Digraph(n, tuple(colors), rep.edges, rep.names)
+                nested = trees._build_informative(g)
+                assert nested is not None, (sorted(g.edges), colors)
+                tree = tree_from_nested(nested)
+                sigma = {x: g.colors[g.id_of(tree.names[x])] for x in tree.leaves}
+                found = (tree, sigma, root_truncation(tree, sigma))
+                assert _replays(g, found)
+                assert search_explanation(g, n) == found
+                built += 1
+    assert built == 230
 
 
 def test_search_explanation_rejects_non_qbmg_without_topologies(monkeypatch):

@@ -1,6 +1,7 @@
 """Static checks on the package source: every import is used, every
-function, method and class is referenced somewhere, and every public
-function, method and class is referenced from outside the unit tests."""
+function, method and class is referenced somewhere, every public function,
+method and class is referenced from outside the unit tests, and every
+optional parameter of an unexported function is set by some caller."""
 
 import ast
 from collections import Counter
@@ -159,3 +160,60 @@ def test_self_referencing_closures_are_deleted():
                 if named and inner.name not in deleted:
                     kept.append(f"{path.name} {outer.name}.{inner.name}")
     assert sorted(kept) == []
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _callables(tree: ast.Module):
+    """Each module-level function and method, with the name its callers use
+    and the positional parameters a call does not pass: ``self`` for a
+    method, whose ``__init__`` is called by the class name.  Other dunder
+    methods are left out, since the language calls them."""
+    for top in tree.body:
+        if isinstance(top, FUNCTIONS):
+            yield top, top.name, 0
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, FUNCTIONS) and not (item.name.startswith("__") and item.name != "__init__"):
+                    yield item, top.name if item.name == "__init__" else item.name, 1
+
+
+def _sets(call: ast.Call, index: int | None, keyword: str) -> bool:
+    """Whether the call may pass the parameter: by keyword, or at its
+    position when it has one; ``*args`` and ``**kwargs`` count as passing."""
+    if any(kw.arg in (keyword, None) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_optional_parameter_is_set_by_some_caller():
+    # a defaulted parameter that no call in the package or the benchmark
+    # sets is a knob only tests turn; exported functions are left out, since
+    # their callers are the package's users
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in ("src", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    exported = _exported()
+    unset = []
+    for path, tree in _modules().items():
+        for func, name, skipped in _callables(tree):
+            if name in exported:
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            optional = [(i - skipped, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            optional += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+            unset += [f"{path.name}:{func.lineno} {name}.{keyword}" for index, keyword in optional
+                      if not any(_sets(call, index, keyword) for call in calls.get(name, ()))]
+    assert unset == []
