@@ -1,11 +1,19 @@
 """Induced chordless paths and cycles in undirected graphs.
 
-Detection is backtracking over vertex sequences on adjacency bitmasks: the
-next vertex is a neighbor of the last one outside the OR of the earlier path
-vertices' neighborhoods, so no chord is ever placed.  Exact and exponential
-in the worst case, which is fine at the sizes this package targets
-(n <= 12).  Returned witnesses are the lexicographically least
-sequence (for cycles: least over all rotations and reflections).
+Detection is one backtracking search for the least induced path, over
+vertex sequences on adjacency bitmasks: the next vertex is a neighbor of the
+last one outside the OR of the earlier path vertices' neighborhoods, so no
+chord is ever placed.  Exact and exponential in the worst case, which is fine
+at the sizes this package targets (n <= 12).  Returned witnesses are the
+lexicographically least sequence (for cycles: least over all rotations and
+reflections); a path ends above its first vertex, else its reverse would
+sort first.
+
+An induced C_k whose least vertex is s is s followed by an induced path on
+k - 1 vertices above s whose two ends, and only they, are neighbors of s.  So
+the cycle search walks s upward, which gives the least first vertex, and
+asks for the least such path; the path's rule of ending above its first
+vertex picks the smaller of the cycle's two neighbors of s to come second.
 
 Freeness is hereditary in the length: an induced P_j with j >= k, and an
 induced C_j with j > k, each contain an induced P_k.  So a graph remembers
@@ -72,88 +80,67 @@ def _search_vertices(adj: Sequence[int], n: int, k: int, twin_free_from: int) ->
     return within
 
 
-def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
-    if k > n or k < 1:
-        return None
-    if k == 1:
-        return (0,)
-    within = _search_vertices(adj, n, k, 4)
+def _least_path(adj: Sequence[int], k: int, starts: int, inner: int, ends: int) -> tuple[int, ...] | None:
+    """The least induced path on k >= 2 vertices that starts in ``starts``,
+    ends in ``ends`` above its first vertex, and has every other vertex in
+    ``inner``; None if there is none."""
     path = [0] * k
 
     # path[:depth] is placed and ends at last; near ORs the neighborhoods of
-    # path[:depth - 1], so a next vertex outside near closes no chord
-    def extend(depth: int, last: int, near: int, used: int) -> bool:
-        cand = adj[last] & ~used & ~near
+    # path[:depth - 1] and holds path[0], so a next vertex outside near is
+    # new (each later one neighbors its predecessor) and closes no chord
+    def extend(depth: int, last: int, near: int) -> bool:
+        cand = adj[last] & ~near
         if depth == k - 1:
-            # the least witness ends above its first vertex, else its reverse
-            # would sort first
-            cand &= -(2 << path[0])
+            cand &= ends & -(2 << path[0])
             if cand:
                 path[depth] = (cand & -cand).bit_length() - 1
                 return True
             return False
+        cand &= inner
         near |= adj[last]
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
             path[depth] = w
-            if extend(depth + 1, w, near, used | low):
+            if extend(depth + 1, w, near):
                 return True
         return False
 
     try:
-        # vertices outside within count as used, so no search places them
-        for start in iter_bits(within):
+        for start in iter_bits(starts):
             path[0] = start
-            if extend(1, start, 0, ~within | 1 << start):
+            if extend(1, start, 1 << start):
                 return tuple(path)
         return None
     finally:
         del extend  # extend's closure refers to extend itself
+
+
+def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
+    if k > n or k < 1:
+        return None
+    if k == 1:
+        return (0,)
+    within = _search_vertices(adj, n, k, 4)
+    return _least_path(adj, k, within, within, within)
 
 
 def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
     if k > n or k < 3:
         return None
     within = _search_vertices(adj, n, k, 5)
-    path = [0] * k
-
-    # path[:depth] is placed and ends at last; near ORs the neighborhoods of
-    # path[1:depth - 1], the vertices strictly between first and last
-    def extend(depth: int, last: int, near: int, used: int) -> bool:
-        first = path[0]
-        cand = adj[last] & ~used & ~near
-        if depth == k - 1:
-            # closing vertex: adjacent to first, and above path[1] so that
-            # only one direction of each cycle is reported
-            cand &= adj[first] & -(1 << path[1])
-            if cand:
-                path[depth] = (cand & -cand).bit_length() - 1
-                return True
-            return False
-        if depth > 1:
-            cand &= ~adj[first]
-            near |= adj[last]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            path[depth] = w
-            if extend(depth + 1, w, near, used | low):
-                return True
-        return False
-
-    try:
-        for start in iter_bits(within):
-            path[0] = start
-            # the first start on any induced k-cycle is the least vertex of
-            # each one through it, so no vertex below start is ever needed
-            if extend(1, start, 0, ~within | (2 << start) - 1):
-                return tuple(path)
-        return None
-    finally:
-        del extend  # extend's closure refers to extend itself
+    for s in iter_bits(within):
+        above = within & -(2 << s)
+        if above.bit_count() < k - 1:
+            return None
+        ends = above & adj[s]
+        if ends & (ends - 1):  # at least two neighbors above s
+            path = _least_path(adj, k - 1, ends, above & ~ends, ends)
+            if path is not None:
+                return (s, *path)
+    return None
 
 
 def find_induced_path(g: UGraph, k: int) -> InducedPath | None:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 from typing import NamedTuple
@@ -10,6 +11,9 @@ from helpers import (
     crown_graph,
     grid_graph,
     random_masks,
+    random_nested,
+    random_surjective_coloring,
+    random_truncation,
     twin_blow_up,
 )
 from qbmg.digraph import build_ugraph, underlying
@@ -22,6 +26,7 @@ from qbmg.paths import (
     find_induced_path,
     find_induced_path_masks,
 )
+from qbmg.trees import qbmg_from_tree, tree_from_nested
 
 
 def test_p5_fixture_contains_induced_p5():
@@ -155,6 +160,29 @@ def test_mask_search_least_witnesses_twin_rich_graphs():
             assert find_induced_path_masks(adj, n, k) == brute_least_induced_path(g, k)
         for k in range(4, 9):
             assert find_induced_cycle_masks(adj, n, k) == brute_least_induced_cycle(g, k)
+
+
+def test_least_witnesses_pinned_on_tree_graphs():
+    # the brute-force oracles stop at 9 vertices; these are the least path
+    # (k = 4, 5, 6) and cycle (k = 4, 6) witnesses on the underlying graphs
+    # of 300 seeded tree graphs with 6-16 leaves.  The digest was taken
+    # while paths and cycles still had a search each, before the cycle
+    # search became a least-path search above its least vertex
+    rng = random.Random(23)
+    names = [f"x{i}" for i in range(16)]
+    digest = hashlib.sha256()
+    found = [0] * 5
+    for _ in range(300):
+        tree = tree_from_nested(random_nested(rng, names[:rng.randint(6, 16)]))
+        sigma = random_surjective_coloring(rng, tree.leaves)
+        g = underlying(qbmg_from_tree(tree, sigma, random_truncation(rng, tree, sigma)))
+        hits = [find_induced_path_masks(g.adj_masks, g.n, k) for k in (4, 5, 6)]
+        hits += [find_induced_cycle_masks(g.adj_masks, g.n, k) for k in (4, 6)]
+        digest.update(f"{g.n} {g.adj_masks}: {hits}\n".encode())
+        found = [f + (hit is not None) for f, hit in zip(found, hits)]
+    assert found == [168, 86, 0, 185, 0]  # no P6 or C6, as the paper proves
+    assert digest.hexdigest() == (
+        "c8d830516078d028cc1f637a34b8b2a77cea132e98308e47676000571a1df9fe")
 
 
 @pytest.mark.parametrize("side,k", [(7, 34), (8, 44)])

@@ -17,9 +17,9 @@ from helpers import (
     random_surjective_coloring,
     random_truncation,
 )
-from qbmg.axioms import recognize
-from qbmg.digraph import Digraph, build_digraph, weak_components
-from qbmg.enumeration import all_bipartite_digraphs, classify_all_qbmgs
+from qbmg.axioms import is_qbmg_masks, recognize
+from qbmg.digraph import Digraph, build_digraph, iter_bits, weak_components
+from qbmg.enumeration import all_bipartite_digraphs, classify_all_qbmgs, run_mask_sweep
 from qbmg.errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -125,7 +125,7 @@ def test_parse_tree_deep_caterpillar():
     n = 1200
     t, sigma = parse_tree(caterpillar_newick([1] + [0] * (n - 1)))
     assert len(t.leaves) == n
-    assert max(t.depth) == n - 1
+    assert max(len(t.root_path(x)) for x in t.leaves) == n
     assert [t.names[v] for v in t.leaves] == [f"x{i}" for i in range(1, n + 1)]
     assert sigma[t.leaf_by_name("x1")] == 1
     assert sum(sigma.values()) == 1
@@ -402,6 +402,57 @@ def test_qbmg_from_tree_rejects_repeated_leaf_names():
     sigma = dict(zip(tree.leaves, (0, 1, 1)))
     with pytest.raises(ValueError, match="unique"):
         qbmg_from_tree(tree, sigma, root_truncation(tree, sigma))
+
+
+def _out_by_name(tree: PhyloTree, g: Digraph) -> tuple[int, ...]:
+    """The out-masks of g, built on tree's leaves, with leaf xk as vertex k."""
+    at = [int(tree.names[leaf][1:]) for leaf in tree.leaves]
+    out = [0] * len(at)
+    for i, row in enumerate(g.out_masks):
+        for j in iter_bits(row):
+            out[at[i]] |= 1 << at[j]
+    return tuple(out)
+
+
+def test_tree_images_are_the_recognized_two_colored_graphs_n5():
+    # the characterization both ways: a labeled two-colored digraph is built
+    # by some (tree, coloring, truncation map) iff it is recognized.  A
+    # truncation keeps a leaf's whole best-match bundle or none of it, so
+    # the images are the best-match graphs with any subset of leaves keeping
+    # their out-edges; at n <= 4 every truncation map is walked as well,
+    # which checks that reduction
+    counts = []
+    for n in range(2, 6):
+        two_colored = [c for c in product((0, 1), repeat=n) if len(set(c)) == 2]
+        images = set()
+        for nested in phylogenetic_topologies([f"x{i}" for i in range(n)]):
+            tree = tree_from_nested(nested)
+            for colors in two_colored:
+                sigma = {leaf: colors[int(tree.names[leaf][1:])] for leaf in tree.leaves}
+                out = _out_by_name(tree, naive_best_match_graph(tree, sigma))
+                kept = {tuple(row if keep >> v & 1 else 0 for v, row in enumerate(out))
+                        for keep in range(1 << n)}
+                if n <= 4:
+                    truncated = set()
+                    for gates in product(*map(tree.root_path, tree.leaves)):
+                        u = {(x, sigma[x]): x for x in tree.leaves}
+                        u.update({(x, 1 - sigma[x]): a for x, a in zip(tree.leaves, gates)})
+                        truncated.add(_out_by_name(tree, naive_best_match_graph(tree, sigma, u)))
+                    assert truncated == kept, (nested, colors)
+                images.update((colors, rows) for rows in kept)
+        recognized = set()
+        for colors in two_colored:
+
+            def visit(out, inn, colors=colors):
+                if is_qbmg_masks(n, out, inn):
+                    recognized.add((colors, tuple(out)))
+
+            run_mask_sweep(colors, visit)
+        assert images == recognized, n
+        # the two edgeless one-color graphs are the rest of the filtered count
+        assert len(images) + 2 == classify_all_qbmgs(n).total_filtered
+        counts.append(len(images))
+    assert counts == [8, 96, 1388, 25800]
 
 
 # the characters a leaf name may use in parse_tree's Newick subset
