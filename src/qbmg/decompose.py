@@ -5,8 +5,8 @@ A graph is K+S when its vertex set splits into a biclique and a stable set,
 or degenerately when it has an isolated vertex.  A connected recognized
 digraph is *type A* when its underlying graph is K+S.  ``decompose_type_a``
 peels a dominating biclique together with the vertices whose whole
-neighborhood lies inside it, then recurses on the remaining components;
-every peeled part is connected and type A.
+neighborhood lies inside it, then peels each remaining component the same
+way; every peeled part is connected and type A.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ def decompose_type_a(g: Digraph) -> Decomposition:
 
     Each step takes a dominating biclique of the current underlying graph,
     absorbs the vertices whose neighborhoods are contained in it, emits that
-    set as a part, and recurses per connected component of the remainder,
-    split on g's own adjacency masks.
+    set as a part, and goes on with each connected component of the
+    remainder, split on g's own adjacency masks, one component's parts
+    before the next one's.
     The decomposition is canonical for this package's deterministic biclique
     preference but not unique in general.
     """
@@ -91,15 +92,16 @@ def decompose_type_a(g: Digraph) -> Decomposition:
         raise Disconnected("decomposition requires a connected graph")
 
     parts: list[frozenset[int]] = []
-
-    def peel(sub: Digraph, old: tuple[int, ...]) -> None:
-        # sub is connected and recognized: g by the checks above, and each
-        # remainder component by construction and by heredity; so it is
-        # type A exactly when its underlying graph is K+S
+    # (sub-digraph, its vertices' ids in g); each is connected and recognized:
+    # g by the checks above, and each remainder component by construction and
+    # by heredity; so it is type A exactly when its underlying graph is K+S
+    work = [(g, tuple(range(g.n)))]
+    while work:
+        sub, old = work.pop()
         und = underlying(sub)
         if kos_partition(und) is not None:
             parts.append(frozenset(old))
-            return
+            continue
         delta = find_dominating_biclique(und)
         if delta is None:  # cannot happen for recognized connected graphs
             raise AssertionError("connected recognized graph without dominating biclique")
@@ -115,13 +117,6 @@ def decompose_type_a(g: Digraph) -> Decomposition:
         parts.append(first)
         comps = _component_masks(g.adj_masks, sum(1 << v for v in old if v not in first))
         assert all(c & (c - 1) for c in comps), "remainder must have no isolated vertex"
-        for comp in comps:
-            peel(*induced_subdigraph(g, iter_bits(comp)))
-
-    try:
-        peel(g, tuple(range(g.n)))
-    finally:
-        # peel's closure refers to peel itself; the cycle would keep every
-        # component's digraph, underlying graph and bicliques alive
-        del peel
+        # the last pushed is peeled first, so parts keep their depth-first order
+        work.extend(induced_subdigraph(g, iter_bits(comp)) for comp in reversed(comps))
     return Decomposition(tuple(parts))

@@ -44,7 +44,7 @@ from typing import Sequence
 from .digraph import UGraph, _twin_representatives, iter_bits
 from .errors import TooLarge
 
-# the searches recurse once per placed vertex, so k stays far below the recursion limit
+# the longest path or cycle a query may ask for
 INDUCED_MAX_LENGTH = 64
 # leaves of the sequence tree: every 16-vertex graph at k = 6 stays within it
 _SEARCH_BUDGET = 10_000_000
@@ -85,37 +85,29 @@ def _least_path(adj: Sequence[int], k: int, starts: int, inner: int, ends: int) 
     ends in ``ends`` above its first vertex, and has every other vertex in
     ``inner``; None if there is none."""
     path = [0] * k
-
-    # path[:depth] is placed and ends at last; near ORs the neighborhoods of
-    # path[:depth - 1] and holds path[0], so a next vertex outside near is
-    # new (each later one neighbors its predecessor) and closes no chord
-    def extend(depth: int, last: int, near: int) -> bool:
-        cand = adj[last] & ~near
+    # per depth d: the candidates for path[d] not yet tried, and for d >= 1
+    # the OR of the neighborhoods of path[:d - 1] with path[0], so a
+    # candidate (a neighbor of path[d - 1] outside it) is new and closes no chord
+    untried = [0] * k
+    near = [0] * k
+    untried[0] = starts
+    depth = 0
+    while depth >= 0:
+        cand = untried[depth]
+        if not cand:
+            depth -= 1
+            continue
+        low = cand & -cand
+        untried[depth] = cand ^ low
+        w = low.bit_length() - 1
+        path[depth] = w
         if depth == k - 1:
-            cand &= ends & -(2 << path[0])
-            if cand:
-                path[depth] = (cand & -cand).bit_length() - 1
-                return True
-            return False
-        cand &= inner
-        near |= adj[last]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            path[depth] = w
-            if extend(depth + 1, w, near):
-                return True
-        return False
-
-    try:
-        for start in iter_bits(starts):
-            path[0] = start
-            if extend(1, start, 1 << start):
-                return tuple(path)
-        return None
-    finally:
-        del extend  # extend's closure refers to extend itself
+            return tuple(path)
+        blocked = near[depth] | adj[path[depth - 1]] if depth else low
+        depth += 1
+        near[depth] = blocked
+        untried[depth] = adj[w] & ~blocked & (inner if depth < k - 1 else ends & -(2 << path[0]))
+    return None
 
 
 def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:

@@ -149,77 +149,64 @@ def tree_from_nested(nested: Nested) -> PhyloTree:
 _LEAF_TOKEN = re.compile(r"([A-Za-z0-9_.+-]+)=([A-Za-z0-9_.+-]*)")
 
 
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
 def parse_tree(text: str) -> tuple[PhyloTree, LeafColoring]:
     """Parse the Newick subset ``((a=0,b=1),c=1);`` into a tree and coloring.
 
     Leaves are ``name=color``; internal nodes are parenthesized groups; the
     string ends with a semicolon.  Whitespace between tokens is ignored.
     """
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def fail(message: str) -> ParseError:
-        return ParseError(message, line=1, column=pos + 1)
-
     colors_by_name: dict[str, int] = {}
-
-    def parse_leaf() -> str:
-        nonlocal pos
-        m = _LEAF_TOKEN.match(text, pos)
-        if not m:
-            raise fail(f"expected a name=color leaf or '(' at {text[pos]!r}")
-        name, color_text = m.group(1), m.group(2)
-        pos = m.end()
-        if color_text not in ("0", "1"):
-            raise fail(f"leaf color must be 0 or 1, got {color_text!r}")
-        if name in colors_by_name:
-            raise fail(f"leaf {name!r} declared twice")
-        colors_by_name[name] = int(color_text)
-        return name
-
-    def parse_node() -> Nested:
-        # one list of parsed children per open '(', so deep nests need no recursion
-        nonlocal pos
-        groups: list[list[Nested]] = []
-        while True:
-            skip_ws()
+    # one list of parsed children per open '(', so deep nests need no recursion
+    groups: list[list[Nested]] = []
+    node: Nested | None = None  # a finished node not yet placed in its group
+    pos = 0
+    while True:
+        pos = _skip_ws(text, pos)
+        if node is None:
             if pos >= len(text):
-                raise fail("unexpected end of input")
+                raise ParseError("unexpected end of input", line=1, column=pos + 1)
             if text[pos] == "(":
                 pos += 1
                 groups.append([])
                 continue
-            node: Nested = parse_leaf()
-            while groups:
-                groups[-1].append(node)
-                skip_ws()
-                if pos < len(text) and text[pos] == ",":
-                    pos += 1
-                    break
-                if pos >= len(text) or text[pos] != ")":
-                    raise fail("expected ',' or ')'")
-                pos += 1
+            m = _LEAF_TOKEN.match(text, pos)
+            if not m:
+                raise ParseError(
+                    f"expected a name=color leaf or '(' at {text[pos]!r}", line=1, column=pos + 1)
+            name, color_text = m.groups()
+            pos = m.end()
+            if color_text not in ("0", "1"):
+                raise ParseError(f"leaf color must be 0 or 1, got {color_text!r}", line=1, column=pos + 1)
+            if name in colors_by_name:
+                raise ParseError(f"leaf {name!r} declared twice", line=1, column=pos + 1)
+            colors_by_name[name] = int(color_text)
+            node = name
+        elif not groups:
+            break
+        else:
+            groups[-1].append(node)
+            if text.startswith(",", pos):
+                node = None
+            elif text.startswith(")", pos):
                 node = tuple(groups.pop())
             else:
-                return node
-
-    nested = parse_node()
-    skip_ws()
-    if pos >= len(text) or text[pos] != ";":
-        raise fail("expected ';'")
-    pos += 1
-    skip_ws()
+                raise ParseError("expected ',' or ')'", line=1, column=pos + 1)
+            pos += 1
+    if not text.startswith(";", pos):
+        raise ParseError("expected ';'", line=1, column=pos + 1)
+    pos = _skip_ws(text, pos + 1)
     if pos != len(text):
-        raise fail("trailing characters after ';'")
+        raise ParseError("trailing characters after ';'", line=1, column=pos + 1)
 
-    tree = tree_from_nested(nested)
+    tree = tree_from_nested(node)
     sigma = {leaf: colors_by_name[tree.names[leaf]] for leaf in tree.leaves}
-    if set(sigma.values()) != {0, 1}:
-        raise NotSurjective("leaf coloring must use both colors")
+    _check_coloring(tree, sigma)
     return tree, sigma
 
 
@@ -331,22 +318,18 @@ def phylogenetic_topologies(names: Sequence[str]) -> Iterator[Nested]:
     the first tree for more than ``EXPLAIN_MAX_LEAVES`` leaves."""
     if len(names) > EXPLAIN_MAX_LEAVES:
         raise TooLarge(f"topology enumeration supports at most {EXPLAIN_MAX_LEAVES} leaves")
-    ordered = tuple(sorted(names))
+    yield from _topologies(tuple(sorted(names)))
 
-    def gen(leafset: tuple[str, ...]) -> Iterator[Nested]:
-        if len(leafset) == 1:
-            yield leafset[0]
-            return
-        for part in _set_partitions(leafset):
-            if len(part) < 2:
-                continue
-            blocks = sorted((tuple(b) for b in part), key=lambda b: b[0])
-            yield from product(*map(gen, blocks))
 
-    try:
-        yield from gen(ordered)
-    finally:
-        del gen  # gen's closure refers to gen itself
+def _topologies(leafset: tuple[str, ...]) -> Iterator[Nested]:
+    if len(leafset) == 1:
+        yield leafset[0]
+        return
+    for part in _set_partitions(leafset):
+        if len(part) < 2:
+            continue
+        blocks = sorted((tuple(b) for b in part), key=lambda b: b[0])
+        yield from product(*map(_topologies, blocks))
 
 
 def _build_informative(g: Digraph) -> Nested | None:
@@ -359,41 +342,42 @@ def _build_informative(g: Digraph) -> Nested | None:
     a tree under root truncation this is its least-resolved tree (Geiß et
     al., *Best match graphs*, J. Math. Biol. 78, 2019).
     """
-    n, out, names = g.n, g.out_masks, g.names
+    n, out = g.n, g.out_masks
     side = [0, 0]
     for v in range(n):
         side[g.colors[v]] |= 1 << v
     # x takes part in triples xy|y' over L iff some y' of spare[x] lies in L
     spare = [side[1 - g.colors[x]] & ~out[x] for x in range(n)]
-
-    def build(leafset: int) -> tuple[str, Nested] | None:
-        if not leafset & (leafset - 1):
-            name = names[leafset.bit_length() - 1]
-            return name, name
-        link = [0] * n
-        for x in iter_bits(leafset):
-            if spare[x] & leafset:
-                ys = out[x] & leafset
-                link[x] |= ys
-                for y in iter_bits(ys):
-                    link[y] |= 1 << x
-        comps = _component_masks(link, leafset)
-        if len(comps) == 1:
-            return None
-        kids = []
-        for comp in comps:
-            kid = build(comp)
-            if kid is None:
-                return None
-            kids.append(kid)
-        kids.sort()  # least leaf names are distinct, so subtrees are never compared
-        return kids[0][0], tuple(nested for _, nested in kids)
-
-    try:
-        built = build((1 << n) - 1)
-    finally:
-        del build  # build's closure refers to build itself
+    built = _build((1 << n) - 1, out, spare, g.names)
     return None if built is None else built[1]
+
+
+def _build(
+    leafset: int, out: Sequence[int], spare: Sequence[int], names: Sequence[str]
+) -> tuple[str, Nested] | None:
+    """BUILD on the leaf set ``leafset``: its least leaf name and its
+    subtree, or None when some Aho graph below it is connected."""
+    if not leafset & (leafset - 1):
+        name = names[leafset.bit_length() - 1]
+        return name, name
+    link = [0] * len(out)
+    for x in iter_bits(leafset):
+        if spare[x] & leafset:
+            ys = out[x] & leafset
+            link[x] |= ys
+            for y in iter_bits(ys):
+                link[y] |= 1 << x
+    comps = _component_masks(link, leafset)
+    if len(comps) == 1:
+        return None
+    kids = []
+    for comp in comps:
+        kid = _build(comp, out, spare, names)
+        if kid is None:
+            return None
+        kids.append(kid)
+    kids.sort()  # least leaf names are distinct, so subtrees are never compared
+    return kids[0][0], tuple(nested for _, nested in kids)
 
 
 def search_explanation(

@@ -32,6 +32,8 @@ def test_dominating_set_ex10_core():
     assert is_dominating_set(u, range(8))  # v1..v8
     assert is_dominating_set(u, range(10))  # whole vertex set, vacuous
     assert not is_dominating_set(u, {8, 9})  # v9, v10
+    with pytest.raises(ValueError, match="vertex 10 out of range"):
+        is_dominating_set(u, {0, 10})
 
 
 def test_maximal_bicliques_k22():

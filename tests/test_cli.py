@@ -67,8 +67,8 @@ def test_analyze_custom_checks(capsys, tmp_path):
 
 @pytest.mark.parametrize("check", ["p1200", "c1200"])
 def test_analyze_search_too_long_is_bad_input(capsys, tmp_path, check):
-    # the searches recurse once per placed vertex; the path templates stop
-    # at 10 vertices, so the 1,500-vertex path is built here
+    # the searches take at most INDUCED_MAX_LENGTH vertices; the path
+    # templates stop at 10 vertices, so the 1,500-vertex path is built here
     long_path = build_ugraph(1500, [i % 2 for i in range(1500)], [(i, i + 1) for i in range(1499)])
     path = tmp_path / "path.dgf"
     path.write_text(format_dgf(long_path), encoding="utf-8")
@@ -300,8 +300,11 @@ def test_enumerate_all_negative_is_bad_input(capsys, n):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--all", "\u0663"], ["--all", "\u00b3"], ["--all", "x"], ["--underlying", ""]],
-    ids=["arabic-indic", "superscript", "letter", "empty-template"],
+    [
+        ["--all", "\u0663"], ["--all", "\u00b3"], ["--all", "x"],
+        ["--underlying", ""], ["--underlying", "star:4"],
+    ],
+    ids=["arabic-indic", "superscript", "letter", "empty-template", "unknown-template-kind"],
 )
 def test_enumerate_non_number_is_bad_input(capsys, argv):
     # int() reads the Arabic-Indic three as 3; vertex counts are ASCII digits

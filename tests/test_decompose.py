@@ -3,7 +3,7 @@ import pytest
 import qbmg.decompose
 import qbmg.digraph
 from qbmg.cli import main
-from qbmg.decompose import decompose_type_a, is_type_a, kos_partition
+from qbmg.decompose import KosPartition, decompose_type_a, is_type_a, kos_partition
 from qbmg.dgf import format_dgf
 from qbmg.digraph import build_digraph, induced_subdigraph, underlying, weak_components
 from qbmg.enumeration import cycle_template
@@ -36,6 +36,10 @@ def test_kos_degenerate_isolated_vertex():
     g = build_ugraph(3, (0, 1, 0), [(0, 1)])
     part = kos_partition(g)
     assert part is not None and part.degenerate
+    # no split of C6 exists, so an isolated vertex alone makes it degenerate
+    c6 = cycle_template(6)
+    g = build_ugraph(7, (*c6.colors, 0), c6.edges)
+    assert kos_partition(g) == KosPartition(None, frozenset(), True)
 
 
 def test_kos_p5ab_underlying():
@@ -112,6 +116,7 @@ def test_decompose_rejects_unrecognized():
     g = build_digraph(4, (1, 0, 1, 0), [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotQbmg):
         decompose_type_a(g)
+    assert underlying(g).is_connected() and not is_type_a(g)
 
 
 def test_decompose_rejects_disconnected():
@@ -133,8 +138,8 @@ def test_decompose_parts_replay():
 
 
 def test_peel_recursion_when_the_input_is_not_type_a(monkeypatch):
-    # every connected recognized graph seen so far is type A, so peel's
-    # recursion only runs when kos_partition is told the input is not K+S;
+    # every connected recognized graph seen so far is type A, so peeling
+    # goes past one part only when kos_partition is told the input is not K+S;
     # the second graph, a component of a seeded tree graph, leaves a
     # remainder of two components after the first peel
     cases = [

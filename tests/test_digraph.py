@@ -73,6 +73,21 @@ def test_builders_reject_an_edge_that_is_not_a_pair(build):
         build(2, (0, 1), [(0, 1, 9)])
 
 
+@pytest.mark.parametrize("build", [build_digraph, build_ugraph])
+@pytest.mark.parametrize(
+    "n, colors, names, message",
+    [
+        (-1, (), (), "vertex count must be non-negative"),
+        (2, (0,), ("a", "b"), "expected 2 colors, got 1"),
+        (2, (0, 1), ("a",), "expected 2 names, got 1"),
+        (2, (0, 2), ("a", "b"), "colors must be 0 or 1, got 2"),
+    ],
+)
+def test_builders_reject_a_bad_vertex_table(build, n, colors, names, message):
+    with pytest.raises(ValueError, match=message):
+        build(n, colors, [], names)
+
+
 def test_underlying_p5ab_is_path():
     u = underlying(P5AB)
     assert sorted(u.edges) == [(0, 1), (1, 2), (2, 3), (3, 4)]

@@ -44,6 +44,11 @@ def test_orientations_counts():
     assert sum(1 for _ in orientations_of(single)) == 3
 
 
+def test_cycle_template_rejects_odd_length():
+    with pytest.raises(ValueError, match="even length"):
+        cycle_template(5)
+
+
 def test_orientations_preserve_underlying():
     template = path_template(4)
     for g in orientations_of(template):

@@ -209,6 +209,10 @@ def test_oriented_biclique_subdigraph_rejects_non_biclique():
         oriented_biclique_subdigraph(
             EX10, Biclique(frozenset({0, 8}), frozenset({4, 5, 6, 7}))
         )
+    with pytest.raises(NotBiclique, match="both biclique sides must be nonempty"):
+        oriented_biclique_subdigraph(EX10, Biclique(frozenset({0}), frozenset()))
+    with pytest.raises(NotBiclique, match="biclique sides must be disjoint"):
+        oriented_biclique_subdigraph(EX10, Biclique(frozenset({0, 4}), frozenset({4})))
 
 
 @pytest.mark.parametrize("right", [99, 10, -1])

@@ -135,7 +135,7 @@ def test_mask_search_least_witnesses_random_graphs():
     for trial in range(48):
         n = 2 + trial % 8
         g = MaskGraph(n, tuple(random_masks(rng, n, rng.choice((0.25, 0.4, 0.6)))))
-        for k in range(2, 8):
+        for k in range(1, 8):
             assert find_induced_path_masks(g.adj, n, k) == brute_least_induced_path(g, k)
         for k in range(3, 8):
             assert find_induced_cycle_masks(g.adj, n, k) == brute_least_induced_cycle(g, k)

@@ -99,6 +99,14 @@ def test_children_are_read_off_the_parent_array():
 def test_tree_checks_parent_against_names():
     with pytest.raises(ValueError, match="parent and names must align"):
         PhyloTree((None, 0, 0), (None, "a"))
+    with pytest.raises(ValueError, match="empty tree"):
+        PhyloTree((), ())
+    with pytest.raises(ValueError, match="node 0 must be the root"):
+        PhyloTree((1, None), ("a", "b"))
+    with pytest.raises(ValueError, match="leaf 2 has no name"):
+        PhyloTree((None, 0, 0), (None, "a", None))
+    with pytest.raises(ValueError, match="internal node 0 must not carry a name"):
+        PhyloTree((None, 0, 0), ("r", "a", "b"))
     t = PhyloTree((None, 0, 1, 1, 0), (None, None, "a", "b", "c"))
     assert t.children == ((1, 4), (2, 3), (), (), ())
     assert t.leaves == (2, 3, 4)
@@ -164,6 +172,9 @@ def test_best_match_graph_rejects_single_color():
     t = tree_from_nested(("v2", "v4"))
     with pytest.raises(NotSurjective):
         best_match_graph(t, {leaf: 0 for leaf in t.leaves})
+    # node 0 is the root, not a leaf
+    with pytest.raises(ValueError, match="cover exactly the leaves"):
+        best_match_graph(t, {t.leaves[0]: 0, t.leaves[1]: 1, 0: 1})
 
 
 def test_qbmg_root_truncation_equals_bmg():
