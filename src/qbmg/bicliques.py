@@ -114,12 +114,11 @@ def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
 
 
 def find_dominating_biclique(g: UGraph) -> Biclique | None:
-    """A biclique whose vertex set dominates the (connected) graph, or None.
-
+    """A biclique whose vertex set dominates the (connected) graph, or None;
+    a connected recognized graph always has one (see ``qbmg.decompose``).
     Candidates are the maximal bicliques in decreasing-size order; any
     dominating biclique extends to a dominating maximal one, so nothing is
-    missed by stopping there.
-    """
+    missed by stopping there."""
     if not g.is_connected():
         raise Disconnected("dominating-biclique search requires a connected graph")
     for b in maximal_bicliques(g):

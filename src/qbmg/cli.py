@@ -179,7 +179,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     result = decompose_type_a(g)
     parts = []
     lines = []
-    # every part decompose_type_a emits is type A by construction
+    # decompose_type_a checks that its one part is K+S, so it is type A
     for i, part in enumerate(result.parts, start=1):
         parts.append({"vertices": _names(g, part), "type_a": True})
         lines.append(f"part {i}: {' '.join(_names(g, part))} (type-A: yes)")
@@ -264,6 +264,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
     u = root_truncation(tree, sigma)
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -279,7 +280,11 @@ def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
             leaf = tree.leaf_by_name(name)
         except KeyError:
             raise ParseError(f"unknown leaf {name!r}", lineno) from None
-        u[(leaf, int(color_text))] = node
+        key = (leaf, int(color_text))
+        if key in seen:
+            raise ParseError(f"repeated entry for leaf {name!r} and color {color_text}", lineno)
+        seen.add(key)
+        u[key] = node
     validate_truncation(tree, sigma, u)
     return u
 

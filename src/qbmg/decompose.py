@@ -3,10 +3,27 @@ connected recognized graphs into parts of that shape.
 
 A graph is K+S when its vertex set splits into a biclique and a stable set,
 or degenerately when it has an isolated vertex.  A connected recognized
-digraph is *type A* when its underlying graph is K+S.  ``decompose_type_a``
-peels a dominating biclique together with the vertices whose whole
-neighborhood lies inside it, then peels each remaining component the same
-way; every peeled part is connected and type A.
+digraph is *type A* when its underlying graph is K+S.
+
+Lemma: every connected recognized digraph g is type A.  K_1 is degenerate;
+on n >= 2 vertices g has a vertex x adjacent to the whole other color class,
+which forms a biclique with x, and the rest of x's class is stable.  Proof:
+
+- g has both colors, so it is G(T, sigma, u) for a tree T, a coloring sigma
+  and a truncation map u: N1-N3 characterize 2-qBMGs (Korchmaros, Schaller,
+  Hellmuth & Stadler, *Quasi-best match graphs*, 2023).
+- A leaf under a two-colored child of T's root has all its best matches
+  under that child.
+- A leaf x under a one-colored child of color c has every leaf of color
+  1 - c as a best match, since they meet at the root.  x keeps that bundle
+  iff u(x, 1 - c) is the root, and has no out-edge otherwise.
+- Suppose no such x keeps its bundle.  Then every edge lies under one child
+  of the root, which has at least two: the leaves under one-colored children
+  are isolated, and no edge joins two children.  So g is not connected.
+
+The biclique of a K+S split of a connected graph dominates it, since each
+vertex of the stable side has a neighbor, all in the biclique.  So every
+connected recognized graph has a dominating biclique.
 """
 
 from __future__ import annotations
@@ -14,15 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import is_qbmg
-from .bicliques import Biclique, find_dominating_biclique, maximal_bicliques
-from .digraph import (
-    Digraph,
-    UGraph,
-    _component_masks,
-    induced_subdigraph,
-    iter_bits,
-    underlying,
-)
+from .bicliques import Biclique, maximal_bicliques
+from .digraph import Digraph, UGraph, underlying
 from .errors import Disconnected, NotQbmg
 
 
@@ -76,47 +86,12 @@ def is_type_a(g: Digraph) -> bool:
 
 def decompose_type_a(g: Digraph) -> Decomposition:
     """Vertex decomposition of a connected recognized digraph into parts whose
-    induced sub-digraphs are connected and type A.
-
-    Each step takes a dominating biclique of the current underlying graph,
-    absorbs the vertices whose neighborhoods are contained in it, emits that
-    set as a part, and goes on with each connected component of the
-    remainder, split on g's own adjacency masks, one component's parts
-    before the next one's.
-    The decomposition is canonical for this package's deterministic biclique
-    preference but not unique in general.
-    """
+    induced sub-digraphs are connected and type A: by the lemma above, one
+    part of all of g's vertices, whose K+S split is checked, not assumed."""
     if not is_qbmg(g):
         raise NotQbmg("decomposition requires a recognized graph")
     if not underlying(g).is_connected():
         raise Disconnected("decomposition requires a connected graph")
-
-    parts: list[frozenset[int]] = []
-    # (sub-digraph, its vertices' ids in g); each is connected and recognized:
-    # g by the checks above, and each remainder component by construction and
-    # by heredity; so it is type A exactly when its underlying graph is K+S
-    work = [(g, tuple(range(g.n)))]
-    while work:
-        sub, old = work.pop()
-        und = underlying(sub)
-        if kos_partition(und) is not None:
-            parts.append(frozenset(old))
-            continue
-        delta = find_dominating_biclique(und)
-        if delta is None:  # cannot happen for recognized connected graphs
-            raise AssertionError("connected recognized graph without dominating biclique")
-        core = delta.vertices()
-        outside = ~sum(1 << v for v in core)
-        absorbed = frozenset(
-            v for v in range(sub.n) if v not in core and not sub.adj_masks[v] & outside)
-        sigma = core | absorbed
-        assert _stable(und, absorbed), "absorbed set must be stable"
-        first = frozenset(old[v] for v in sigma)
-        part_graph, _ = induced_subdigraph(g, first)
-        assert is_type_a(part_graph), "peeled part must be connected type A"
-        parts.append(first)
-        comps = _component_masks(g.adj_masks, sum(1 << v for v in old if v not in first))
-        assert all(c & (c - 1) for c in comps), "remainder must have no isolated vertex"
-        # the last pushed is peeled first, so parts keep their depth-first order
-        work.extend(induced_subdigraph(g, iter_bits(comp)) for comp in reversed(comps))
-    return Decomposition(tuple(parts))
+    if kos_partition(underlying(g)) is None:  # cannot happen, by the lemma above
+        raise AssertionError("connected recognized graph that is not K+S")
+    return Decomposition((frozenset(range(g.n)),))

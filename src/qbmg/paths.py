@@ -4,7 +4,7 @@ Detection is one backtracking search for the least induced path, over
 vertex sequences on adjacency bitmasks: the next vertex is a neighbor of the
 last one outside the OR of the earlier path vertices' neighborhoods, so no
 chord is ever placed.  Exact and exponential in the worst case, which is fine
-at the sizes this package targets (n <= 12).  Returned witnesses are the
+at the sizes this package targets (n <= 16).  Returned witnesses are the
 lexicographically least sequence (for cycles: least over all rotations and
 reflections); a path ends above its first vertex, else its reverse would
 sort first.

@@ -29,7 +29,7 @@ from helpers import (
 )
 from qbmg.axioms import is_hereditary_on, is_qbmg_masks, recognize
 from qbmg.bicliques import Biclique, find_dominating_biclique, maximal_biclique_masks
-from qbmg.decompose import decompose_type_a, is_type_a, kos_partition
+from qbmg.decompose import decompose_type_a, kos_partition
 from qbmg.digraph import (
     canonical_form,
     induced_subdigraph,
@@ -393,39 +393,46 @@ def test_c09_prisner_bound():
 def test_c10_decomposition_theorem(sweep):
     checked = 0
     bad = 0
-    part_histogram: dict[int, int] = {}
     for rec in sweep.records:
         adj = adj_masks_from_out(rec.n, rec.out)
         if not masks_connected(rec.n, adj):
             continue
         g = digraph_from_masks(rec.n, rec.out, rec.colors)
         checked += 1
-        result = decompose_type_a(g)  # internal per-step assertions must not fire
-        parts = result.parts
-        part_histogram[len(parts)] = part_histogram.get(len(parts), 0) + 1
-        covered: set[int] = set()
-        valid = True
-        for part in parts:
-            if covered & part:
-                valid = False
-            covered |= part
-        if covered != set(range(rec.n)):
-            valid = False
-        if len(parts) > 1:
-            for part in parts:
-                sub, _ = induced_subdigraph(g, part)
-                if not is_type_a(sub):
-                    valid = False
-        if not valid:
+        if decompose_type_a(g).parts != (frozenset(range(rec.n)),):
             bad += 1
     _report(
         10,
         "decomposition theorem",
         bad == 0 and checked > 0,
-        f"{checked} connected recognized graphs decomposed, {bad} invalid; "
-        f"part-count histogram {dict(sorted(part_histogram.items()))} "
-        "(every connected recognized graph at this size is already type A)",
+        f"{checked} connected recognized graphs decomposed, {bad} not in one part "
+        "(each has a vertex adjacent to the whole other color class, so it is "
+        "type A: the lemma in qbmg.decompose)",
     )
+
+
+def test_c10_supplement_vertex_adjacent_to_the_other_color(sweep):
+    """The lemma behind c10: every connected recognized graph on n >= 2
+    vertices has a vertex adjacent to the whole other color class."""
+    checked = 0
+    missing = 0
+    for rec in sweep.records:
+        if rec.n < 2:
+            continue
+        adj = adj_masks_from_out(rec.n, rec.out)
+        if not masks_connected(rec.n, adj):
+            continue
+        side = [0, 0]
+        for v, c in enumerate(rec.colors):
+            side[c] |= 1 << v
+        checked += 1
+        if not any(adj[v] == side[1 - rec.colors[v]] for v in range(rec.n)):
+            missing += 1
+    print(
+        f"INFO criterion 10 supplement: {checked} connected recognized graphs, "
+        f"{missing} without a vertex adjacent to the whole other color class"
+    )
+    assert missing == 0 and checked > 0
 
 
 def test_c11_orientation_acyclicity(sweep):

@@ -406,6 +406,19 @@ def test_explain_with_truncation(capsys, tmp_path):
     assert g.named_edges() == {("a", "b"), ("b", "a")}
 
 
+def test_explain_repeated_truncation_entry_is_bad_input(capsys, tmp_path):
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((a=0,b=1),c=1);\n", encoding="utf-8")
+    trunc = tmp_path / "u.map"
+    # each line alone is valid; the second must not silently replace the first
+    trunc.write_text("a 1 2\na 1 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "explain", "--tree", str(tree), "--trunc", str(trunc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "line 2" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_deep_caterpillar(capsys, tmp_path):
     # one color-1 leaf at the bottom: each leaf has a single best match
     n = 1200

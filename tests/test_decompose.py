@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import qbmg.decompose
 import qbmg.digraph
+from helpers import random_nested, random_surjective_coloring, random_truncation
 from qbmg.cli import main
 from qbmg.decompose import KosPartition, decompose_type_a, is_type_a, kos_partition
 from qbmg.dgf import format_dgf
@@ -9,6 +12,7 @@ from qbmg.digraph import build_digraph, induced_subdigraph, underlying, weak_com
 from qbmg.enumeration import cycle_template
 from qbmg.errors import Disconnected, NotQbmg
 from qbmg.fixtures import EX10, P5A1, P5AB
+from qbmg.trees import qbmg_from_tree, tree_from_nested
 
 
 def test_kos_ex10():
@@ -103,7 +107,6 @@ def test_components_are_computed_once_per_digraph(monkeypatch):
         return real(adj, within)
 
     monkeypatch.setattr(qbmg.digraph, "_component_masks", counted)
-    monkeypatch.setattr(qbmg.decompose, "_component_masks", counted)
     # a fresh copy of EX10 (connected, type A), with no views kept on it yet
     g = build_digraph(EX10.n, EX10.colors, EX10.edges, EX10.names)
     assert weak_components(g) is underlying(g).components()
@@ -137,25 +140,30 @@ def test_decompose_parts_replay():
         assert covered == set(range(g.n))
 
 
-def test_peel_recursion_when_the_input_is_not_type_a(monkeypatch):
-    # every connected recognized graph seen so far is type A, so peeling
-    # goes past one part only when kos_partition is told the input is not K+S;
-    # the second graph, a component of a seeded tree graph, leaves a
-    # remainder of two components after the first peel
-    cases = [
-        (build_digraph(6, (0, 0, 0, 1, 1, 1), [(0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (5, 0), (5, 2)]),
-         [["v1", "v2", "v5", "v6"], ["v3", "v4"]]),
-        (build_digraph(12, (1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0), [
-            (0, 1), (0, 4), (0, 7), (0, 8), (1, 2), (2, 1), (3, 4), (3, 7), (3, 8), (4, 5), (4, 6),
-            (5, 7), (7, 5), (7, 6), (8, 9), (10, 1), (10, 4), (10, 7), (10, 8), (11, 0), (11, 2),
-            (11, 3), (11, 5), (11, 6), (11, 9), (11, 10)]),
-         [["v1", "v11", "v12", "v4", "v5", "v6", "v7", "v8"], ["v2", "v3"], ["v10", "v9"]]),
-    ]
-    real = qbmg.decompose.kos_partition
-    for g, expected in cases:
-        monkeypatch.setattr(
-            qbmg.decompose, "kos_partition", lambda u, g=g: None if u is underlying(g) else real(u))
-        result = decompose_type_a(g)  # internal per-step assertions must not fire
-        assert [sorted(g.names[v] for v in part) for part in result.parts] == expected
-        for part in result.parts:
-            assert is_type_a(induced_subdigraph(g, part)[0])
+def test_decompose_checks_the_one_part_is_k_plus_s(monkeypatch):
+    # the one-part result rests on the lemma in qbmg.decompose; a K+S check
+    # that fails must raise rather than return the part
+    monkeypatch.setattr(qbmg.decompose, "kos_partition", lambda u: None)
+    for g in (EX10, P5A1, P5AB):
+        with pytest.raises(AssertionError):
+            decompose_type_a(g)
+
+
+def test_tree_graph_components_have_a_vertex_adjacent_to_the_other_color():
+    # the lemma in qbmg.decompose, on seeded tree graphs with random truncations
+    rng = random.Random(7)
+    checked = 0
+    for i in range(1000):
+        names = [f"x{j}" for j in range(6 + i % 35)]
+        tree = tree_from_nested(random_nested(rng, names))
+        sigma = random_surjective_coloring(rng, tree.leaves)
+        g = qbmg_from_tree(tree, sigma, random_truncation(rng, tree, sigma))
+        for comp in weak_components(g):
+            if len(comp) < 2:
+                continue
+            side = [0, 0]
+            for v in comp:
+                side[g.colors[v]] |= 1 << v
+            assert any(g.adj_masks[v] == side[1 - g.colors[v]] for v in comp)
+            checked += 1
+    assert checked > 3000
