@@ -23,7 +23,6 @@ from .axioms import (
 from .bicliques import (
     Biclique,
     find_dominating_biclique,
-    is_dominating_set,
     maximal_bicliques,
 )
 from .decompose import Decomposition, KosPartition, decompose_type_a, is_type_a, kos_partition

@@ -129,7 +129,8 @@ def find_n3_violation(g: Digraph) -> AxiomWitness | None:
 
 
 def recognize(g: Digraph) -> RecognitionReport:
-    """Full recognition report; witness is the first violation in N1, N2, N3 order."""
+    """Full recognition report; witness is the first violation in N1, N2, N3
+    order.  The verdict is kept on g, where ``is_qbmg`` reads it."""
     witness = find_n1_violation(g)
     if witness is None:
         witness = find_n2_violation(g)
@@ -137,7 +138,7 @@ def recognize(g: Digraph) -> RecognitionReport:
         witness = find_n3_violation(g)
     sinks = frozenset(v for v in range(g.n) if g.out_masks[v] == 0)
     sym = len(g.symmetric_pairs)
-    is_qbmg = witness is None
+    is_qbmg = vars(g)["_is_qbmg"] = witness is None
     is_bmg = is_qbmg and not sinks
     is_reciprocal = is_bmg and g.out_masks == g.in_masks
     return RecognitionReport(is_qbmg, is_bmg, is_reciprocal, witness, sinks, sym)
@@ -291,7 +292,12 @@ def _admissible_rows(x: int, opposite: int, out: Sequence[int],
 
 
 def is_qbmg(g: Digraph) -> bool:
-    return is_qbmg_masks(g.n, g.out_masks, g.in_masks)
+    """The recognition verdict, computed once and kept on g; an induced
+    sub-digraph of a recognized graph inherits it (see ``qbmg.digraph``)."""
+    memo = vars(g)
+    if "_is_qbmg" not in memo:
+        memo["_is_qbmg"] = is_qbmg_masks(g.n, g.out_masks, g.in_masks)
+    return memo["_is_qbmg"]
 
 
 def is_hereditary_on(g: Digraph) -> frozenset[int] | None:

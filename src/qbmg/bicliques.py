@@ -1,4 +1,4 @@
-"""Bicliques, dominating sets and dominating-biclique search.
+"""Bicliques and dominating-biclique search.
 
 A biclique here always has both sides nonempty; the left side is the color-0
 side (edges force each side monochromatic in a bipartite host).  Searches are
@@ -8,7 +8,9 @@ relation between the two color classes, listed by Close-by-One (Kuznetsov
 has at most |L|^2 * |R|^2 of them (Prisner, *Bicliques in graphs I*,
 Combinatorica 20, 2000), and the enumeration raises ``TooLarge`` once that
 count is passed, so an input with exponentially many, such as a crown graph,
-cannot run without bound.  They are listed once per graph and kept on it.
+cannot run without bound.  Their masks are listed once per graph and kept
+on it: ``maximal_bicliques`` sorts them into ``Biclique`` values, and the
+dominating-biclique search reads the masks themselves.
 
 Right vertices with the same neighborhood lie in the same intents, and left
 vertices with the same neighborhood in the same extents.  So Close-by-One
@@ -20,9 +22,9 @@ intersects a closure over the least left vertex of each class only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .digraph import UGraph, _twin_representatives, iter_bits
+from .digraph import UGraph, _color_classes, _twin_representatives, iter_bits
 from .errors import Disconnected, TooLarge
 
 @dataclass(frozen=True)
@@ -35,21 +37,6 @@ class Biclique:
 
     def sort_key(self) -> tuple:
         return (-(len(self.left) + len(self.right)), tuple(sorted(self.left)), tuple(sorted(self.right)))
-
-
-def is_dominating_set(g: UGraph, vertices: Iterable[int]) -> bool:
-    """True iff every vertex outside the set has a neighbor inside it."""
-    dmask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        dmask |= 1 << v
-    for v in range(g.n):
-        if dmask >> v & 1:
-            continue
-        if not g.adj_masks[v] & dmask:
-            return False
-    return True
 
 
 def maximal_biclique_masks(adj: Sequence[int], left: int, right: int) -> list[tuple[int, int]]:
@@ -94,6 +81,15 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int) -> list[tu
     return found
 
 
+def _biclique_masks(g: UGraph) -> list[tuple[int, int]]:
+    """``maximal_biclique_masks`` of g with the color-0 class on the left,
+    listed once per graph and kept on it."""
+    memo = vars(g)
+    if "_biclique_masks" not in memo:
+        memo["_biclique_masks"] = maximal_biclique_masks(g.adj_masks, *_color_classes(g.colors))
+    return memo["_biclique_masks"]
+
+
 def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
     """All inclusion-maximal bicliques with both sides nonempty.
 
@@ -102,12 +98,9 @@ def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
     """
     memo = vars(g)
     if "_maximal_bicliques" not in memo:
-        side = [0, 0]
-        for v, c in enumerate(g.colors):
-            side[c] |= 1 << v
         found = [
             Biclique(frozenset(iter_bits(lmask)), frozenset(iter_bits(rmask)))
-            for lmask, rmask in maximal_biclique_masks(g.adj_masks, side[0], side[1])
+            for lmask, rmask in _biclique_masks(g)
         ]
         memo["_maximal_bicliques"] = tuple(sorted(found, key=Biclique.sort_key))
     return memo["_maximal_bicliques"]
@@ -116,12 +109,33 @@ def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
 def find_dominating_biclique(g: UGraph) -> Biclique | None:
     """A biclique whose vertex set dominates the (connected) graph, or None;
     a connected recognized graph always has one (see ``qbmg.decompose``).
-    Candidates are the maximal bicliques in decreasing-size order; any
-    dominating biclique extends to a dominating maximal one, so nothing is
-    missed by stopping there."""
+    Any dominating biclique extends to a dominating maximal one, so the
+    maximal ones are the candidates, and the answer is the first of them in
+    ``maximal_bicliques`` order, the least ``Biclique.sort_key``.
+
+    A vertex outside a biclique (L, R) has all its neighbors in the other
+    color class, so the biclique dominates iff the neighborhoods of L cover
+    the color-1 class and those of R the color-0 class."""
     if not g.is_connected():
         raise Disconnected("dominating-biclique search requires a connected graph")
-    for b in maximal_bicliques(g):
-        if is_dominating_set(g, b.vertices()):
-            return b
-    return None
+    adj = g.adj_masks
+    side = _color_classes(g.colors)
+    best = None  # the least key of a dominating biclique so far
+    for lmask, rmask in _biclique_masks(g):
+        size = lmask.bit_count() + rmask.bit_count()
+        if best is not None and -size > best[0]:
+            continue
+        reach = 0
+        for x in iter_bits(lmask):
+            reach |= adj[x]
+        if reach != side[1]:
+            continue
+        reach = 0
+        for y in iter_bits(rmask):
+            reach |= adj[y]
+        if reach != side[0]:
+            continue
+        key = (-size, tuple(iter_bits(lmask)), tuple(iter_bits(rmask)))
+        if best is None or key < best:
+            best = key
+    return None if best is None else Biclique(frozenset(best[1]), frozenset(best[2]))

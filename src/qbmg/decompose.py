@@ -24,6 +24,11 @@ which forms a biclique with x, and the rest of x's class is stable.  Proof:
 The biclique of a K+S split of a connected graph dominates it, since each
 vertex of the stable side has a neighbor, all in the biclique.  So every
 connected recognized graph has a dominating biclique.
+
+``decompose_type_a`` checks its one part against the lemma's own witness,
+in O(n): some vertex whose adjacency mask equals the mask of the other
+color class.  The recognition it asks for is a stored verdict when g was
+cut from a recognized graph (see ``qbmg.digraph``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 from .axioms import is_qbmg
 from .bicliques import Biclique, maximal_bicliques
-from .digraph import Digraph, UGraph, underlying
+from .digraph import Digraph, UGraph, _color_classes, underlying
 from .errors import Disconnected, NotQbmg
 
 
@@ -92,6 +97,8 @@ def decompose_type_a(g: Digraph) -> Decomposition:
         raise NotQbmg("decomposition requires a recognized graph")
     if not underlying(g).is_connected():
         raise Disconnected("decomposition requires a connected graph")
-    if kos_partition(underlying(g)) is None:  # cannot happen, by the lemma above
-        raise AssertionError("connected recognized graph that is not K+S")
+    side = _color_classes(g.colors)
+    # the lemma's witness; K_1's one vertex has the empty mask of its empty other class
+    if not any(a == side[1 - c] for a, c in zip(g.adj_masks, g.colors)):
+        raise AssertionError("connected recognized graph that is not K+S")  # cannot happen
     return Decomposition((frozenset(range(g.n)),))

@@ -9,12 +9,21 @@ the stored form of both graph types; the edge set is read off them on first
 use, and a validated build keeps the edge set it was given.  Connected
 components come from one core over vertex masks, ``_component_masks``; a
 digraph's are kept on its underlying graph.
+
+The views kept on a ``Digraph`` are its underlying graph, its adjacency
+masks, symmetric pairs and name index, and the recognition verdict that
+``recognize`` or ``is_qbmg`` reached.  A ``UGraph`` keeps its components,
+its false-twin representatives, its maximal bicliques and the least k it
+is known to be P_k-free for.  Recognition is hereditary: N1-N3 forbid
+configurations on at most four vertices, so every induced sub-digraph of a
+recognized digraph is recognized, and ``induced_subdigraph`` passes a True
+verdict down to the subgraph.  A False verdict says nothing about a
+subgraph and is not passed on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DuplicateEdge, LoopEdge, MonochromaticEdge, TooLarge
@@ -165,17 +174,56 @@ def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequ
     ``product`` order (the last pair varies fastest): state 1 flips u -> v in
     the out- and in-masks ``base`` (no edges by default), 2 flips v -> u, 3
     both and 0 neither.  The pairs must be distinct and join opposite colors,
-    and ``oriented`` must hold when set: ``_trusted_digraph`` checks nothing."""
+    and ``oriented`` must hold when set: nothing here is checked.
+
+    The walk is an odometer over one pair of mask lists.  Every pair starts
+    at the first state; a step moves the last pair to its next state and,
+    when it wraps back to the first, carries to the pair before it.  A move
+    flips only the arcs in which the two states differ, so a step touches
+    fewer than two pairs on average instead of reapplying all of them."""
     n = len(colors)
-    out0, in0 = base or ((0,) * n, (0,) * n)
-    arcs = [[[(u, v)] * (s & 1) + [(v, u)] * (s >> 1) for s in states] for u, v in pairs]
-    for choice in product(*arcs):
-        out, inn = list(out0), list(in0)
-        for state_arcs in choice:
-            for u, v in state_arcs:
+    out, inn = (list(base[0]), list(base[1])) if base else ([0] * n, [0] * n)
+    # the arcs each move of a pair's wheel flips: to the next state, and
+    # from the last back to the first
+    moves = [a ^ b for a, b in zip(states, [*states[1:], states[0]])]
+    last = len(states) - 1
+    for u, v in pairs:
+        if states[0] & 1:
+            out[u] ^= 1 << v
+            inn[v] ^= 1 << u
+        if states[0] & 2:
+            out[v] ^= 1 << u
+            inn[u] ^= 1 << v
+    at = [0] * len(pairs)
+    fixed = {"n": n, "colors": colors, "names": names}
+    if oriented:
+        fixed["symmetric_pairs"] = ()
+    new = object.__new__
+    while True:
+        g = new(Digraph)
+        memo = vars(g)
+        memo.update(fixed)
+        memo["out_masks"] = tuple(out)
+        memo["in_masks"] = tuple(inn)
+        yield g
+        i = len(pairs) - 1
+        while i >= 0:
+            u, v = pairs[i]
+            j = at[i]
+            move = moves[j]
+            if move & 1:
                 out[u] ^= 1 << v
                 inn[v] ^= 1 << u
-        yield _trusted_digraph(n, colors, names, tuple(out), tuple(inn), oriented)
+            if move & 2:
+                out[v] ^= 1 << u
+                inn[u] ^= 1 << v
+            if j < last:
+                at[i] = j + 1
+                break
+            at[i] = 0  # wrapped back to the first state: carry
+            i -= 1
+        else:
+            return
 
 
 @dataclass(frozen=True, init=False)
@@ -217,6 +265,11 @@ class UGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_masks[u] >> v & 1)
 
+    @_memo
+    def _twin_reps(self) -> int:
+        """The least vertex of each false-twin class, as a mask."""
+        return _twin_representatives(self.adj_masks, (1 << self.n) - 1)
+
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components ordered by smallest member id; computed once
         and kept on the graph."""
@@ -247,8 +300,23 @@ def _trusted_ugraph(
 
 def _mask_edges(masks: Sequence[int], upper: bool) -> frozenset[tuple[int, int]]:
     """(u, v) for each bit v of ``masks[u]``, only those above u when ``upper``."""
-    return frozenset((u, v) for u, m in enumerate(masks)
-                     for v in iter_bits(m & -(2 << u) if upper else m))
+    edges = []
+    for u, m in enumerate(masks):
+        if upper:
+            m &= -(2 << u)
+        while m:  # iter_bits unrolled: one generator per vertex cost more than the bits
+            low = m & -m
+            m ^= low
+            edges.append((u, low.bit_length() - 1))
+    return frozenset(edges)
+
+
+def _color_classes(colors: Sequence[int]) -> list[int]:
+    """The mask of the vertices of each color, color 0 first."""
+    side = [0, 0]
+    for v, c in enumerate(colors):
+        side[c] |= 1 << v
+    return side
 
 
 def _component_masks(adj: Sequence[int], within: int) -> list[int]:
@@ -327,7 +395,8 @@ G = TypeVar("G", Digraph, UGraph)
 def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...]]:
     """Induced subgraph of a ``Digraph`` or ``UGraph``, of the same type and
     re-indexed densely; also returns old ids per new id.  Re-indexing keeps
-    the vertex order, so normalized undirected edges stay normalized."""
+    the vertex order, so normalized undirected edges stay normalized.  The
+    subgraph of a digraph found recognized is recognized too."""
     old = tuple(sorted(set(vertices)))
     keep = 0
     for v in old:
@@ -354,7 +423,10 @@ def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...
     colors = tuple(g.colors[v] for v in old)
     names = tuple(g.names[v] for v in old)
     if isinstance(g, Digraph):
-        return _trusted_digraph(len(old), colors, names, squeeze(g.out_masks), squeeze(g.in_masks)), old
+        sub = _trusted_digraph(len(old), colors, names, squeeze(g.out_masks), squeeze(g.in_masks))
+        if vars(g).get("_is_qbmg"):  # recognition is hereditary
+            vars(sub)["_is_qbmg"] = True
+        return sub, old
     return _trusted_ugraph(len(old), colors, names, squeeze(g.adj_masks)), old
 
 

@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 from .axioms import find_n2_violation
 from .bicliques import Biclique
-from .digraph import Digraph, _state_digraphs, _trusted_digraph, induced_subdigraph
+from .digraph import Digraph, _color_classes, _state_digraphs, _trusted_digraph, induced_subdigraph
 from .errors import NotBiclique, NotOriented, TooLarge
 
 ORIENT_MAX_PAIRS = 16
@@ -96,9 +96,7 @@ def topological_order(g: Digraph) -> tuple[int, ...] | None:
 def bitournament_report(g: Digraph) -> BitournamentReport:
     """is_bitournament: oriented with exactly one edge per opposite-color pair;
     is_bitransitive: no bi-transitivity violation."""
-    classes = [0, 0]
-    for v, c in enumerate(g.colors):
-        classes[c] |= 1 << v
+    classes = _color_classes(g.colors)
     is_bt = not g.symmetric_pairs and all(
         a == classes[1 - c] for a, c in zip(g.adj_masks, g.colors))
     return BitournamentReport(is_bt, find_n2_violation(g) is None)

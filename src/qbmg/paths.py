@@ -28,12 +28,15 @@ the least twin of its class in place of another vertex of a witness gives
 an induced path or cycle again and a smaller sequence, so the least witness
 holds least twins only.  From those lengths on, the searches therefore
 start from and extend by the least vertex of each twin class only.
-Underlying graphs of tree-built graphs are full of twins.
+Underlying graphs of tree-built graphs are full of twins.  A graph's twin
+classes never change, so ``find_induced_path`` and ``find_induced_cycle``
+read them from the ``UGraph``, where they are found once.
 
 Each search raises ``TooLarge`` before it starts when its tree of vertex
 sequences may have more than 10,000,000 leaves, bounded as
 n * d * (d - 1)^(k - 2) from the n vertices it starts from and the most
-neighbors d any of them has among them.
+neighbors d any of them has among them.  That budget is the only bound on
+k: a long path on a graph of small degree is found in linear time.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from typing import Sequence
 from .digraph import UGraph, _twin_representatives, iter_bits
 from .errors import TooLarge
 
-# the longest path or cycle a query may ask for
-INDUCED_MAX_LENGTH = 64
 # leaves of the sequence tree: every 16-vertex graph at k = 6 stays within it
 _SEARCH_BUDGET = 10_000_000
 
@@ -60,14 +61,10 @@ class InducedCycle:
     vertices: tuple[int, ...]
 
 
-def _search_vertices(adj: Sequence[int], n: int, k: int, twin_free_from: int) -> int:
-    """The vertices a search for k vertices starts from and extends by: the
-    least of each twin class once ``k >= twin_free_from``, else all n; none
-    when fewer than k are left.  Raises ``TooLarge`` when the sequences it
-    may walk exceed the budget."""
-    within = (1 << n) - 1
-    if k >= twin_free_from:
-        within = _twin_representatives(adj, within)
+def _search_vertices(adj: Sequence[int], k: int, within: int) -> int:
+    """The vertices of the mask ``within`` that a search for k vertices
+    starts from and extends by; none when fewer than k are left.  Raises
+    ``TooLarge`` when the sequences it may walk exceed the budget."""
     count = within.bit_count()
     if count < k:
         return 0
@@ -110,19 +107,22 @@ def _least_path(adj: Sequence[int], k: int, starts: int, inner: int, ends: int) 
     return None
 
 
-def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
+def _induced_path(adj: Sequence[int], n: int, k: int, twins: int) -> tuple[int, ...] | None:
+    """The least induced path on k vertices, given the mask ``twins`` of
+    the least vertex of each twin class."""
     if k > n or k < 1:
         return None
     if k == 1:
         return (0,)
-    within = _search_vertices(adj, n, k, 4)
+    within = _search_vertices(adj, k, twins if k >= 4 else (1 << n) - 1)
     return _least_path(adj, k, within, within, within)
 
 
-def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
+def _induced_cycle(adj: Sequence[int], n: int, k: int, twins: int) -> tuple[int, ...] | None:
+    """The least induced cycle on k vertices, given ``twins`` as above."""
     if k > n or k < 3:
         return None
-    within = _search_vertices(adj, n, k, 5)
+    within = _search_vertices(adj, k, twins if k >= 5 else (1 << n) - 1)
     for s in iter_bits(within):
         above = within & -(2 << s)
         if above.bit_count() < k - 1:
@@ -135,16 +135,22 @@ def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, .
     return None
 
 
+def find_induced_path_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
+    return _induced_path(adj, n, k, _twin_representatives(adj, (1 << n) - 1))
+
+
+def find_induced_cycle_masks(adj: Sequence[int], n: int, k: int) -> tuple[int, ...] | None:
+    return _induced_cycle(adj, n, k, _twin_representatives(adj, (1 << n) - 1))
+
+
 def find_induced_path(g: UGraph, k: int) -> InducedPath | None:
     """Some induced path on k vertices, or None; g is Pk-free iff None."""
     if k < 2:
         raise ValueError("induced path needs at least 2 vertices")
-    if k > INDUCED_MAX_LENGTH:
-        raise TooLarge(f"induced path search supports at most {INDUCED_MAX_LENGTH} vertices")
     # the least k for which g is known to have no induced P_k
-    if k >= vars(g).get("_path_free_from", INDUCED_MAX_LENGTH + 1):
+    if k >= vars(g).get("_path_free_from", k + 1):
         return None
-    seq = find_induced_path_masks(g.adj_masks, g.n, k)
+    seq = _induced_path(g.adj_masks, g.n, k, g._twin_reps)
     if seq is None:
         vars(g)["_path_free_from"] = k
         return None
@@ -155,9 +161,7 @@ def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
     """Some induced chordless k-cycle, or None; odd k on bipartite input gives None."""
     if k < 3:
         raise ValueError("induced cycle needs at least 3 vertices")
-    if k > INDUCED_MAX_LENGTH:
-        raise TooLarge(f"induced cycle search supports at most {INDUCED_MAX_LENGTH} vertices")
-    if k > vars(g).get("_path_free_from", INDUCED_MAX_LENGTH + 1):
+    if k > vars(g).get("_path_free_from", k):
         return None
-    seq = find_induced_cycle_masks(g.adj_masks, g.n, k)
+    seq = _induced_cycle(g.adj_masks, g.n, k, g._twin_reps)
     return InducedCycle(seq) if seq is not None else None

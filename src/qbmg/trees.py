@@ -26,7 +26,15 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .axioms import is_qbmg_masks
-from .digraph import Digraph, _component_masks, _memo, _trusted_digraph, _validate_vertex_table, iter_bits
+from .digraph import (
+    Digraph,
+    _color_classes,
+    _component_masks,
+    _memo,
+    _trusted_digraph,
+    _validate_vertex_table,
+    iter_bits,
+)
 from .errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -107,10 +115,6 @@ class PhyloTree:
             p = self.parent[node]
             last[p] = max(last[p], last[node])  # type: ignore[index]
         return tuple(last)
-
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff a is b or lies on the path from the root to b."""
-        return a <= b <= self._last[a]
 
     def root_path(self, x: int) -> tuple[int, ...]:
         """Nodes from the root down to x, inclusive."""
@@ -234,12 +238,14 @@ def root_truncation(t: PhyloTree, sigma: Mapping[int, int]) -> TruncationMap:
 
 
 def validate_truncation(t: PhyloTree, sigma: Mapping[int, int], u: Mapping[tuple[int, int], int]) -> None:
+    last = t._last
     for x in t.leaves:
         for s in (0, 1):
             if (x, s) not in u:
                 raise InvalidTruncation(f"missing truncation entry for leaf {x}, color {s}")
             node = u[(x, s)]
-            if not (0 <= node < t.size) or not t.is_ancestor(node, x):
+            # node is x or an ancestor of it iff x lies in node's preorder id range
+            if not 0 <= node <= x <= last[node]:
                 raise InvalidTruncation(
                     f"truncation node {node} is off the root path of leaf {x}")
             if s == sigma[x] and node != x:
@@ -343,9 +349,7 @@ def _build_informative(g: Digraph) -> Nested | None:
     al., *Best match graphs*, J. Math. Biol. 78, 2019).
     """
     n, out = g.n, g.out_masks
-    side = [0, 0]
-    for v in range(n):
-        side[g.colors[v]] |= 1 << v
+    side = _color_classes(g.colors)
     # x takes part in triples xy|y' over L iff some y' of spare[x] lies in L
     spare = [side[1 - g.colors[x]] & ~out[x] for x in range(n)]
     built = _build((1 << n) - 1, out, spare, g.names)

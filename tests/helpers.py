@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from qbmg.bicliques import Biclique
+from qbmg.bicliques import Biclique, maximal_bicliques
 from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
 from qbmg.enumeration import opposite_pairs
-from qbmg.errors import TooLarge
+from qbmg.errors import Disconnected, TooLarge
 from qbmg.trees import Nested, PhyloTree
 
 BICLIQUE_MAX_SIDE = 20
@@ -308,6 +308,32 @@ def subset_walk_maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
             out.append(Biclique(side_b, side_a))
     out.sort(key=Biclique.sort_key)
     return tuple(out)
+
+
+def is_dominating_set(g: UGraph, vertices: Iterable[int]) -> bool:
+    """True iff every vertex outside the set has a neighbor inside it."""
+    dmask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        dmask |= 1 << v
+    for v in range(g.n):
+        if dmask >> v & 1:
+            continue
+        if not g.adj_masks[v] & dmask:
+            return False
+    return True
+
+
+def sorted_scan_dominating_biclique(g: UGraph) -> Biclique | None:
+    """``find_dominating_biclique`` as the library computed it before it read
+    the biclique masks: the first dominating one of ``maximal_bicliques``."""
+    if not g.is_connected():
+        raise Disconnected("dominating-biclique search requires a connected graph")
+    for b in maximal_bicliques(g):
+        if is_dominating_set(g, b.vertices()):
+            return b
+    return None
 
 
 def grid_graph(side: int) -> UGraph:

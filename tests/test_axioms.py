@@ -20,10 +20,11 @@ from qbmg.axioms import (
     find_n2_violation,
     find_n3_violation,
     is_hereditary_on,
+    is_qbmg,
     is_qbmg_masks,
     recognize,
 )
-from qbmg.digraph import build_digraph, iter_bits, underlying
+from qbmg.digraph import build_digraph, induced_subdigraph, iter_bits, underlying
 from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
 from qbmg.errors import NotQbmg
 from qbmg.fixtures import (
@@ -337,6 +338,35 @@ def test_hereditary_requires_recognized_graph():
     g = build_digraph(4, (1, 0, 1, 0), [(0, 1), (1, 2), (2, 3)])  # violates N2
     with pytest.raises(NotQbmg):
         is_hereditary_on(g)
+
+
+def test_induced_subdigraphs_inherit_only_a_true_verdict(sweep):
+    # the fixtures and every labeled graph with n <= 4, recognized or not,
+    # and the recognized records with n = 5; each parent is judged by
+    # recognize, by is_qbmg, or not at all, then cut to every vertex subset
+    # copies with no views kept yet
+    parents = [build_digraph(g.n, g.colors, g.edges, g.names) for g in ALL_FIXTURES.values()]
+    for n in range(1, 5):
+        for colors in halved_colorings(n):
+            run_mask_sweep(colors, lambda out, inn, n=n, colors=colors: parents.append(
+                digraph_from_masks(n, tuple(out), colors)))
+    parents += [digraph_from_masks(r.n, r.out, r.colors) for r in sweep.by_n(5)]
+    rejected = 0
+    for i, g in enumerate(parents):
+        verdict = None
+        if i % 3 == 1:
+            verdict = recognize(g).is_qbmg
+        elif i % 3 == 2:
+            verdict = is_qbmg(g)
+        rejected += verdict is False
+        for mask in range(1 << g.n):
+            sub, _ = induced_subdigraph(g, iter_bits(mask))
+            if verdict:
+                assert vars(sub)["_is_qbmg"] is True
+            else:
+                assert "_is_qbmg" not in vars(sub)
+            assert is_qbmg(sub) == is_qbmg_masks(sub.n, sub.out_masks, sub.in_masks)
+    assert rejected > 100
 
 
 def test_sink_free_qbmgs_have_cograph_underlying_n4():

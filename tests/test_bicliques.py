@@ -8,14 +8,18 @@ from helpers import (
     adj_masks_from_out,
     all_bicliques,
     brute_maximal_bicliques,
+    connected_bipartite_reps,
     crown_graph,
+    is_dominating_set,
+    random_nested,
     random_surjective_coloring,
+    random_truncation,
+    sorted_scan_dominating_biclique,
     subset_walk_maximal_bicliques,
     twin_blow_up,
 )
 from qbmg.bicliques import (
     find_dominating_biclique,
-    is_dominating_set,
     maximal_biclique_masks,
     maximal_bicliques,
 )
@@ -124,6 +128,28 @@ def test_dominating_biclique_single_edge():
 
 def test_dominating_biclique_six_cycle_none():
     assert find_dominating_biclique(cycle_template(6)) is None
+
+
+def test_dominating_biclique_matches_the_sorted_scan():
+    # every connected bipartite graph up to 7 vertices, one per class and
+    # both colorings, and the components of seeded tree graphs; a fresh copy
+    # of each graph goes to each side, so neither reads what the other kept
+    graphs = [g for level in connected_bipartite_reps(7).values() for g in level]
+    graphs += [build_ugraph(g.n, [1 - c for c in g.colors], g.edges) for g in graphs]
+    rng = random.Random(26)
+    for i in range(300):
+        tree = tree_from_nested(random_nested(rng, [f"x{j}" for j in range(4 + i % 30)]))
+        sigma = random_surjective_coloring(rng, tree.leaves)
+        g = qbmg_from_tree(tree, sigma, random_truncation(rng, tree, sigma))
+        graphs += [underlying(induced_subdigraph(g, comp)[0]) for comp in weak_components(g)]
+    missing = 0
+    for g in graphs:
+        want = sorted_scan_dominating_biclique(build_ugraph(g.n, g.colors, g.edges))
+        assert find_dominating_biclique(build_ugraph(g.n, g.colors, g.edges)) == want
+        missing += want is None and g.n > 1
+    # 9 of the classes, each under both colorings, have none; every tree
+    # graph component has one
+    assert missing == 18 and len(graphs) > 1000
 
 
 def test_dominating_biclique_requires_connected():

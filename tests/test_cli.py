@@ -67,15 +67,30 @@ def test_analyze_custom_checks(capsys, tmp_path):
 
 @pytest.mark.parametrize("check", ["p1200", "c1200"])
 def test_analyze_search_too_long_is_bad_input(capsys, tmp_path, check):
-    # the searches take at most INDUCED_MAX_LENGTH vertices; the path
-    # templates stop at 10 vertices, so the 1,500-vertex path is built here
-    long_path = build_ugraph(1500, [i % 2 for i in range(1500)], [(i, i + 1) for i in range(1499)])
-    path = tmp_path / "path.dgf"
-    path.write_text(format_dgf(long_path), encoding="utf-8")
+    # a 750-vertex path with a pendant vertex on each path vertex: no two
+    # vertices are twins and the path vertices have degree 3, so a search
+    # for 1,200 vertices may walk 1500 * 3 * 2^1198 sequences, far past the
+    # budget, and is refused before it starts
+    edges = [(i, i + 1) for i in range(749)] + [(i, 750 + i) for i in range(750)]
+    comb = build_ugraph(1500, [i % 2 for i in range(750)] + [1 - i % 2 for i in range(750)], edges)
+    path = tmp_path / "comb.dgf"
+    path.write_text(format_dgf(comb), encoding="utf-8")
     code, out, err = run_cli(capsys, "analyze", str(path), "--check", check)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_long_path_query_is_answered(capsys, tmp_path):
+    # a search for more than 64 vertices is bounded by its budget alone; on
+    # a path, of degree 2, it stays within it and finds the path itself
+    long_path = build_ugraph(100, [i % 2 for i in range(100)], [(i, i + 1) for i in range(99)])
+    path = tmp_path / "path.dgf"
+    path.write_text(format_dgf(long_path), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", "p65,c66")
+    assert code == 0 and err == ""
+    witness = " ".join(f"v{i + 1}" for i in range(65))
+    assert out.splitlines() == [f"P65-free: no (witness: {witness})", "C66-free: yes"]
 
 
 @pytest.mark.parametrize("side,check", [(7, "p34"), (8, "p44")])
@@ -337,7 +352,7 @@ def test_enumerate_template_too_large_is_bad_input(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr("qbmg.digraph.product", fail)
+    monkeypatch.setattr("qbmg.enumeration._state_digraphs", fail)
     code, out, err = run_cli(capsys, "enumerate", "--underlying", "path:14")
     assert code == 2
     assert out == ""

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+import qbmg.axioms
+import qbmg.bicliques
 import qbmg.decompose
 import qbmg.digraph
 from helpers import random_nested, random_surjective_coloring, random_truncation
+from qbmg.axioms import is_qbmg, recognize
+from qbmg.bicliques import find_dominating_biclique, maximal_bicliques
 from qbmg.cli import main
 from qbmg.decompose import KosPartition, decompose_type_a, is_type_a, kos_partition
 from qbmg.dgf import format_dgf
@@ -12,6 +16,7 @@ from qbmg.digraph import build_digraph, induced_subdigraph, underlying, weak_com
 from qbmg.enumeration import cycle_template
 from qbmg.errors import Disconnected, NotQbmg
 from qbmg.fixtures import EX10, P5A1, P5AB
+from qbmg.paths import find_induced_cycle, find_induced_path
 from qbmg.trees import qbmg_from_tree, tree_from_nested
 
 
@@ -115,6 +120,43 @@ def test_components_are_computed_once_per_digraph(monkeypatch):
     assert calls == 1
 
 
+def test_structure_pass_reuses_the_verdict_and_the_bicliques(monkeypatch):
+    # the per-graph analysis of the structure benchmark on EX10 and a seeded
+    # tree graph: after recognize, decompose runs no recognition kernel on a
+    # component, and the dominating-biclique search, decompose and
+    # maximal_bicliques list the biclique masks once per component between them
+    kernel_calls, biclique_calls = [], []
+    kernel = qbmg.axioms.is_qbmg_masks
+    lister = qbmg.bicliques.maximal_biclique_masks
+    monkeypatch.setattr(qbmg.axioms, "is_qbmg_masks",
+                        lambda *args: kernel_calls.append(1) or kernel(*args))
+    monkeypatch.setattr(qbmg.bicliques, "maximal_biclique_masks",
+                        lambda *args: biclique_calls.append(1) or lister(*args))
+    rng = random.Random(4)  # components of 3, 5 and 7 vertices
+    tree = tree_from_nested(random_nested(rng, [f"x{j}" for j in range(16)]))
+    sigma = random_surjective_coloring(rng, tree.leaves)
+    tree_graph = qbmg_from_tree(tree, sigma, random_truncation(rng, tree, sigma))
+    checked = 0
+    for g in (build_digraph(EX10.n, EX10.colors, EX10.edges, EX10.names), tree_graph):
+        assert recognize(g).is_qbmg
+        for comp in weak_components(g):
+            if len(comp) < 2:
+                continue
+            sub, _ = induced_subdigraph(g, comp)
+            und = underlying(sub)
+            kernel_calls.clear()
+            biclique_calls.clear()
+            find_induced_path(und, 4)
+            find_induced_path(und, 5)
+            assert find_induced_path(und, 6) is None and find_induced_cycle(und, 6) is None
+            assert find_dominating_biclique(und) is not None
+            assert decompose_type_a(sub).parts == (frozenset(range(sub.n)),)
+            assert maximal_bicliques(und)
+            assert (len(kernel_calls), len(biclique_calls)) == (0, 1)
+            checked += 1
+    assert checked == 4
+
+
 def test_decompose_rejects_unrecognized():
     g = build_digraph(4, (1, 0, 1, 0), [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotQbmg):
@@ -141,12 +183,18 @@ def test_decompose_parts_replay():
 
 
 def test_decompose_checks_the_one_part_is_k_plus_s(monkeypatch):
-    # the one-part result rests on the lemma in qbmg.decompose; a K+S check
-    # that fails must raise rather than return the part
-    monkeypatch.setattr(qbmg.decompose, "kos_partition", lambda u: None)
+    # the one-part result rests on the lemma in qbmg.decompose; a connected
+    # graph without the lemma's witness must raise rather than return the
+    # part.  An oriented P6 is connected, fails recognition, and no vertex
+    # is adjacent to all three of the other color, so it reaches the guard
+    # once recognition is made to pass it.
+    p6 = build_digraph(6, [i % 2 for i in range(6)], [(i, i + 1) for i in range(5)])
+    assert not is_qbmg(p6) and underlying(p6).is_connected()
+    monkeypatch.setattr(qbmg.decompose, "is_qbmg", lambda g: True)
+    with pytest.raises(AssertionError):
+        decompose_type_a(p6)
     for g in (EX10, P5A1, P5AB):
-        with pytest.raises(AssertionError):
-            decompose_type_a(g)
+        assert decompose_type_a(g).parts == (frozenset(range(g.n)),)
 
 
 def test_tree_graph_components_have_a_vertex_adjacent_to_the_other_color():

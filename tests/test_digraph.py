@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from qbmg.digraph import (
     Digraph,
     UGraph,
     _component_masks,
+    _state_digraphs,
     _trusted_digraph,
     _trusted_ugraph,
     build_digraph,
@@ -487,3 +488,39 @@ def test_mask_built_graphs_equal_validated_rebuilds(sweep):
             sigma = random_surjective_coloring(rng, tree.leaves)
             for u in (root_truncation(tree, sigma), random_truncation(rng, tree, sigma)):
                 _assert_validated(qbmg_from_tree(tree, sigma, u))
+
+
+@pytest.mark.parametrize("states", [(1, 2), (1, 2, 3), range(4)])
+def test_state_digraphs_follow_product_order(states):
+    # the odometer walk against a product over the pairs' states, each
+    # digraph built through the validating constructor; zero pairs give
+    # the base alone, and a base with both arcs of every pair gives its
+    # orientations under states (1, 2)
+    rng = random.Random(26)
+    for trial in range(40):
+        n = rng.randint(2, 7)
+        colors = tuple(rng.randint(0, 1) for _ in range(n))
+        names = tuple(f"x{v}" for v in range(n))
+        opposite = [(u, v) for u in range(n) for v in range(u + 1, n) if colors[u] != colors[v]]
+        pairs = rng.sample(opposite, min(len(opposite), trial % 5))
+        base_edges: set[tuple[int, int]] = set()
+        if trial % 2:
+            base_edges = {(a, b) for u, v in pairs for a, b in ((u, v), (v, u))}
+            base_edges |= {e for u, v in opposite if (u, v) not in pairs
+                           for e in rng.choice([[], [(u, v)], [(v, u)], [(u, v), (v, u)]])}
+        want = []
+        for choice in product(states, repeat=len(pairs)):
+            edges = set(base_edges)
+            for (u, v), state in zip(pairs, choice):
+                edges ^= {(u, v)} if state & 1 else set()
+                edges ^= {(v, u)} if state & 2 else set()
+            want.append(Digraph(n=n, colors=colors, edges=frozenset(edges), names=names))
+        base = None
+        if base_edges:
+            ref = Digraph(n=n, colors=colors, edges=frozenset(base_edges), names=names)
+            base = (ref.out_masks, ref.in_masks)
+        got = list(_state_digraphs(colors, names, pairs, states, base))
+        assert got == want
+        assert [g.in_masks for g in got] == [g.in_masks for g in want]
+        assert [g.symmetric_pairs for g in got] == [g.symmetric_pairs for g in want]
+    assert len(list(_state_digraphs((0, 1), ("a", "b"), [], states))) == 1

@@ -119,14 +119,24 @@ def test_tree_rejects_parent_array_out_of_preorder():
         PhyloTree((None, 0, 0, 1, 1), (None, None, "a", "b", "c"))
 
 
-def test_is_ancestor_matches_parent_walk():
+def test_truncation_accepts_exactly_the_root_path_nodes():
+    # validate_truncation reads ancestry off preorder id ranges; each
+    # (leaf, opposite color) entry is tried at every node id and just past
+    # both ends, against the root path walked up the parent array
     rng = random.Random(43)
-    for size in range(1, 20):
+    for size in range(2, 20):
         t = tree_from_nested(random_nested(rng, [f"x{i}" for i in range(size)]))
-        for b in range(t.size):
-            on_path = t.root_path(b)  # walks the parent array up from b
-            for a in range(t.size):
-                assert t.is_ancestor(a, b) == (a in on_path), (size, a, b)
+        sigma = random_surjective_coloring(rng, t.leaves)
+        for x in t.leaves:
+            on_path = t.root_path(x)
+            for a in range(-1, t.size + 1):
+                u = root_truncation(t, sigma)
+                u[(x, 1 - sigma[x])] = a
+                if a in on_path:
+                    validate_truncation(t, sigma, u)
+                else:
+                    with pytest.raises(InvalidTruncation):
+                        validate_truncation(t, sigma, u)
 
 
 def test_parse_tree_deep_caterpillar():
