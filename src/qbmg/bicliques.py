@@ -8,9 +8,9 @@ relation between the two color classes, listed by Close-by-One (Kuznetsov
 has at most |L|^2 * |R|^2 of them (Prisner, *Bicliques in graphs I*,
 Combinatorica 20, 2000), and the enumeration raises ``TooLarge`` once that
 count is passed, so an input with exponentially many, such as a crown graph,
-cannot run without bound.  Their masks are listed once per graph and kept
-on it: ``maximal_bicliques`` sorts them into ``Biclique`` values, and the
-dominating-biclique search reads the masks themselves.
+cannot run without bound.  ``maximal_bicliques`` sorts the masks into
+``Biclique`` values, and the dominating-biclique search reads the masks
+themselves.
 
 Right vertices with the same neighborhood lie in the same intents, and left
 vertices with the same neighborhood in the same extents.  So Close-by-One
@@ -81,29 +81,15 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int) -> list[tu
     return found
 
 
-def _biclique_masks(g: UGraph) -> list[tuple[int, int]]:
-    """``maximal_biclique_masks`` of g with the color-0 class on the left,
-    listed once per graph and kept on it."""
-    memo = vars(g)
-    if "_biclique_masks" not in memo:
-        memo["_biclique_masks"] = maximal_biclique_masks(g.adj_masks, *_color_classes(g.colors))
-    return memo["_biclique_masks"]
-
-
 def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
     """All inclusion-maximal bicliques with both sides nonempty.
 
-    Ordered by decreasing vertex count, then lexicographically by sides.
-    Listed once per graph; see ``maximal_biclique_masks`` for the size bound.
+    Ordered by decreasing vertex count, then lexicographically by sides;
+    see ``maximal_biclique_masks`` for the size bound.
     """
-    memo = vars(g)
-    if "_maximal_bicliques" not in memo:
-        found = [
-            Biclique(frozenset(iter_bits(lmask)), frozenset(iter_bits(rmask)))
-            for lmask, rmask in _biclique_masks(g)
-        ]
-        memo["_maximal_bicliques"] = tuple(sorted(found, key=Biclique.sort_key))
-    return memo["_maximal_bicliques"]
+    found = [Biclique(frozenset(iter_bits(lmask)), frozenset(iter_bits(rmask)))
+             for lmask, rmask in maximal_biclique_masks(g.adj_masks, *_color_classes(g.colors))]
+    return tuple(sorted(found, key=Biclique.sort_key))
 
 
 def find_dominating_biclique(g: UGraph) -> Biclique | None:
@@ -121,7 +107,7 @@ def find_dominating_biclique(g: UGraph) -> Biclique | None:
     adj = g.adj_masks
     side = _color_classes(g.colors)
     best = None  # the least key of a dominating biclique so far
-    for lmask, rmask in _biclique_masks(g):
+    for lmask, rmask in maximal_biclique_masks(adj, *side):
         size = lmask.bit_count() + rmask.bit_count()
         if best is not None and -size > best[0]:
             continue

@@ -3,9 +3,9 @@
 Vertices are dense integer ids 0..n-1 with unique display names.  All values
 are immutable after construction and all operations are pure functions, so
 they are safe to share across concurrent workers.  A view derived from one
-graph (its underlying graph, its maximal bicliques, its path-freeness) is
-computed once and kept on the graph value it describes.  Adjacency masks are
-the stored form of both graph types; the edge set is read off them on first
+graph (its underlying graph, its components, its path-freeness) is computed
+once and kept on the graph value it describes.  Adjacency masks are the
+stored form of both graph types; the edge set is read off them on first
 use, and a validated build keeps the edge set it was given.  Connected
 components come from one core over vertex masks, ``_component_masks``; a
 digraph's are kept on its underlying graph.
@@ -13,12 +13,12 @@ digraph's are kept on its underlying graph.
 The views kept on a ``Digraph`` are its underlying graph, its adjacency
 masks, symmetric pairs and name index, and the recognition verdict that
 ``recognize`` or ``is_qbmg`` reached.  A ``UGraph`` keeps its components,
-its false-twin representatives, its maximal bicliques and the least k it
-is known to be P_k-free for.  Recognition is hereditary: N1-N3 forbid
-configurations on at most four vertices, so every induced sub-digraph of a
-recognized digraph is recognized, and ``induced_subdigraph`` passes a True
-verdict down to the subgraph.  A False verdict says nothing about a
-subgraph and is not passed on.
+its false-twin representatives and the least k it is known to be P_k-free
+for.  Recognition is hereditary: N1-N3 forbid configurations on at most
+four vertices, so every induced sub-digraph of a recognized digraph is
+recognized, and ``induced_subdigraph`` passes a True verdict down to the
+subgraph.  A False verdict says nothing about a subgraph and is not passed
+on.
 """
 
 from __future__ import annotations
@@ -147,6 +147,10 @@ class Digraph:
     def _name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
+    @_memo
+    def _underlying(self) -> UGraph:
+        return _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)
+
 
 def _trusted_digraph(
     n: int,
@@ -273,11 +277,11 @@ class UGraph:
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components ordered by smallest member id; computed once
         and kept on the graph."""
-        memo = vars(self)
-        if "_components" not in memo:
-            memo["_components"] = tuple(
-                frozenset(iter_bits(c)) for c in _component_masks(self.adj_masks, (1 << self.n) - 1))
-        return memo["_components"]
+        return self._components
+
+    @_memo
+    def _components(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(iter_bits(c)) for c in _component_masks(self.adj_masks, (1 << self.n) - 1))
 
     def is_connected(self) -> bool:
         """Exactly one component: a single vertex is connected, the graph
@@ -383,10 +387,7 @@ def underlying(g: Digraph) -> UGraph:
     """Forget edge directions; symmetric pairs collapse to one undirected edge.
     Built once per graph from its adjacency masks, so every caller shares
     the views kept on it."""
-    memo = vars(g)
-    if "_underlying" not in memo:
-        memo["_underlying"] = _trusted_ugraph(g.n, g.colors, g.names, g.adj_masks)
-    return memo["_underlying"]
+    return g._underlying
 
 
 G = TypeVar("G", Digraph, UGraph)
@@ -467,6 +468,39 @@ def _swappable_masks(n: int, rows: Sequence[int], cols: Sequence[int]) -> list[i
     return swap
 
 
+def _place_least(free: list[int], codes: list[int], tight: bool, prefix: list[int], placed: list[int],
+                 best: list[int], best_order: list[int], swap: Sequence[int],
+                 toward: Sequence[list[int]]) -> None:
+    """One level of ``canonical_order``'s search: ``prefix`` ends with the
+    least of ``codes``, the code this level places, and ``placed`` holds the
+    vertices placed so far.  A leaf better than ``best`` overwrites it and
+    ``best_order`` in place."""
+    k = len(prefix)
+    if len(free) == 1:  # one vertex left: it takes the last position, whose code ends the prefix
+        if not tight:
+            best[:], best_order[:] = prefix, placed + free
+        return
+    border = prefix[-1]
+    reps = 0
+    for i, v in enumerate(free):
+        if codes[i] != border or swap[v] & reps:
+            continue
+        reps |= 1 << v
+        bits = toward[v]
+        child = [(c << 2) | bits[w] for w, c in zip(free, codes)]
+        del child[i]
+        least = min(child)
+        if tight and least > best[k]:
+            continue
+        placed.append(v)
+        prefix.append(least)
+        _place_least(free[:i] + free[i + 1:], child, tight and least == best[k], prefix, placed,
+                     best, best_order, swap, toward)
+        placed.pop()
+        prefix.pop()
+        tight = True
+
+
 def canonical_order(
     n: int, rows: Sequence[int], cols: Sequence[int]
 ) -> tuple[list[int], list[int]]:
@@ -482,45 +516,12 @@ def canonical_order(
     first leaf below that code leaves the best encoding equal to the prefix
     plus it, so a larger code never wins.  While ``tight`` (the prefix equals
     the best so far), a child whose least code exceeds the best's is skipped."""
-    swap = _swappable_masks(n, rows, cols)
     # toward[v][w]: w's two border bits toward v
     toward = [[(rows[w] >> v & 1) << 1 | (cols[w] >> v & 1) for w in range(n)] for v in range(n)]
     best: list[int] = []
     best_order: list[int] = []
-    prefix = [0]
-    placed: list[int] = []
-
-    def rec(free: list[int], codes: list[int], tight: bool) -> None:
-        # prefix ends with the least of codes, the code this level places
-        k = len(prefix)
-        if k == n:
-            if not tight:
-                best[:], best_order[:] = prefix, placed + free
-            return
-        border = prefix[-1]
-        reps = 0
-        for i, v in enumerate(free):
-            if codes[i] != border or swap[v] & reps:
-                continue
-            reps |= 1 << v
-            bits = toward[v]
-            child = [(c << 2) | bits[w] for w, c in zip(free, codes)]
-            del child[i]
-            least = min(child)
-            if tight and least > best[k]:
-                continue
-            placed.append(v)
-            prefix.append(least)
-            rec(free[:i] + free[i + 1:], child, tight and least == best[k])
-            placed.pop()
-            prefix.pop()
-            tight = True
-
-    try:
-        rec(list(range(n)), [0] * n, False)
-    finally:
-        # rec's closure refers to rec itself; see run_mask_sweep
-        del rec
+    _place_least(list(range(n)), [0] * n, False, [0], [], best, best_order,
+                 _swappable_masks(n, rows, cols), toward)
     return best, best_order
 
 

@@ -109,6 +109,31 @@ def all_bipartite_digraphs(n: int) -> Iterator[Digraph]:
         yield from _state_digraphs(colors, names, opposite_pairs(colors), range(4))
 
 
+def _sweep_pairs(i: int, pairs: Sequence[tuple[int, int]], out: list[int], inn: list[int],
+                 visit: Callable[[list[int], list[int]], None]) -> int:
+    """Walk the four states of ``pairs[i:]`` over the masks, which hold the
+    states of the pairs before i, and return the number of graphs visited."""
+    if i == len(pairs):
+        visit(out, inn)
+        return 1
+    u, v = pairs[i]
+    ubit, vbit = 1 << u, 1 << v
+    i += 1
+    count = _sweep_pairs(i, pairs, out, inn, visit)
+    out[u] |= vbit
+    inn[v] |= ubit
+    count += _sweep_pairs(i, pairs, out, inn, visit)
+    out[v] |= ubit
+    inn[u] |= vbit
+    count += _sweep_pairs(i, pairs, out, inn, visit)
+    out[u] &= ~vbit
+    inn[v] &= ~ubit
+    count += _sweep_pairs(i, pairs, out, inn, visit)
+    out[v] &= ~ubit
+    inn[u] &= ~vbit
+    return count
+
+
 def run_mask_sweep(colors: Sequence[int], visit: Callable[[list[int], list[int]], None]) -> int:
     """Drive ``visit(out_masks, in_masks)`` over every edge-state assignment
     for the given coloring; masks are reused in place between calls.  Returns
@@ -116,40 +141,7 @@ def run_mask_sweep(colors: Sequence[int], visit: Callable[[list[int], list[int]]
     each through its four states: none, forward, both, backward.
     """
     n = len(colors)
-    pairs = opposite_pairs(colors)
-    last = len(pairs)
-    out = [0] * n
-    inn = [0] * n
-    count = 0
-
-    def rec(i: int) -> None:
-        nonlocal count
-        if i == last:
-            count += 1
-            visit(out, inn)
-            return
-        u, v = pairs[i]
-        ubit, vbit = 1 << u, 1 << v
-        rec(i + 1)
-        out[u] |= vbit
-        inn[v] |= ubit
-        rec(i + 1)
-        out[v] |= ubit
-        inn[u] |= vbit
-        rec(i + 1)
-        out[u] &= ~vbit
-        inn[v] &= ~ubit
-        rec(i + 1)
-        out[v] &= ~ubit
-        inn[u] &= ~vbit
-
-    try:
-        rec(0)
-    finally:
-        # rec's closure refers to rec itself; without this the cycle keeps
-        # visit and everything it closes over alive until a full collection
-        del rec
-    return count
+    return _sweep_pairs(0, opposite_pairs(colors), [0] * n, [0] * n, visit)
 
 
 def halved_colorings(n: int) -> Iterator[tuple[int, ...]]:

@@ -93,6 +93,17 @@ def test_analyze_long_path_query_is_answered(capsys, tmp_path):
     assert out.splitlines() == [f"P65-free: no (witness: {witness})", "C66-free: yes"]
 
 
+def test_analyze_odd_cycle_is_answered_without_a_search(capsys, tmp_path):
+    # every graph is bipartite, so an odd cycle query is answered before the
+    # search budget is checked; an 11-cycle search on the 30x30 grid would
+    # otherwise be refused
+    path = tmp_path / "grid.dgf"
+    path.write_text(format_dgf(grid_graph(30)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", "c11,c3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["C11-free: yes", "C3-free: yes"]
+
+
 @pytest.mark.parametrize("side,check", [(7, "p34"), (8, "p44")])
 def test_analyze_search_past_budget_is_bad_input(capsys, tmp_path, side, check):
     # unbounded, these searches run for seconds (7x7) and minutes (8x8);

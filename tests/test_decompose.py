@@ -8,7 +8,7 @@ import qbmg.decompose
 import qbmg.digraph
 from helpers import random_nested, random_surjective_coloring, random_truncation
 from qbmg.axioms import is_qbmg, recognize
-from qbmg.bicliques import find_dominating_biclique, maximal_bicliques
+from qbmg.bicliques import find_dominating_biclique
 from qbmg.cli import main
 from qbmg.decompose import KosPartition, decompose_type_a, is_type_a, kos_partition
 from qbmg.dgf import format_dgf
@@ -123,8 +123,8 @@ def test_components_are_computed_once_per_digraph(monkeypatch):
 def test_structure_pass_reuses_the_verdict_and_the_bicliques(monkeypatch):
     # the per-graph analysis of the structure benchmark on EX10 and a seeded
     # tree graph: after recognize, decompose runs no recognition kernel on a
-    # component, and the dominating-biclique search, decompose and
-    # maximal_bicliques list the biclique masks once per component between them
+    # component, and the dominating-biclique search and decompose list the
+    # biclique masks once per component between them
     kernel_calls, biclique_calls = [], []
     kernel = qbmg.axioms.is_qbmg_masks
     lister = qbmg.bicliques.maximal_biclique_masks
@@ -151,7 +151,6 @@ def test_structure_pass_reuses_the_verdict_and_the_bicliques(monkeypatch):
             assert find_induced_path(und, 6) is None and find_induced_cycle(und, 6) is None
             assert find_dominating_biclique(und) is not None
             assert decompose_type_a(sub).parts == (frozenset(range(sub.n)),)
-            assert maximal_bicliques(und)
             assert (len(kernel_calls), len(biclique_calls)) == (0, 1)
             checked += 1
     assert checked == 4

@@ -1,5 +1,5 @@
-"""Calls that leave no garbage for the cyclic collector: a recursive nested
-function must not outlive its call in a cycle with its own closure cell."""
+"""Calls that leave no garbage for the cyclic collector: after each call, a
+full collection finds nothing to free."""
 
 import gc
 
