@@ -39,23 +39,22 @@ class Biclique:
         return (-(len(self.left) + len(self.right)), tuple(sorted(self.left)), tuple(sorted(self.right)))
 
 
-def maximal_biclique_masks(adj: Sequence[int], left: int, right: int) -> list[tuple[int, int]]:
+def maximal_biclique_masks(adj: Sequence[int], left: int, right: int, reps: int) -> list[tuple[int, int]]:
     """(left mask, right mask) of every maximal biclique with both sides
     nonempty, in no particular order, of the bipartite graph with adjacency
-    masks ``adj`` and color classes ``left`` and ``right``.
+    masks ``adj`` and color classes ``left`` and ``right``; ``reps`` holds
+    the least vertex of each class of same-colored false twins.
 
     Close-by-One over the right vertices in increasing id: a concept is
     extended by a right vertex y outside its right side only when the
     closure adds no right vertex below y, so each concept is reached once.
-    Twin classes are taken per side: isolated vertices of both sides share
-    the empty mask.  Raises ``TooLarge`` once more than |L|^2 * |R|^2 are
-    found."""
+    Raises ``TooLarge`` once more than |L|^2 * |R|^2 are found."""
     bound = left.bit_count() ** 2 * right.bit_count() ** 2
     found: list[tuple[int, int]] = []
     if not left:
         return found
-    left_reps = _twin_representatives(adj, left)
-    right_reps = _twin_representatives(adj, right)
+    left_reps = reps & left
+    right_reps = reps & right
     top = right
     for x in iter_bits(left_reps):
         top &= adj[x]
@@ -87,8 +86,11 @@ def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
     Ordered by decreasing vertex count, then lexicographically by sides;
     see ``maximal_biclique_masks`` for the size bound.
     """
+    adj, (left, right) = g.adj_masks, _color_classes(g.colors)
+    # classes per side: isolated vertices of both colors share the empty mask
+    reps = _twin_representatives(adj, left) | _twin_representatives(adj, right)
     found = [Biclique(frozenset(iter_bits(lmask)), frozenset(iter_bits(rmask)))
-             for lmask, rmask in maximal_biclique_masks(g.adj_masks, *_color_classes(g.colors))]
+             for lmask, rmask in maximal_biclique_masks(adj, left, right, reps)]
     return tuple(sorted(found, key=Biclique.sort_key))
 
 
@@ -107,7 +109,8 @@ def find_dominating_biclique(g: UGraph) -> Biclique | None:
     adj = g.adj_masks
     side = _color_classes(g.colors)
     best = None  # the least key of a dominating biclique so far
-    for lmask, rmask in maximal_biclique_masks(adj, *side):
+    # connected, so only a lone vertex is isolated: no twin class spans two colors
+    for lmask, rmask in maximal_biclique_masks(adj, *side, g._twin_reps):
         size = lmask.bit_count() + rmask.bit_count()
         if best is not None and -size > best[0]:
             continue

@@ -16,6 +16,9 @@ edges or drops all of it.
 Trees are addressed by preorder node ids with the root at 0.  Leaf colorings
 and truncation maps are plain dicts keyed by leaf node id and by
 (leaf node id, color).
+
+``search_explanation`` decides a sink-free graph by replaying its BUILD tree;
+only a graph with sinks meets the recognition gate and the topology search.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Iterator, Mapping, Sequence
 from .axioms import is_qbmg_masks
 from .digraph import (
     Digraph,
-    _color_classes,
     _component_masks,
     _memo,
     _trusted_digraph,
@@ -45,6 +47,7 @@ from .errors import (
 
 LeafColoring = dict[int, int]
 TruncationMap = dict[tuple[int, int], int]
+_Explanation = tuple["PhyloTree", LeafColoring, TruncationMap]
 
 Nested = str | tuple  # leaf name, or tuple of child Nested values
 
@@ -338,85 +341,85 @@ def _topologies(leafset: tuple[str, ...]) -> Iterator[Nested]:
         yield from product(*map(_topologies, blocks))
 
 
-def _build_informative(g: Digraph) -> Nested | None:
+def _build_tree(g: Digraph) -> tuple[PhyloTree, list[int]] | None:
     """BUILD (Aho, Sagiv, Szymanski & Ullman 1981) on the informative triples
-    xy|y' of g: x -> y, x -/-> y' and y, y' both of the color x lacks.
-
-    For a leaf set L the Aho graph joins x and y for every triple xy|y' inside
-    L; its components are the children of L's node, ordered by least leaf
-    name, and L fails (None) when the graph is connected.  For the graph of
-    a tree under root truncation this is its least-resolved tree (Geiß et
-    al., *Best match graphs*, J. Math. Biol. 78, 2019).
-    """
-    n, out = g.n, g.out_masks
-    side = _color_classes(g.colors)
+    xy|y' of g: x -> y, x -/-> y' and y, y' both of the color x lacks.  The
+    children of a leaf set L are the components, by least leaf name, of the
+    Aho graph joining x and y for each triple xy|y' inside L; L fails when it
+    is connected.  A best-match graph gets its least-resolved tree (Geiß et al.,
+    *Best match graphs*, J. Math. Biol. 78, 2019), in preorder, with each leaf's vertex."""
+    n, names, colors = g.n, g.names, g.colors
+    # bit r is vertex order[r], the r-th least name: components by least bit
+    order = sorted(range(n), key=names.__getitem__)
+    rows = [0] * n  # rows[v]: the out-neighbors of vertex v as such bits
+    side = [0, 0]
+    for r, v in enumerate(order):
+        side[colors[v]] |= 1 << r
+        for u in iter_bits(g.in_masks[v]):
+            rows[u] |= 1 << r
+    out = [rows[v] for v in order]
     # x takes part in triples xy|y' over L iff some y' of spare[x] lies in L
-    spare = [side[1 - g.colors[x]] & ~out[x] for x in range(n)]
-    built = _build((1 << n) - 1, out, spare, g.names)
-    return None if built is None else built[1]
-
-
-def _build(
-    leafset: int, out: Sequence[int], spare: Sequence[int], names: Sequence[str]
-) -> tuple[str, Nested] | None:
-    """BUILD on the leaf set ``leafset``: its least leaf name and its
-    subtree, or None when some Aho graph below it is connected."""
-    if not leafset & (leafset - 1):
-        name = names[leafset.bit_length() - 1]
-        return name, name
-    link = [0] * len(out)
-    for x in iter_bits(leafset):
-        if spare[x] & leafset:
-            ys = out[x] & leafset
-            link[x] |= ys
-            for y in iter_bits(ys):
-                link[y] |= 1 << x
-    comps = _component_masks(link, leafset)
-    if len(comps) == 1:
-        return None
-    kids = []
-    for comp in comps:
-        kid = _build(comp, out, spare, names)
-        if kid is None:
+    spare = [side[1 - colors[v]] & ~rows[v] for v in order]
+    parent: list[int | None] = []
+    tree_names: list[str | None] = []
+    leaves, ids = [], []  # the leaves in preorder and their vertices
+    stack: list[tuple[int, int | None]] = [((1 << n) - 1, None)]
+    while stack:
+        leafset, par = stack.pop()
+        node = len(parent)
+        parent.append(par)
+        if not leafset & (leafset - 1):
+            v = order[leafset.bit_length() - 1]
+            tree_names.append(names[v])
+            leaves.append(node)
+            ids.append(v)
+            continue
+        tree_names.append(None)
+        link = [0] * n
+        for x in iter_bits(leafset):
+            if spare[x] & leafset:
+                ys = out[x] & leafset
+                link[x] |= ys
+                for y in iter_bits(ys):
+                    link[y] |= 1 << x
+        comps = _component_masks(link, leafset)
+        if len(comps) == 1:
             return None
-        kids.append(kid)
-    kids.sort()  # least leaf names are distinct, so subtrees are never compared
-    return kids[0][0], tuple(nested for _, nested in kids)
+        for comp in reversed(comps):
+            stack.append((comp, node))
+    # valid by construction, so built without the checks, as _trusted_digraph is
+    tree = object.__new__(PhyloTree)
+    vars(tree).update(parent=tuple(parent), names=tuple(tree_names), leaves=tuple(leaves))
+    return tree, ids
 
 
-def search_explanation(
-    g: Digraph, max_leaves: int
-) -> tuple[PhyloTree, LeafColoring, TruncationMap] | None:
+def search_explanation(g: Digraph, max_leaves: int) -> _Explanation | None:
     """A (tree, coloring, truncation) triple whose constructed graph equals g
     with matching vertex names, or None when there is none.
 
-    Graphs failing recognition are rejected at once, since every graph a
-    tree explains satisfies N1-N3.  A sink-free recognized graph is a
-    best-match graph, so the least-resolved tree built from its informative
-    triples explains it (Geiß et al., 2019); the test that every searched
-    topology takes confirms that tree and gives its root truncation.
-    Graphs with sinks go to the exhaustive topology search.
-    """
+    A sink-free graph is explained exactly when it is a best-match graph, by
+    its least-resolved BUILD tree under root truncation (Geiß et al., 2019),
+    so replaying that tree decides it with no recognition gate.  Only a graph
+    with sinks meets the gate, since every graph a tree explains satisfies
+    N1-N3, and then the exhaustive topology search."""
     if max_leaves > EXPLAIN_MAX_LEAVES:
         raise TooLarge(f"explanation search supports at most {EXPLAIN_MAX_LEAVES} leaves")
     if g.n > max_leaves:
         raise TooLarge(f"graph has {g.n} vertices, budget is {max_leaves}")
     if set(g.colors) != {0, 1}:
         return None  # a leaf coloring must use both colors
+    if all(g.out_masks):
+        built = _build_tree(g)
+        return None if built is None else _explained_by(g, *built)
     if not is_qbmg_masks(g.n, g.out_masks, g.in_masks):
         return None
-    if all(g.out_masks):
-        nested = _build_informative(g)
-        return None if nested is None else _explained_by(g, nested)
     return _search_topologies(g)
 
 
-def _explained_by(g: Digraph, nested: Nested) -> tuple[PhyloTree, LeafColoring, TruncationMap] | None:
-    """The topology ``nested``, colored as g, with a truncation under which it
-    explains g, or None: every out-neighborhood must be the leaf's best-match
-    set (entry at the root) or empty (entry at the leaf)."""
-    tree = tree_from_nested(nested)
-    ids = [g.id_of(tree.names[x]) for x in tree.leaves]
+def _explained_by(g: Digraph, tree: PhyloTree, ids: Sequence[int]) -> _Explanation | None:
+    """``tree``, leaf ``tree.leaves[i]`` as vertex ``ids[i]`` colored as in g,
+    with a truncation under which it explains g, or None: every out-neighborhood
+    must be the best-match set (entry at the root) or empty (entry at the leaf)."""
     sigma = {x: g.colors[v] for x, v in zip(tree.leaves, ids)}
     trunc = root_truncation(tree, sigma)
     for x, v, (_, matches) in zip(tree.leaves, ids, _best_matches(tree, sigma, ids)):
@@ -427,10 +430,11 @@ def _explained_by(g: Digraph, nested: Nested) -> tuple[PhyloTree, LeafColoring, 
     return tree, sigma, trunc
 
 
-def _search_topologies(g: Digraph) -> tuple[PhyloTree, LeafColoring, TruncationMap] | None:
+def _search_topologies(g: Digraph) -> _Explanation | None:
     """Exhaustive search over every phylogenetic topology on g's names."""
     for nested in phylogenetic_topologies(g.names):
-        found = _explained_by(g, nested)
+        tree = tree_from_nested(nested)
+        found = _explained_by(g, tree, [g.id_of(tree.names[x]) for x in tree.leaves])
         if found is not None:
             return found
     return None

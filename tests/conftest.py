@@ -21,10 +21,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 
-from helpers import is_qbmg_masks_delta, pruned_mask_sweep
+from helpers import (
+    adj_masks_from_out,
+    in_masks_from_out,
+    is_qbmg_masks_delta,
+    masks_connected,
+    pruned_mask_sweep,
+    symmetric_pairs_and_star,
+)
 from qbmg.enumeration import halved_colorings, opposite_pairs
 
 SWEEP_MAX_N = 6
@@ -32,9 +40,33 @@ SWEEP_MAX_N = 6
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One recognized edge set.  The mask views below are computed on first
+    read and kept, so the tests that read them share one computation; they
+    are tuples, so no test can change what another reads.  No ``Digraph`` is
+    kept: a test builds its own, so it never reads a view another test
+    stored on it."""
+
     n: int
     out: tuple[int, ...]
     colors: tuple[int, ...]
+
+    @cached_property
+    def inn(self) -> tuple[int, ...]:
+        return tuple(in_masks_from_out(self.n, self.out))
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        return tuple(adj_masks_from_out(self.n, self.out))
+
+    @cached_property
+    def pairs_and_star(self) -> tuple[tuple[tuple[int, int], ...], bool]:
+        """The symmetric pairs (u, v), u < v, and the star condition."""
+        pairs, star = symmetric_pairs_and_star(self.n, self.out)
+        return tuple(pairs), star
+
+    @cached_property
+    def connected(self) -> bool:
+        return masks_connected(self.n, self.adj)
 
 
 @dataclass(frozen=True)

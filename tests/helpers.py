@@ -9,7 +9,15 @@ from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Sequence
 
 from qbmg.bicliques import Biclique, maximal_bicliques
-from qbmg.digraph import Digraph, UGraph, build_ugraph, iter_bits, ugraph_canonical_form
+from qbmg.digraph import (
+    Digraph,
+    UGraph,
+    _color_classes,
+    _component_masks,
+    build_ugraph,
+    iter_bits,
+    ugraph_canonical_form,
+)
 from qbmg.enumeration import opposite_pairs
 from qbmg.errors import Disconnected, TooLarge
 from qbmg.trees import Nested, PhyloTree
@@ -412,7 +420,7 @@ def digraph_from_masks(n: int, out: tuple[int, ...], colors: tuple[int, ...]) ->
     return Digraph(n, colors, edges, tuple(f"v{i + 1}" for i in range(n)))
 
 
-def masks_connected(n: int, adj: list[int]) -> bool:
+def masks_connected(n: int, adj: Sequence[int]) -> bool:
     if n <= 1:
         return True
     seen = 1
@@ -511,6 +519,50 @@ def random_nested(rng: random.Random, names: list[str]) -> Nested:
         return tuple(build(b) for b in blocks)
 
     return build(group)
+
+
+def build_informative(g: Digraph) -> Nested | None:
+    """The library's BUILD as nested tuples of leaf names, by recursion over
+    leaf sets: BUILD (Aho, Sagiv, Szymanski & Ullman 1981) on the informative
+    triples xy|y' of g (x -> y, x -/-> y', y and y' of the color x lacks).
+
+    For a leaf set L the Aho graph joins x and y for every triple xy|y' inside
+    L; its components are the children of L's node, ordered by least leaf
+    name, and L fails (None) when the graph is connected."""
+    n, out = g.n, g.out_masks
+    side = _color_classes(g.colors)
+    # x takes part in triples xy|y' over L iff some y' of spare[x] lies in L
+    spare = [side[1 - g.colors[x]] & ~out[x] for x in range(n)]
+    built = _build((1 << n) - 1, out, spare, g.names)
+    return None if built is None else built[1]
+
+
+def _build(
+    leafset: int, out: Sequence[int], spare: Sequence[int], names: Sequence[str]
+) -> tuple[str, Nested] | None:
+    """BUILD on the leaf set ``leafset``: its least leaf name and its
+    subtree, or None when some Aho graph below it is connected."""
+    if not leafset & (leafset - 1):
+        name = names[leafset.bit_length() - 1]
+        return name, name
+    link = [0] * len(out)
+    for x in iter_bits(leafset):
+        if spare[x] & leafset:
+            ys = out[x] & leafset
+            link[x] |= ys
+            for y in iter_bits(ys):
+                link[y] |= 1 << x
+    comps = _component_masks(link, leafset)
+    if len(comps) == 1:
+        return None
+    kids = []
+    for comp in comps:
+        kid = _build(comp, out, spare, names)
+        if kid is None:
+            return None
+        kids.append(kid)
+    kids.sort()  # least leaf names are distinct, so subtrees are never compared
+    return kids[0][0], tuple(nested for _, nested in kids)
 
 
 def caterpillar_newick(colors: list[int]) -> str:

@@ -14,23 +14,20 @@ import time
 from itertools import combinations, product
 
 from helpers import (
-    adj_masks_from_out,
     brute_has_induced_path,
     connected_bipartite_reps,
     digraph_from_masks,
-    in_masks_from_out,
-    masks_connected,
     naive_best_match_graph,
     naive_is_qbmg,
     random_nested,
     random_surjective_coloring,
     random_truncation,
-    symmetric_pairs_and_star,
 )
 from qbmg.axioms import is_hereditary_on, is_qbmg_masks, recognize
 from qbmg.bicliques import Biclique, find_dominating_biclique, maximal_biclique_masks
 from qbmg.decompose import decompose_type_a, kos_partition
 from qbmg.digraph import (
+    _twin_representatives,
     canonical_form,
     induced_subdigraph,
     iter_bits,
@@ -105,10 +102,9 @@ def test_c02_freeness_sweep(sweep):
             expected_total += 4 ** len(opposite_pairs(colors))
     violations = 0
     for rec in sweep.records:
-        adj = adj_masks_from_out(rec.n, rec.out)
-        if find_induced_path_masks(adj, rec.n, 6) is not None:
+        if find_induced_path_masks(rec.adj, rec.n, 6) is not None:
             violations += 1
-        if find_induced_cycle_masks(adj, rec.n, 6) is not None:
+        if find_induced_cycle_masks(rec.adj, rec.n, 6) is not None:
             violations += 1
     ok = (
         sweep.total_graphs == expected_total
@@ -221,8 +217,7 @@ def test_c05_supplement_reciprocal_variant(sweep):
     reciprocal = 0
     bad = 0
     for rec in sweep.records:
-        inn = in_masks_from_out(rec.n, rec.out)
-        if list(rec.out) != inn or not any(rec.out):
+        if rec.out != rec.inn or not any(rec.out):
             continue
         reciprocal += 1
         g = digraph_from_masks(rec.n, rec.out, rec.colors)
@@ -370,7 +365,8 @@ def test_c09_prisner_bound():
                 checked += 1
                 closures, every = _count_bicliques(n, base, adj)
                 # the library's kernel counts; it would raise past the bound
-                count = len(maximal_biclique_masks(adj, left_mask, right_mask))
+                reps = _twin_representatives(adj, left_mask) | _twin_representatives(adj, right_mask)
+                count = len(maximal_biclique_masks(adj, left_mask, right_mask, reps))
                 if count != closures:
                     mismatches += 1
                 total_all_bicliques += every
@@ -394,8 +390,7 @@ def test_c10_decomposition_theorem(sweep):
     checked = 0
     bad = 0
     for rec in sweep.records:
-        adj = adj_masks_from_out(rec.n, rec.out)
-        if not masks_connected(rec.n, adj):
+        if not rec.connected:
             continue
         g = digraph_from_masks(rec.n, rec.out, rec.colors)
         checked += 1
@@ -417,11 +412,9 @@ def test_c10_supplement_vertex_adjacent_to_the_other_color(sweep):
     checked = 0
     missing = 0
     for rec in sweep.records:
-        if rec.n < 2:
+        if rec.n < 2 or not rec.connected:
             continue
-        adj = adj_masks_from_out(rec.n, rec.out)
-        if not masks_connected(rec.n, adj):
-            continue
+        adj = rec.adj
         side = [0, 0]
         for v, c in enumerate(rec.colors):
             side[c] |= 1 << v
@@ -440,8 +433,8 @@ def test_c11_orientation_acyclicity(sweep):
     orientations = 0
     cyclic = 0
     for rec in sweep.records:
-        inn = in_masks_from_out(rec.n, rec.out)
-        _, star = symmetric_pairs_and_star(rec.n, rec.out)
+        inn = rec.inn
+        _, star = rec.pairs_and_star
         starstar = len({(rec.out[v], inn[v]) for v in range(rec.n)}) == rec.n
         if not (star or starstar):
             continue
@@ -471,9 +464,9 @@ def test_c12_biclique_replay(sweep):
     api_spot_checks = 0
     for rec in sweep.records:
         n = rec.n
-        inn = in_masks_from_out(n, rec.out)
-        adj = adj_masks_from_out(n, rec.out)
-        pairs, star = symmetric_pairs_and_star(n, rec.out)
+        inn = rec.inn
+        adj = rec.adj
+        pairs, star = rec.pairs_and_star
         starstar = len({(rec.out[v], inn[v]) for v in range(n)}) == n
         if not (star or starstar):
             continue
@@ -549,10 +542,9 @@ def test_c12_supplement_dominating_biclique_bitournament(sweep):
     for rec in sweep.records:
         if rec.n < 2:
             continue  # a biclique needs an edge; the claim is vacuous on K1
-        adj = adj_masks_from_out(rec.n, rec.out)
-        if not masks_connected(rec.n, adj):
+        if not rec.connected:
             continue
-        _, star = symmetric_pairs_and_star(rec.n, rec.out)
+        _, star = rec.pairs_and_star
         if not star:
             continue
         g = digraph_from_masks(rec.n, rec.out, rec.colors)

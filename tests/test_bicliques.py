@@ -5,7 +5,6 @@ import pytest
 
 import qbmg.bicliques
 from helpers import (
-    adj_masks_from_out,
     all_bicliques,
     brute_maximal_bicliques,
     connected_bipartite_reps,
@@ -24,7 +23,15 @@ from qbmg.bicliques import (
     maximal_bicliques,
 )
 from qbmg.decompose import decompose_type_a, is_type_a
-from qbmg.digraph import build_digraph, build_ugraph, induced_subdigraph, iter_bits, underlying, weak_components
+from qbmg.digraph import (
+    _twin_representatives,
+    build_digraph,
+    build_ugraph,
+    induced_subdigraph,
+    iter_bits,
+    underlying,
+    weak_components,
+)
 from qbmg.enumeration import cycle_template
 from qbmg.errors import Disconnected, TooLarge
 from qbmg.fixtures import EX10
@@ -98,12 +105,31 @@ def test_maximal_bicliques_match_brute_force_on_twin_rich_graphs():
         adj, colors = twin_blow_up(rng, base, colors, n)
         g = build_ugraph(n, colors, [(u, v) for u in range(n) for v in iter_bits(adj[u]) if u < v])
         side = [sum(1 << v for v in range(n) if colors[v] == c) for c in (0, 1)]
+        reps = _twin_representatives(adj, side[0]) | _twin_representatives(adj, side[1])
         got = {(frozenset(iter_bits(lm)), frozenset(iter_bits(rm)))
-               for lm, rm in maximal_biclique_masks(adj, side[0], side[1])}
+               for lm, rm in maximal_biclique_masks(adj, side[0], side[1], reps)}
         want = {(ls, rs) if g.colors[min(ls)] == 0 else (rs, ls)
                 for ls, rs in brute_maximal_bicliques(g)}
         assert got == want
         assert {(b.left, b.right) for b in maximal_bicliques(g)} == want
+
+
+def test_maximal_bicliques_keep_isolated_vertices_of_both_colors_apart():
+    # the isolated right vertex 0 and the isolated left vertex 1 share the
+    # empty mask; one twin class for both would leave vertex 1 out of the
+    # closure of the left side and make ({1, 2, 4}, {3}) a concept
+    g = build_ugraph(5, (1, 0, 0, 1, 0), [(2, 3), (3, 4)])
+    assert [(b.left, b.right) for b in maximal_bicliques(g)] == [({2, 4}, {3})]
+    assert not g.is_connected()
+    adj, left, right = g.adj_masks, 0b10110, 0b01001
+    assert maximal_biclique_masks(adj, left, right, g._twin_reps) == [(0b10110, 0b01000)]
+    # once connected, the graph's own twin classes give the same concepts
+    h = build_ugraph(5, (1, 0, 0, 1, 0), [(0, 1), (1, 3), (2, 3), (3, 4)])
+    per_side = _twin_representatives(h.adj_masks, left) | _twin_representatives(h.adj_masks, right)
+    assert h.is_connected() and h._twin_reps == per_side
+    assert maximal_biclique_masks(h.adj_masks, left, right, h._twin_reps) == (
+        maximal_biclique_masks(h.adj_masks, left, right, per_side))
+    assert find_dominating_biclique(h) == sorted_scan_dominating_biclique(h)
 
 
 def test_maximal_bicliques_are_subset_of_all_bicliques():
@@ -183,7 +209,7 @@ def test_close_by_one_matches_subset_walk_on_sweep(sweep):
     # the underlying graph of every recognized digraph with n <= 6
     seen = set()
     for rec in sweep.records:
-        adj = tuple(adj_masks_from_out(rec.n, rec.out))
+        adj = rec.adj
         if (rec.colors, adj) in seen:
             continue
         seen.add((rec.colors, adj))

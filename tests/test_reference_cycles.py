@@ -18,7 +18,7 @@ CALLS = {
     "find_induced_cycle_masks": lambda: find_induced_cycle_masks(underlying(EX10).adj_masks, EX10.n, 4),
     "decompose_type_a": lambda: decompose_type_a(EX10),
     # P5AB is sink-free, so it is explained through BUILD
-    "_build_informative": lambda: search_explanation(P5AB, 5),
+    "_build_tree": lambda: search_explanation(P5AB, 5),
     "phylogenetic_topologies": lambda: list(phylogenetic_topologies("abcde")),
     # R4 has a sink, so its search stops early inside the topology generator
     "phylogenetic_topologies_abandoned": lambda: search_explanation(R4, 5),

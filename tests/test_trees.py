@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qbmg.trees as trees
 from helpers import (
+    build_informative,
     caterpillar_newick,
     digraph_from_masks,
     format_newick,
@@ -309,10 +310,9 @@ def test_search_explanation_gate_is_sound_n4():
     )
 
 
-def test_build_replay_alone_rejects_sink_free_non_qbmgs(monkeypatch):
-    # with recognition bypassed, BUILD is consistent on some sink-free
-    # non-qBMGs; the replay check of its tree must reject them
-    monkeypatch.setattr(trees, "is_qbmg_masks", lambda n, out, inn: True)
+def test_build_replay_alone_rejects_sink_free_non_qbmgs():
+    # a sink-free graph skips the recognition gate, and BUILD is consistent
+    # on some sink-free non-qBMGs; the replay of its tree must reject them
     consistent = 0
     for n in range(2, 5):
         for g in all_bipartite_digraphs(n):
@@ -321,7 +321,7 @@ def test_build_replay_alone_rejects_sink_free_non_qbmgs(monkeypatch):
             result = search_explanation(g, 4)
             assert (result is not None) == recognize(g).is_qbmg
             assert result is None or _replays(g, result)
-            consistent += result is None and trees._build_informative(g) is not None
+            consistent += result is None and build_informative(g) is not None
     assert consistent > 0
 
 
@@ -336,6 +336,9 @@ def test_search_explanation_builds_every_sink_free_sweep_graph(sweep, monkeypatc
             continue
         g = digraph_from_masks(rec.n, rec.out, rec.colors)
         tree, sigma, trunc = search_explanation(g, 6)
+        # BUILD's tree skips the constructor's checks; it must pass them
+        checked = PhyloTree(tree.parent, tree.names)
+        assert checked == tree and checked.leaves == tree.leaves
         assert trunc == root_truncation(tree, sigma)
         assert _replays(g, (tree, sigma, trunc))
         built += 1
@@ -347,6 +350,7 @@ def test_build_explains_every_sink_free_class_under_every_coloring():
     # explains it under root truncation; search_explanation has no other
     # path for it.  Every valid coloring of a class is some flip of its
     # components, and each component of a sink-free graph holds both colors.
+    # The nested BUILD of the helpers is the oracle for the library's tree.
     built = 0
     for n in range(2, EXPLAIN_MAX_LEAVES + 1):
         for _, rep in classify_all_qbmgs(n).classes:
@@ -359,7 +363,7 @@ def test_build_explains_every_sink_free_class_under_every_coloring():
                     for v in comp:
                         colors[v] ^= flip
                 g = Digraph(n, tuple(colors), rep.edges, rep.names)
-                nested = trees._build_informative(g)
+                nested = build_informative(g)
                 assert nested is not None, (sorted(g.edges), colors)
                 tree = tree_from_nested(nested)
                 sigma = {x: g.colors[g.id_of(tree.names[x])] for x in tree.leaves}
@@ -368,6 +372,25 @@ def test_build_explains_every_sink_free_class_under_every_coloring():
                 assert search_explanation(g, n) == found
                 built += 1
     assert built == 230
+
+
+def test_build_tree_matches_the_nested_oracle_under_shuffled_names():
+    # BUILD renumbers the vertices by name, so names out of vertex order
+    # must still give the children in order of least leaf name
+    rng = random.Random(28)
+    checked = shuffled = 0
+    for n in range(2, EXPLAIN_MAX_LEAVES + 1):
+        for _, rep in classify_all_qbmgs(n).classes:
+            if not all(rep.out_masks):
+                continue
+            names = rng.sample([f"x{i}" for i in range(n)], n)
+            g = Digraph(n, rep.colors, rep.edges, tuple(names))
+            tree = tree_from_nested(build_informative(g))
+            sigma = {x: g.colors[g.id_of(tree.names[x])] for x in tree.leaves}
+            assert search_explanation(g, n) == (tree, sigma, root_truncation(tree, sigma))
+            checked += 1
+            shuffled += names != sorted(names)
+    assert (checked, shuffled) == (99, 96)
 
 
 def test_search_explanation_rejects_non_qbmg_without_topologies(monkeypatch):
