@@ -304,7 +304,7 @@ def is_hereditary_on(g: Digraph) -> frozenset[int] | None:
     """None if every induced sub-digraph passes recognition, else the smallest
     violating vertex subset.  A non-None answer falsifies the implementation,
     not the theory; the result is diagnostic."""
-    if not recognize(g).is_qbmg:
+    if not is_qbmg(g):
         raise NotQbmg("hereditarity check requires a recognized graph")
     if g.n > HEREDITARY_MAX_VERTICES:
         raise TooLarge(f"hereditarity scan supports at most {HEREDITARY_MAX_VERTICES} vertices")

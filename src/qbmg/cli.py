@@ -204,16 +204,14 @@ def _cmd_orient(args: argparse.Namespace) -> int:
     else:
         lines.append(f"topological-order: {' '.join(g.names[v] for v in order)}")
     if args.all:
-        total = 0
-        acyclic = 0
-        for candidate in all_orientations(g):
-            total += 1
-            if topological_order(candidate) is not None:
-                acyclic += 1
+        # all_orientations yields one orientation per keep-choice of each
+        # symmetric pair, and raises TooLarge before the first above its cap
+        total = 2 ** len(g.symmetric_pairs)
+        acyclic = all(topological_order(o) is not None for o in all_orientations(g))
         report["orientations"] = total
-        report["all_acyclic"] = acyclic == total
+        report["all_acyclic"] = acyclic
         lines.append(f"orientations: {total}")
-        lines.append(f"all-acyclic: {'yes' if acyclic == total else 'no'}")
+        lines.append(f"all-acyclic: {'yes' if acyclic else 'no'}")
     _emit(args, report, lines)
     return 0
 

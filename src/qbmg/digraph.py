@@ -140,13 +140,6 @@ class Digraph:
     def named_edges(self) -> frozenset[tuple[str, str]]:
         return frozenset((self.names[u], self.names[v]) for u, v in self.edges)
 
-    def id_of(self, name: str) -> int:
-        return self._name_index[name]
-
-    @_memo
-    def _name_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
-
     @_memo
     def _underlying(self) -> UGraph:
         return _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)

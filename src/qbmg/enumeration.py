@@ -31,7 +31,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import fixtures
-from .axioms import _admissible_rows, is_qbmg_masks, recognize
+from .axioms import _admissible_rows, is_qbmg, is_qbmg_masks
 from .digraph import (
     CANONICAL_MAX_VERTICES,
     CanonicalForm,
@@ -386,7 +386,7 @@ def check_path3_classes() -> TheoremCheck:
 
 
 def check_three_vertex_recognition() -> TheoremCheck:
-    verdicts = [recognize(g).is_qbmg for g in all_bipartite_digraphs(3)]
+    verdicts = [is_qbmg(g) for g in all_bipartite_digraphs(3)]
     good, total = sum(verdicts), len(verdicts)
     return TheoremCheck(
         "three-vertex-recognition", good == total,

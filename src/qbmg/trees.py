@@ -17,8 +17,9 @@ Trees are addressed by preorder node ids with the root at 0.  Leaf colorings
 and truncation maps are plain dicts keyed by leaf node id and by
 (leaf node id, color).
 
-``search_explanation`` decides a sink-free graph by replaying its BUILD tree;
-only a graph with sinks meets the recognition gate and the topology search.
+``search_explanation`` decides a sink-free graph of any size by replaying its
+BUILD tree in polynomial time; only a graph with sinks meets the leaf budget,
+the recognition gate and the exhaustive topology search.
 """
 
 from __future__ import annotations
@@ -397,20 +398,22 @@ def search_explanation(g: Digraph, max_leaves: int) -> _Explanation | None:
     """A (tree, coloring, truncation) triple whose constructed graph equals g
     with matching vertex names, or None when there is none.
 
-    A sink-free graph is explained exactly when it is a best-match graph, by
+    A one-colored graph has none, since a leaf coloring uses both colors.  A
+    sink-free graph is explained exactly when it is a best-match graph, by
     its least-resolved BUILD tree under root truncation (Geiß et al., 2019),
-    so replaying that tree decides it with no recognition gate.  Only a graph
-    with sinks meets the gate, since every graph a tree explains satisfies
-    N1-N3, and then the exhaustive topology search."""
-    if max_leaves > EXPLAIN_MAX_LEAVES:
-        raise TooLarge(f"explanation search supports at most {EXPLAIN_MAX_LEAVES} leaves")
-    if g.n > max_leaves:
-        raise TooLarge(f"graph has {g.n} vertices, budget is {max_leaves}")
+    so replaying that tree decides it at any size with no recognition gate.
+    Only a graph with sinks meets the exhaustive topology search: it raises
+    ``TooLarge`` above ``min(max_leaves, EXPLAIN_MAX_LEAVES)`` vertices, and
+    otherwise meets the recognition gate first, since every graph a tree
+    explains satisfies N1-N3."""
     if set(g.colors) != {0, 1}:
-        return None  # a leaf coloring must use both colors
+        return None
     if all(g.out_masks):
         built = _build_tree(g)
         return None if built is None else _explained_by(g, *built)
+    budget = min(max_leaves, EXPLAIN_MAX_LEAVES)
+    if g.n > budget:
+        raise TooLarge(f"graph has {g.n} vertices, budget is {budget}")
     if not is_qbmg_masks(g.n, g.out_masks, g.in_masks):
         return None
     return _search_topologies(g)
@@ -432,9 +435,10 @@ def _explained_by(g: Digraph, tree: PhyloTree, ids: Sequence[int]) -> _Explanati
 
 def _search_topologies(g: Digraph) -> _Explanation | None:
     """Exhaustive search over every phylogenetic topology on g's names."""
+    vertex = {name: v for v, name in enumerate(g.names)}
     for nested in phylogenetic_topologies(g.names):
         tree = tree_from_nested(nested)
-        found = _explained_by(g, tree, [g.id_of(tree.names[x]) for x in tree.leaves])
+        found = _explained_by(g, tree, [vertex[tree.names[x]] for x in tree.leaves])
         if found is not None:
             return found
     return None

@@ -26,7 +26,7 @@ from qbmg.axioms import (
 )
 from qbmg.digraph import build_digraph, induced_subdigraph, iter_bits, underlying
 from qbmg.enumeration import all_bipartite_digraphs, halved_colorings, run_mask_sweep
-from qbmg.errors import NotQbmg
+from qbmg.errors import NotQbmg, TooLarge
 from qbmg.fixtures import (
     ALL_FIXTURES,
     EX10,
@@ -338,6 +338,25 @@ def test_hereditary_requires_recognized_graph():
     g = build_digraph(4, (1, 0, 1, 0), [(0, 1), (1, 2), (2, 3)])  # violates N2
     with pytest.raises(NotQbmg):
         is_hereditary_on(g)
+
+
+def test_hereditary_scan_is_bounded():
+    g = build_digraph(11, (0, 1) * 5 + (0,), [(2 * i + 1, 2 * i) for i in range(5)])
+    assert is_qbmg(g)
+    with pytest.raises(TooLarge):
+        is_hereditary_on(g)
+
+
+def test_hereditary_reports_the_least_violating_subset(monkeypatch):
+    real = is_qbmg_masks
+
+    def reject_three(n, out, inn):
+        return n != 3 and real(n, out, inn)
+
+    monkeypatch.setattr("qbmg.axioms.is_qbmg_masks", reject_three)
+    # built here, so no recognition verdict is kept on it yet
+    g = build_digraph(4, (0, 1, 0, 1), [(0, 1), (1, 0), (2, 3)])
+    assert is_hereditary_on(g) == {0, 1, 2}
 
 
 def test_induced_subdigraphs_inherit_only_a_true_verdict(sweep):

@@ -81,6 +81,17 @@ def test_analyze_search_too_long_is_bad_input(capsys, tmp_path, check):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("check", ["p1", "c2"])
+def test_analyze_check_too_short_is_bad_input(capsys, tmp_path, check):
+    path = tmp_path / "p5a.dgf"
+    path.write_text(format_dgf(P5A), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", check)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"check '{check}' too short" in err
+    assert err.count("\n") == 1
+
+
 def test_analyze_long_path_query_is_answered(capsys, tmp_path):
     # a search for more than 64 vertices is bounded by its budget alone; on
     # a path, of degree 2, it stays within it and finds the path itself
@@ -405,6 +416,26 @@ def test_orient_all_too_large_is_bad_input(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_orient_all_stops_at_the_first_cyclic_orientation(capsys, monkeypatch, tmp_path):
+    # K4,4 with every pair symmetric: 2^16 orientations, and an early one
+    # already has a directed 4-cycle
+    k44 = build_digraph(8, (0,) * 4 + (1,) * 4,
+                        [e for u in range(4) for v in range(4, 8) for e in ((u, v), (v, u))])
+    path = tmp_path / "k44.dgf"
+    path.write_text(format_dgf(k44), encoding="utf-8")
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return topological_order(g)
+
+    monkeypatch.setattr("qbmg.cli.topological_order", counted)
+    code, out, _ = run_cli(capsys, "orient", str(path), "--all")
+    assert code == 0
+    assert out.endswith("orientations: 65536\nall-acyclic: no\n")
+    assert len(calls) < 100
+
+
 def test_enumerate_requires_one_mode(capsys):
     code, _, err = run_cli(capsys, "enumerate")
     assert code == 2
@@ -442,6 +473,16 @@ def test_explain_repeated_truncation_entry_is_bad_input(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "line 2" in err
+    assert err.count("\n") == 1
+
+
+def test_explain_repeated_leaf_name_is_bad_input(capsys, tmp_path):
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((a=0,a=1),b=1);\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "explain", "--tree", str(tree))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "declared twice" in err
     assert err.count("\n") == 1
 
 

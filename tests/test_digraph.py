@@ -122,6 +122,12 @@ def test_induced_ex10_v9_v10_edgeless():
     assert sub.n == 2 and sub.edges == frozenset()
 
 
+@pytest.mark.parametrize("vertex", [-1, 10])
+def test_induced_rejects_a_vertex_out_of_range(vertex):
+    with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+        induced_subdigraph(EX10, {8, vertex})
+
+
 def test_weak_components_ex10_connected():
     comps = weak_components(EX10)
     assert comps == (frozenset(range(10)),)
@@ -425,6 +431,8 @@ def test_ugraph_rejects_bad_edges():
         build_ugraph(2, (0, 1), [(1, 1)])
     with pytest.raises(DuplicateEdge):
         build_ugraph(2, (0, 1), [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range"):
+        build_ugraph(2, (0, 1), [(0, 2)])
 
 
 def _assert_validated(g) -> None:

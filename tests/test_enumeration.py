@@ -23,6 +23,7 @@ from qbmg.digraph import (
 )
 from qbmg.enumeration import (
     _recognized_edge_sets,
+    _template_check,
     all_bipartite_digraphs,
     classify_all_qbmgs,
     classify_qbmgs,
@@ -363,6 +364,13 @@ def test_verify_report_all_pass():
         "three-vertex-recognition",
         "ex7-induced-class",
     ]
+
+
+def test_template_check_reports_missing_and_unexpected_classes():
+    check = _template_check("wrong-template", path_template(5), P4_CLASSES)
+    assert not check.passed
+    assert "missing P4_1, P4_2, P4_3, P4_4" in check.details
+    assert "6 unexpected classes" in check.details
 
 
 def test_verify_flags_ex7_discrepancy():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -258,12 +259,24 @@ def test_search_explanation_r4():
     assert replay.named_edges() == R4.named_edges()
 
 
-def test_search_explanation_budget():
-    with pytest.raises(TooLarge):
-        search_explanation(P5AB, 7)
+def test_search_explanation_budget(monkeypatch):
+    # a sink-free graph is decided by BUILD, and a one-colored graph has no
+    # explanation, whatever the budget
+    for budget in (4, 7):
+        tree, sigma, trunc = search_explanation(P5AB, budget)
+        assert qbmg_from_tree(tree, sigma, trunc).named_edges() == P5AB.named_edges()
+    assert search_explanation(build_digraph(7, (0,) * 7, []), 5) is None
+
+    def gate(*args):
+        raise AssertionError("recognition gate ran before the budget check")
+
+    monkeypatch.setattr(trees, "is_qbmg_masks", gate)
     g = build_digraph(6, (0, 1) * 3, [])
     with pytest.raises(TooLarge):
         search_explanation(g, 5)
+    g = build_digraph(7, (0, 1) * 3 + (0,), [])
+    with pytest.raises(TooLarge):
+        search_explanation(g, 7)
 
 
 def test_search_explanation_monochromatic_none():
@@ -298,7 +311,7 @@ def test_search_explanation_gate_is_sound_n4():
                     tree, sigma, trunc = found
                     # a leaf keeps its whole best-match bundle or none of it
                     for x in tree.leaves:
-                        sink = not g.out_masks[g.id_of(tree.names[x])]
+                        sink = not g.out_masks[g.names.index(tree.names[x])]
                         assert trunc[(x, 1 - sigma[x])] == (x if sink else 0)
                     shape = (tree.parent, tree.names, sorted(sigma.items()))
                 digest.update(f"{shape!r}\n".encode())
@@ -366,7 +379,7 @@ def test_build_explains_every_sink_free_class_under_every_coloring():
                 nested = build_informative(g)
                 assert nested is not None, (sorted(g.edges), colors)
                 tree = tree_from_nested(nested)
-                sigma = {x: g.colors[g.id_of(tree.names[x])] for x in tree.leaves}
+                sigma = {x: g.colors[g.names.index(tree.names[x])] for x in tree.leaves}
                 found = (tree, sigma, root_truncation(tree, sigma))
                 assert _replays(g, found)
                 assert search_explanation(g, n) == found
@@ -386,11 +399,59 @@ def test_build_tree_matches_the_nested_oracle_under_shuffled_names():
             names = rng.sample([f"x{i}" for i in range(n)], n)
             g = Digraph(n, rep.colors, rep.edges, tuple(names))
             tree = tree_from_nested(build_informative(g))
-            sigma = {x: g.colors[g.id_of(tree.names[x])] for x in tree.leaves}
+            sigma = {x: g.colors[g.names.index(tree.names[x])] for x in tree.leaves}
             assert search_explanation(g, n) == (tree, sigma, root_truncation(tree, sigma))
             checked += 1
             shuffled += names != sorted(names)
     assert (checked, shuffled) == (99, 96)
+
+
+def _sink_free_tree_graphs(rng: random.Random, count: int):
+    """Best-match graphs of random trees with 7 to 40 leaves; a surjective
+    coloring gives every leaf a best match, so none has a sink."""
+    names = [f"t{i}" for i in range(1, 41)]
+    for _ in range(count):
+        tree = tree_from_nested(random_nested(rng, names[:rng.randint(7, 40)]))
+        yield best_match_graph(tree, random_surjective_coloring(rng, tree.leaves))
+
+
+def test_search_explanation_builds_sink_free_tree_graphs_past_the_leaf_budget():
+    built = 0
+    for g in _sink_free_tree_graphs(random.Random(29), 300):
+        assert g.n > EXPLAIN_MAX_LEAVES and all(g.out_masks)
+        result = search_explanation(g, EXPLAIN_MAX_LEAVES)
+        assert result is not None and _replays(g, result)
+        built += 1
+    assert built == 300
+
+
+def test_search_explanation_decides_sink_free_graphs_past_the_leaf_budget():
+    # each best-match graph with one opposite-color pair toggled where its
+    # tail keeps an out-neighbor, and a random sink-free graph of that size
+    rng = random.Random(30)
+    verdicts = Counter()
+    for bmg in _sink_free_tree_graphs(rng, 150):
+        n, colors = bmg.n, bmg.colors
+        out = list(bmg.out_masks)
+        x = rng.randrange(n)
+        y = rng.choice([v for v in range(n) if colors[v] != colors[x]])
+        if out[x] != 1 << y:
+            out[x] ^= 1 << y
+        others = [sum(1 << v for v in range(n) if colors[v] != colors[u]) for u in range(n)]
+        wild = [0] * n
+        for u in range(n):
+            while not wild[u]:
+                wild[u] = rng.getrandbits(n) & others[u]
+        for masks in (bmg.out_masks, out, wild):
+            g = digraph_from_masks(n, tuple(masks), colors)
+            assert set(colors) == {0, 1} and all(g.out_masks)
+            result = search_explanation(g, EXPLAIN_MAX_LEAVES)
+            verdict = is_qbmg_masks(n, g.out_masks, g.in_masks)
+            assert (result is not None) == verdict
+            assert result is None or _replays(g, result)
+            verdicts[verdict] += 1
+    # the 150 best-match graphs and 23 of the others are recognized
+    assert verdicts == {True: 173, False: 277}
 
 
 def test_search_explanation_rejects_non_qbmg_without_topologies(monkeypatch):
