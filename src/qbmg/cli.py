@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from . import dgf
-from .axioms import recognize
+from .axioms import is_qbmg, recognize
 from .bicliques import find_dominating_biclique
 from .decompose import decompose_type_a
 from .digraph import Digraph, UGraph, underlying
@@ -135,8 +135,13 @@ def _parse_checks(spec: str) -> list[tuple[str, int]]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = _as_ugraph(_load_graph(args.file))
+    loaded = _load_graph(args.file)
     checks = _parse_checks(args.check)
+    if isinstance(loaded, Digraph) and any(k >= 6 for _, k in checks):
+        # a recognized digraph's underlying graph is built knowing it has
+        # no induced P6 or C6, which answers such checks without a search
+        is_qbmg(loaded)
+    g = _as_ugraph(loaded)
     results = []
     lines = []
     for kind, k in checks:
@@ -373,6 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if value == []:  # argparse strips a lone '--' given as an option's value
+                raise ParseError(f"--{name} needs a value other than '--'")
         return args.func(args)
     except (QbmgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,14 +11,16 @@ components come from one core over vertex masks, ``_component_masks``; a
 digraph's are kept on its underlying graph.
 
 The views kept on a ``Digraph`` are its underlying graph, its adjacency
-masks, symmetric pairs and name index, and the recognition verdict that
-``recognize`` or ``is_qbmg`` reached.  A ``UGraph`` keeps its components,
-its false-twin representatives and the least k it is known to be P_k-free
-for.  Recognition is hereditary: N1-N3 forbid configurations on at most
-four vertices, so every induced sub-digraph of a recognized digraph is
-recognized, and ``induced_subdigraph`` passes a True verdict down to the
-subgraph.  A False verdict says nothing about a subgraph and is not passed
-on.
+masks and symmetric pairs, and the recognition verdict that ``recognize``
+or ``is_qbmg`` reached.  A ``UGraph`` keeps its components, its false-twin
+representatives, the least k it is known to be P_k-free for, and whether
+it is known to be C6-free.  Recognition is hereditary: N1-N3 forbid
+configurations on at most four vertices, so every induced sub-digraph of a
+recognized digraph is recognized, and ``induced_subdigraph`` passes a True
+verdict down to the subgraph.  A False verdict says nothing about a
+subgraph and is not passed on.  The underlying graph of a digraph whose
+kept verdict is True when the graph is built is P6-free and C6-free, by
+the paper's theorem, and is built knowing both.
 """
 
 from __future__ import annotations
@@ -142,7 +144,12 @@ class Digraph:
 
     @_memo
     def _underlying(self) -> UGraph:
-        return _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)
+        u = _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)
+        if vars(self).get("_is_qbmg"):
+            # the paper's theorem: the underlying graph of a recognized
+            # digraph has no induced P6 and no induced C6
+            vars(u).update(_path_free_from=6, _c6_free=True)
+        return u
 
 
 def _trusted_digraph(

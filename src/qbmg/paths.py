@@ -19,7 +19,10 @@ Freeness is hereditary in the length: an induced P_j with j >= k, and an
 induced C_j with j > k, each contain an induced P_k.  So a graph remembers
 the least k for which a search found no induced P_k, and answers longer
 path and cycle queries with None without searching.  A ``UGraph`` is
-bipartite, so an odd cycle query gets None without a search as well.
+bipartite, so an odd cycle query gets None without a search as well.  The
+underlying graph of a recognized digraph is built P6-free and C6-free (see
+``qbmg.digraph``), so its P_k queries for k >= 6 and its cycle queries for
+k >= 6 get None before any search or budget check.
 
 False twins, vertices with the same neighborhood, never lie together on an
 induced P_k with k >= 4 or an induced C_k with k >= 5.  Two twins on one
@@ -162,7 +165,8 @@ def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
     """Some induced chordless k-cycle, or None; odd k on bipartite input gives None."""
     if k < 3:
         raise ValueError("induced cycle needs at least 3 vertices")
-    if k % 2 or k > vars(g).get("_path_free_from", k):
+    known = vars(g)
+    if k % 2 or k > known.get("_path_free_from", k) or k == 6 and known.get("_c6_free"):
         return None
     seq = _induced_cycle(g.adj_masks, g.n, k, g._twin_reps)
     return InducedCycle(seq) if seq is not None else None

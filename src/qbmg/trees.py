@@ -17,9 +17,10 @@ Trees are addressed by preorder node ids with the root at 0.  Leaf colorings
 and truncation maps are plain dicts keyed by leaf node id and by
 (leaf node id, color).
 
-``search_explanation`` decides a sink-free graph of any size by replaying its
-BUILD tree in polynomial time; only a graph with sinks meets the leaf budget,
-the recognition gate and the exhaustive topology search.
+``search_explanation`` decides a sink-free graph of any size in polynomial
+time by one BUILD pass that checks best matches as it splits; only a graph
+with sinks meets the leaf budget, the recognition gate and the exhaustive
+topology search.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .axioms import is_qbmg_masks
-from .digraph import (
-    Digraph,
-    _component_masks,
-    _memo,
-    _trusted_digraph,
-    _validate_vertex_table,
-    iter_bits,
-)
+from .digraph import Digraph, _memo, _trusted_digraph, _validate_vertex_table
 from .errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -342,28 +336,46 @@ def _topologies(leafset: tuple[str, ...]) -> Iterator[Nested]:
         yield from product(*map(_topologies, blocks))
 
 
-def _build_tree(g: Digraph) -> tuple[PhyloTree, list[int]] | None:
+def _build_tree(g: Digraph) -> _Explanation | None:
     """BUILD (Aho, Sagiv, Szymanski & Ullman 1981) on the informative triples
     xy|y' of g: x -> y, x -/-> y' and y, y' both of the color x lacks.  The
     children of a leaf set L are the components, by least leaf name, of the
     Aho graph joining x and y for each triple xy|y' inside L; L fails when it
     is connected.  A best-match graph gets its least-resolved tree (Geiß et al.,
-    *Best match graphs*, J. Math. Biol. 78, 2019), in preorder, with each leaf's vertex."""
-    n, names, colors = g.n, g.names, g.colors
+    *Best match graphs*, J. Math. Biol. 78, 2019), in preorder.
+
+    g must be sink-free and two-colored, and BUILD checks its best matches as
+    it splits.  A component C of L that lacks a color L holds, say 1 - c,
+    holds only color-c leaves, and L's node is the lowest ancestor of each
+    that holds color 1 - c: each leaf's best matches are exactly the color
+    (1 - c) leaves of L, so its out-row must equal them.  The root holds both
+    colors, so every leaf is checked exactly once.  The tree, g's coloring on
+    it and the root truncation explain g when every check passes; None means
+    BUILD failed or a check did."""
+    n, names, colors, in_masks = g.n, g.names, g.colors, g.in_masks
     # bit r is vertex order[r], the r-th least name: components by least bit
     order = sorted(range(n), key=names.__getitem__)
-    rows = [0] * n  # rows[v]: the out-neighbors of vertex v as such bits
+    position = [0] * n
+    for r, v in enumerate(order):
+        position[v] = r
+    out = [0] * n  # out[r], inn[r]: the out- and in-neighbors of bit r as bits
+    inn = [0] * n
     side = [0, 0]
     for r, v in enumerate(order):
         side[colors[v]] |= 1 << r
-        for u in iter_bits(g.in_masks[v]):
-            rows[u] |= 1 << r
-    out = [rows[v] for v in order]
+        m = in_masks[v]
+        while m:
+            low = m & -m
+            m ^= low
+            s = position[low.bit_length() - 1]
+            out[s] |= 1 << r
+            inn[r] |= 1 << s
     # x takes part in triples xy|y' over L iff some y' of spare[x] lies in L
-    spare = [side[1 - colors[v]] & ~rows[v] for v in order]
+    spare = [side[1 - colors[v]] & ~out[r] for r, v in enumerate(order)]
     parent: list[int | None] = []
     tree_names: list[str | None] = []
-    leaves, ids = [], []  # the leaves in preorder and their vertices
+    leaves = []
+    sigma: LeafColoring = {}
     stack: list[tuple[int, int | None]] = [((1 << n) - 1, None)]
     while stack:
         leafset, par = stack.pop()
@@ -373,25 +385,53 @@ def _build_tree(g: Digraph) -> tuple[PhyloTree, list[int]] | None:
             v = order[leafset.bit_length() - 1]
             tree_names.append(names[v])
             leaves.append(node)
-            ids.append(v)
+            sigma[node] = colors[v]
             continue
         tree_names.append(None)
-        link = [0] * n
-        for x in iter_bits(leafset):
-            if spare[x] & leafset:
-                ys = out[x] & leafset
-                link[x] |= ys
-                for y in iter_bits(ys):
-                    link[y] |= 1 << x
-        comps = _component_masks(link, leafset)
+        # the members of L with a spare in L: the x of the triples inside L
+        active = 0
+        rest = leafset
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if spare[low.bit_length() - 1] & leafset:
+                active |= low
+        # the Aho graph's components by breadth-first search: x reaches its
+        # out-neighbors when active, and its active in-neighbors
+        comps = []
+        rest = leafset
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    x = low.bit_length() - 1
+                    reach |= inn[x] & active
+                    if low & active:
+                        reach |= out[x]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            comps.append(comp)
         if len(comps) == 1:
             return None
+        for comp in comps:
+            lacks = side[0] if comp & side[1] else side[1]
+            theirs = leafset & lacks
+            if theirs and not comp & lacks:
+                while comp:
+                    low = comp & -comp
+                    comp ^= low
+                    if out[low.bit_length() - 1] != theirs:
+                        return None
         for comp in reversed(comps):
             stack.append((comp, node))
     # valid by construction, so built without the checks, as _trusted_digraph is
     tree = object.__new__(PhyloTree)
     vars(tree).update(parent=tuple(parent), names=tuple(tree_names), leaves=tuple(leaves))
-    return tree, ids
+    return tree, sigma, root_truncation(tree, sigma)
 
 
 def search_explanation(g: Digraph, max_leaves: int) -> _Explanation | None:
@@ -401,7 +441,8 @@ def search_explanation(g: Digraph, max_leaves: int) -> _Explanation | None:
     A one-colored graph has none, since a leaf coloring uses both colors.  A
     sink-free graph is explained exactly when it is a best-match graph, by
     its least-resolved BUILD tree under root truncation (Geiß et al., 2019),
-    so replaying that tree decides it at any size with no recognition gate.
+    so BUILD, checking best matches as it splits, decides it at any size
+    with no recognition gate.
     Only a graph with sinks meets the exhaustive topology search: it raises
     ``TooLarge`` above ``min(max_leaves, EXPLAIN_MAX_LEAVES)`` vertices, and
     otherwise meets the recognition gate first, since every graph a tree
@@ -409,8 +450,7 @@ def search_explanation(g: Digraph, max_leaves: int) -> _Explanation | None:
     if set(g.colors) != {0, 1}:
         return None
     if all(g.out_masks):
-        built = _build_tree(g)
-        return None if built is None else _explained_by(g, *built)
+        return _build_tree(g)
     budget = min(max_leaves, EXPLAIN_MAX_LEAVES)
     if g.n > budget:
         raise TooLarge(f"graph has {g.n} vertices, budget is {budget}")

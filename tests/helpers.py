@@ -20,7 +20,7 @@ from qbmg.digraph import (
 )
 from qbmg.enumeration import opposite_pairs
 from qbmg.errors import Disconnected, TooLarge
-from qbmg.trees import Nested, PhyloTree
+from qbmg.trees import Nested, PhyloTree, qbmg_from_tree, root_truncation, tree_from_nested
 
 BICLIQUE_MAX_SIDE = 20
 
@@ -589,6 +589,28 @@ def random_surjective_coloring(rng: random.Random, leaves: tuple[int, ...]) -> d
         sigma = {leaf: rng.randint(0, 1) for leaf in leaves}
         if set(sigma.values()) == {0, 1}:
             return sigma
+
+
+def spine_tree_graph(k: int) -> Digraph:
+    """The graph of a spine tree: nested internal nodes N_1 > N_2 > ... > N_k,
+    where N_i holds a leaf s_i of color i % 2, whose truncation entry for
+    the other color is N_i, and a cherry of a color-0 and a color-1 leaf;
+    N_k holds a second cherry.  The 3k + 2 vertices form one connected
+    recognized component; from k = 10 on, the P6 and C6 searches on its
+    underlying graph exceed their budget."""
+    nested: Nested = (f"a{k}", f"b{k}")
+    for i in range(k, 0, -1):
+        nested = (f"s{i}", (f"a{i - 1}", f"b{i - 1}"), nested)
+    tree = tree_from_nested(nested)
+    sigma = {}
+    for x in tree.leaves:
+        name = tree.names[x]
+        sigma[x] = int(name[1:]) % 2 if name[0] == "s" else int(name[0] == "b")
+    u = root_truncation(tree, sigma)
+    for x in tree.leaves:
+        if tree.names[x][0] == "s":
+            u[(x, 1 - sigma[x])] = tree.parent[x]
+    return qbmg_from_tree(tree, sigma, u)
 
 
 def random_truncation(rng, tree, sigma) -> dict[tuple[int, int], int]:

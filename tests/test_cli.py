@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from helpers import caterpillar_newick, crown_graph, grid_graph
+from helpers import caterpillar_newick, crown_graph, grid_graph, spine_tree_graph
 from qbmg.cli import main
 from qbmg.dgf import format_dgf, parse_dgf
 from qbmg.digraph import build_digraph, build_ugraph
@@ -113,6 +113,31 @@ def test_analyze_odd_cycle_is_answered_without_a_search(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(path), "--check", "c11,c3")
     assert code == 0 and err == ""
     assert out.splitlines() == ["C11-free: yes", "C3-free: yes"]
+
+
+def test_analyze_answers_p6_and_c6_on_a_recognized_digraph(capsys, tmp_path):
+    # the 152-vertex spine tree graph is past the P6 and C6 search budget,
+    # which made these checks exit 2; a recognized digraph is P6-free and
+    # C6-free by the paper's theorem, so analyze recognizes it first
+    path = tmp_path / "spine.dgf"
+    path.write_text(format_dgf(spine_tree_graph(50)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", "p6,c6,p7,c8")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["P6-free: yes", "C6-free: yes", "P7-free: yes", "C8-free: yes"]
+    code, out, err = run_cli(capsys, "analyze", str(path), "--check", "p5")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "G", "--check=--"], ["enumerate", "--all=--"], ["enumerate", "--underlying=--"],
+    ["explain", "--tree=--"], ["explain", "--tree", "T", "--trunc=--"]])
+def test_option_value_of_two_dashes_is_bad_input(capsys, ex10_file, argv):
+    # argparse strips a lone '--' from an option's value and leaves an
+    # empty list where a string is expected
+    argv = [ex10_file if a in ("G", "T") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("side,check", [(7, "p34"), (8, "p44")])

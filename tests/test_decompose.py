@@ -16,7 +16,12 @@ from qbmg.digraph import build_digraph, induced_subdigraph, underlying, weak_com
 from qbmg.enumeration import cycle_template
 from qbmg.errors import Disconnected, NotQbmg
 from qbmg.fixtures import EX10, P5A1, P5AB
-from qbmg.paths import find_induced_cycle, find_induced_path
+from qbmg.paths import (
+    find_induced_cycle,
+    find_induced_cycle_masks,
+    find_induced_path,
+    find_induced_path_masks,
+)
 from qbmg.trees import qbmg_from_tree, tree_from_nested
 
 
@@ -149,6 +154,9 @@ def test_structure_pass_reuses_the_verdict_and_the_bicliques(monkeypatch):
             find_induced_path(und, 4)
             find_induced_path(und, 5)
             assert find_induced_path(und, 6) is None and find_induced_cycle(und, 6) is None
+            # the search itself, besides the theorem kept on und
+            assert find_induced_path_masks(und.adj_masks, und.n, 6) is None
+            assert find_induced_cycle_masks(und.adj_masks, und.n, 6) is None
             assert find_dominating_biclique(und) is not None
             assert decompose_type_a(sub).parts == (frozenset(range(sub.n)),)
             assert (len(kernel_calls), len(biclique_calls)) == (0, 1)

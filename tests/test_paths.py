@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import pytest
 
+import qbmg.paths
 from helpers import (
     brute_least_induced_cycle,
     brute_least_induced_path,
@@ -14,9 +15,11 @@ from helpers import (
     random_nested,
     random_surjective_coloring,
     random_truncation,
+    spine_tree_graph,
     twin_blow_up,
 )
-from qbmg.digraph import build_ugraph, underlying
+from qbmg.axioms import is_qbmg
+from qbmg.digraph import Digraph, build_digraph, build_ugraph, underlying
 from qbmg.enumeration import cycle_template, halved_colorings, path_template
 from qbmg.errors import TooLarge
 from qbmg.fixtures import ALL_FIXTURES, C4_3, EX7, EX10, P5A
@@ -45,8 +48,45 @@ def test_all_six_p5_fixtures_are_sharp():
 
 
 def test_recognized_graphs_are_p6_free():
-    assert find_induced_path(underlying(EX7), 6) is None
-    assert find_induced_path(underlying(EX10), 6) is None
+    # the search itself, not the theorem kept on a recognized graph's
+    # underlying graph
+    for g in (EX7, EX10):
+        adj = underlying(g).adj_masks
+        assert find_induced_path_masks(adj, g.n, 6) is None
+        assert find_induced_cycle_masks(adj, g.n, 6) is None
+
+
+def test_recognized_graphs_answer_p6_and_c6_without_a_search(monkeypatch):
+    # a spine tree's underlying graph is too large for the P6 and C6
+    # searches, but a verdict of True kept before the underlying graph is
+    # built answers both by the paper's theorem
+    g = spine_tree_graph(10)
+    with pytest.raises(TooLarge):
+        find_induced_path(underlying(g), 6)
+    with pytest.raises(TooLarge):
+        find_induced_cycle(underlying(g), 6)
+
+    def search(*args):
+        raise AssertionError("searched a recognized graph for P6 or C6")
+
+    monkeypatch.setattr(qbmg.paths, "_least_path", search)
+    for h in (g, EX7, EX10):
+        h = Digraph(h.n, h.colors, h.edges, h.names)  # no views kept yet
+        assert is_qbmg(h)
+        und = underlying(h)
+        for k in (6, 7, 12):
+            assert find_induced_path(und, k) is None
+        for k in (6, 8, 12):
+            assert find_induced_cycle(und, k) is None
+
+
+def test_unrecognized_graphs_are_still_searched():
+    # an oriented P6 fails recognition, so its underlying graph keeps no
+    # theorem and the search finds the path itself
+    p6 = build_digraph(6, [i % 2 for i in range(6)], [(i, i + 1) for i in range(5)])
+    assert not is_qbmg(p6)
+    hit = find_induced_path(underlying(p6), 6)
+    assert hit is not None and hit.vertices == tuple(range(6))
 
 
 def test_complete_bipartite_has_no_induced_p4():

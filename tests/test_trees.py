@@ -471,6 +471,61 @@ def test_search_explanation_rejects_non_qbmg_without_topologies(monkeypatch):
     assert search_explanation(g, 6) is None
 
 
+def _answer(result) -> str:
+    if result is None:
+        return "None"
+    tree, sigma, trunc = result
+    return f"{tree.parent} {tree.names} {tree.leaves} {sorted(sigma.items())} {sorted(trunc.items())}"
+
+
+def test_sink_free_explanations_pinned():
+    # every sink-free two-colored graph with n <= 5 (vertex 0 colored 0,
+    # one coloring per complement pair), then seeded best-match graphs with
+    # 40, 150 and 400 leaves, every third with one opposite-color arc
+    # toggled where its tail keeps an out-neighbor.  The digest was taken
+    # while BUILD built the whole tree before its best matches were checked
+    digest = hashlib.sha256()
+    explained = rejected = 0
+    for n in range(2, 6):
+        for g in all_bipartite_digraphs(n):
+            if g.colors[0] or 1 not in g.colors or not all(g.out_masks):
+                continue
+            result = search_explanation(g, n)
+            digest.update(f"{g.colors} {g.out_masks}: {_answer(result)}\n".encode())
+            explained += result is not None
+            rejected += result is None
+    assert (explained, rejected) == (1220, 12366)
+    rng = random.Random(31)
+    for i in range(18):
+        leaves = (40, 150, 400)[i % 3]
+        tree = tree_from_nested(random_nested(rng, [f"t{j}" for j in range(leaves)]))
+        g = best_match_graph(tree, random_surjective_coloring(rng, tree.leaves))
+        out = list(g.out_masks)
+        if i % 3 == 2:
+            x = rng.randrange(g.n)
+            y = rng.choice([v for v in range(g.n) if g.colors[v] != g.colors[x]])
+            if out[x] != 1 << y:
+                out[x] ^= 1 << y
+        g = digraph_from_masks(g.n, tuple(out), g.colors)
+        result = search_explanation(g, EXPLAIN_MAX_LEAVES)
+        assert (result is not None) == is_qbmg_masks(g.n, g.out_masks, g.in_masks)
+        digest.update(f"{g.colors} {g.out_masks}: {_answer(result)}\n".encode())
+    assert digest.hexdigest() == (
+        "baf963bd449a6e6985aee84eaa1e44aed57e5503e53808cedc55f7acfd1b35f2")
+
+
+def test_best_match_mismatch_below_the_root_split():
+    # BUILD succeeds on this graph, with cherries v1 v4 and v2 v3, but v2's
+    # best match is v3 alone while v2 -> v4 as well.  The mismatch shows at
+    # the split of v2 v3's cherry.  None can show at the root's split: a
+    # component there without the other color holds only leaves with no
+    # spare, and these point to every vertex of the other color
+    g = build_digraph(4, (0, 0, 1, 1), [(0, 3), (1, 2), (1, 3), (2, 1), (3, 0)])
+    assert build_informative(g) == (("v1", "v4"), ("v2", "v3"))
+    assert not naive_is_qbmg(g)
+    assert search_explanation(g, 4) is None
+
+
 def test_random_trees_explain_recognized_graphs():
     rng = random.Random(7)
     names = [f"t{i}" for i in range(1, 9)]
