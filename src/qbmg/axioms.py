@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .digraph import Digraph, induced_subdigraph
+from .digraph import Digraph, _keep_verdict, induced_subdigraph
 from .errors import NotQbmg, TooLarge
 
 HEREDITARY_MAX_VERTICES = 10
@@ -138,8 +138,8 @@ def recognize(g: Digraph) -> RecognitionReport:
         witness = find_n3_violation(g)
     sinks = frozenset(v for v in range(g.n) if g.out_masks[v] == 0)
     sym = len(g.symmetric_pairs)
-    is_qbmg = vars(g)["_is_qbmg"] = witness is None
-    is_bmg = is_qbmg and not sinks
+    is_qbmg = _keep_verdict(g, witness is None)
+    is_bmg = is_qbmg and g.n > 0 and not sinks  # no tree has zero leaves
     is_reciprocal = is_bmg and g.out_masks == g.in_masks
     return RecognitionReport(is_qbmg, is_bmg, is_reciprocal, witness, sinks, sym)
 
@@ -294,10 +294,10 @@ def _admissible_rows(x: int, opposite: int, out: Sequence[int],
 def is_qbmg(g: Digraph) -> bool:
     """The recognition verdict, computed once and kept on g; an induced
     sub-digraph of a recognized graph inherits it (see ``qbmg.digraph``)."""
-    memo = vars(g)
-    if "_is_qbmg" not in memo:
-        memo["_is_qbmg"] = is_qbmg_masks(g.n, g.out_masks, g.in_masks)
-    return memo["_is_qbmg"]
+    verdict = vars(g).get("_is_qbmg")
+    if verdict is None:
+        verdict = _keep_verdict(g, is_qbmg_masks(g.n, g.out_masks, g.in_masks))
+    return verdict
 
 
 def is_hereditary_on(g: Digraph) -> frozenset[int] | None:

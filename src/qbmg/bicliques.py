@@ -96,7 +96,8 @@ def maximal_bicliques(g: UGraph) -> tuple[Biclique, ...]:
 
 def find_dominating_biclique(g: UGraph) -> Biclique | None:
     """A biclique whose vertex set dominates the (connected) graph, or None;
-    a connected recognized graph always has one (see ``qbmg.decompose``).
+    a connected recognized graph with at least two vertices always has one
+    (see ``qbmg.decompose``).
     Any dominating biclique extends to a dominating maximal one, so the
     maximal ones are the candidates, and the answer is the first of them in
     ``maximal_bicliques`` order, the least ``Biclique.sort_key``.

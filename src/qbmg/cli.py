@@ -138,8 +138,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     loaded = _load_graph(args.file)
     checks = _parse_checks(args.check)
     if isinstance(loaded, Digraph) and any(k >= 6 for _, k in checks):
-        # a recognized digraph's underlying graph is built knowing it has
-        # no induced P6 or C6, which answers such checks without a search
+        # recognition marks the underlying graph of a recognized digraph as
+        # having no induced P6 or C6, which answers such checks without a search
         is_qbmg(loaded)
     g = _as_ugraph(loaded)
     results = []

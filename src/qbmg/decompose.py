@@ -23,7 +23,8 @@ which forms a biclique with x, and the rest of x's class is stable.  Proof:
 
 The biclique of a K+S split of a connected graph dominates it, since each
 vertex of the stable side has a neighbor, all in the biclique.  So every
-connected recognized graph has a dominating biclique.
+connected recognized graph with at least two vertices has a dominating
+biclique.
 
 ``decompose_type_a`` checks its one part against the lemma's own witness,
 in O(n): some vertex whose adjacency mask equals the mask of the other
@@ -81,12 +82,8 @@ def kos_partition(g: UGraph) -> KosPartition | None:
 
 
 def is_type_a(g: Digraph) -> bool:
-    """Connected, passes recognition, and underlying graph is K+S."""
-    if not underlying(g).is_connected():
-        return False
-    if not is_qbmg(g):
-        return False
-    return kos_partition(underlying(g)) is not None
+    """Connected and recognized, so K+S by the lemma above."""
+    return underlying(g).is_connected() and is_qbmg(g)
 
 
 def decompose_type_a(g: Digraph) -> Decomposition:

@@ -4,23 +4,20 @@ Vertices are dense integer ids 0..n-1 with unique display names.  All values
 are immutable after construction and all operations are pure functions, so
 they are safe to share across concurrent workers.  A view derived from one
 graph (its underlying graph, its components, its path-freeness) is computed
-once and kept on the graph value it describes.  Adjacency masks are the
-stored form of both graph types; the edge set is read off them on first
-use, and a validated build keeps the edge set it was given.  Connected
-components come from one core over vertex masks, ``_component_masks``; a
-digraph's are kept on its underlying graph.
+once and kept on the graph value it describes.  Adjacency masks are the only
+stored form of both graph types, however built; the edge set is read off
+them on first use.  Connected components come from one core over vertex
+masks, ``_component_masks``; a digraph's are kept on its underlying graph.
 
-The views kept on a ``Digraph`` are its underlying graph, its adjacency
-masks and symmetric pairs, and the recognition verdict that ``recognize``
-or ``is_qbmg`` reached.  A ``UGraph`` keeps its components, its false-twin
-representatives, the least k it is known to be P_k-free for, and whether
-it is known to be C6-free.  Recognition is hereditary: N1-N3 forbid
-configurations on at most four vertices, so every induced sub-digraph of a
-recognized digraph is recognized, and ``induced_subdigraph`` passes a True
-verdict down to the subgraph.  A False verdict says nothing about a
-subgraph and is not passed on.  The underlying graph of a digraph whose
-kept verdict is True when the graph is built is P6-free and C6-free, by
-the paper's theorem, and is built knowing both.
+A ``Digraph`` keeps its underlying graph, adjacency masks, symmetric pairs
+and recognition verdict, which ``_keep_verdict`` alone stores.  A ``UGraph``
+keeps its components, its false-twin representatives, the least k it is
+known to be P_k-free for (see ``qbmg.paths``), and a mark when it is the
+underlying graph of a recognized digraph: P6-free and C6-free by the paper's
+theorem.  The mark is set whether the verdict is kept before or after that
+graph is built.  Recognition is hereditary: N1-N3 forbid configurations on
+at most four vertices, so ``induced_subdigraph`` passes a True verdict down
+to the subgraph.  A False verdict says nothing about a subgraph.
 """
 
 from __future__ import annotations
@@ -50,8 +47,8 @@ class _memo:
     """A property computed on first read and stored in the instance's
     ``__dict__``, which later reads find first.  Unlike
     ``functools.cached_property`` it takes no lock, and since it defines only
-    ``__get__`` a value a build stored beforehand wins, such as the edge set
-    a validated build was given."""
+    ``__get__`` a value a build stored beforehand wins, such as the empty
+    symmetric pairs of an orientation."""
 
     def __init__(self, func: Callable[[Any], Any]) -> None:
         self.func = func
@@ -96,8 +93,6 @@ class Digraph:
     def __init__(self, n: int, colors: tuple[int, ...], edges: Iterable[tuple[int, int]],
                  names: tuple[str, ...]) -> None:
         _validate_vertex_table(n, colors, names)
-        # read an iterator once; a frozenset is stored as it is
-        edges = edges if isinstance(edges, frozenset) else tuple(edges)
         out = [0] * n
         inn = [0] * n
         for u, v in edges:
@@ -113,8 +108,7 @@ class Digraph:
                 raise DuplicateEdge(f"edge ({u}, {v}) given twice")
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        vars(self).update(n=n, colors=colors, names=names, edges=frozenset(edges),
-                          out_masks=tuple(out), in_masks=tuple(inn))
+        vars(self).update(n=n, colors=colors, names=names, out_masks=tuple(out), in_masks=tuple(inn))
 
     @_memo
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -146,10 +140,18 @@ class Digraph:
     def _underlying(self) -> UGraph:
         u = _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)
         if vars(self).get("_is_qbmg"):
-            # the paper's theorem: the underlying graph of a recognized
-            # digraph has no induced P6 and no induced C6
-            vars(u).update(_path_free_from=6, _c6_free=True)
+            vars(u)["_qbmg_shadow"] = True
         return u
+
+
+def _keep_verdict(g: Digraph, verdict: bool) -> bool:
+    """Keep g's recognition verdict and return it; a True one marks g's
+    underlying graph if built, and ``_underlying`` marks one built later."""
+    memo = vars(g)
+    memo["_is_qbmg"] = verdict
+    if verdict and "_underlying" in memo:
+        vars(memo["_underlying"])["_qbmg_shadow"] = True
+    return verdict
 
 
 def _trusted_digraph(
@@ -242,8 +244,6 @@ class UGraph:
     def __init__(self, n: int, colors: tuple[int, ...], edges: Iterable[tuple[int, int]],
                  names: tuple[str, ...]) -> None:
         _validate_vertex_table(n, colors, names)
-        # read an iterator once; a frozenset is stored as it is
-        edges = edges if isinstance(edges, frozenset) else tuple(edges)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -260,7 +260,7 @@ class UGraph:
                 raise DuplicateEdge(f"edge {{{u}, {v}}} given twice")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        vars(self).update(n=n, colors=colors, names=names, edges=frozenset(edges), adj_masks=tuple(adj))
+        vars(self).update(n=n, colors=colors, names=names, adj_masks=tuple(adj))
 
     @_memo
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -426,7 +426,7 @@ def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...
     if isinstance(g, Digraph):
         sub = _trusted_digraph(len(old), colors, names, squeeze(g.out_masks), squeeze(g.in_masks))
         if vars(g).get("_is_qbmg"):  # recognition is hereditary
-            vars(sub)["_is_qbmg"] = True
+            _keep_verdict(sub, True)
         return sub, old
     return _trusted_ugraph(len(old), colors, names, squeeze(g.adj_masks)), old
 

@@ -18,11 +18,11 @@ vertex picks the smaller of the cycle's two neighbors of s to come second.
 Freeness is hereditary in the length: an induced P_j with j >= k, and an
 induced C_j with j > k, each contain an induced P_k.  So a graph remembers
 the least k for which a search found no induced P_k, and answers longer
-path and cycle queries with None without searching.  A ``UGraph`` is
-bipartite, so an odd cycle query gets None without a search as well.  The
-underlying graph of a recognized digraph is built P6-free and C6-free (see
-``qbmg.digraph``), so its P_k queries for k >= 6 and its cycle queries for
-k >= 6 get None before any search or budget check.
+path and cycle queries with None without searching; only this module
+writes that ``_path_free_from``.  A ``UGraph`` is bipartite, so an odd
+cycle query gets None without a search as well.  The underlying graph of a
+recognized digraph is marked P6-free and C6-free (see ``qbmg.digraph``), so
+every P_k and C_k query with k >= 6 gets None from the mark alone.
 
 False twins, vertices with the same neighborhood, never lie together on an
 induced P_k with k >= 4 or an induced C_k with k >= 5.  Two twins on one
@@ -151,12 +151,13 @@ def find_induced_path(g: UGraph, k: int) -> InducedPath | None:
     """Some induced path on k vertices, or None; g is Pk-free iff None."""
     if k < 2:
         raise ValueError("induced path needs at least 2 vertices")
-    # the least k for which g is known to have no induced P_k
-    if k >= vars(g).get("_path_free_from", k + 1):
+    known = vars(g)
+    # the least k g is known to be P_k-free for, and the theorem's mark
+    if k >= known.get("_path_free_from", k + 1) or k >= 6 and known.get("_qbmg_shadow"):
         return None
     seq = _induced_path(g.adj_masks, g.n, k, g._twin_reps)
     if seq is None:
-        vars(g)["_path_free_from"] = k
+        known["_path_free_from"] = k
         return None
     return InducedPath(seq)
 
@@ -166,7 +167,7 @@ def find_induced_cycle(g: UGraph, k: int) -> InducedCycle | None:
     if k < 3:
         raise ValueError("induced cycle needs at least 3 vertices")
     known = vars(g)
-    if k % 2 or k > known.get("_path_free_from", k) or k == 6 and known.get("_c6_free"):
+    if k % 2 or k > known.get("_path_free_from", k) or k >= 6 and known.get("_qbmg_shadow"):
         return None
     seq = _induced_cycle(g.adj_masks, g.n, k, g._twin_reps)
     return InducedCycle(seq) if seq is not None else None

@@ -209,11 +209,13 @@ def test_dominate_ex10(capsys, ex10_file):
 
 
 def test_dominate_none(capsys, tmp_path):
-    path = tmp_path / "c6.dgf"
-    path.write_text(format_dgf(cycle_template(6)), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "dominate", str(path))
-    assert code == 0
-    assert out.strip() == "none"
+    # one vertex is connected but has no biclique, whose two sides are nonempty
+    for name, g in (("c6", cycle_template(6)), ("k1", build_digraph(1, (0,), []))):
+        path = tmp_path / f"{name}.dgf"
+        path.write_text(format_dgf(g), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "dominate", str(path))
+        assert code == 0
+        assert out.strip() == "none"
 
 
 def test_decompose_ex10(capsys, ex10_file):
@@ -247,6 +249,21 @@ def test_vertexless_graph_is_disconnected(capsys, tmp_path, verb):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_vertexless_graph_is_not_a_best_match_graph(capsys, tmp_path):
+    # it passes N1-N3 and has no sink, but no tree has zero leaves
+    path = tmp_path / "empty.dgf"
+    path.write_text(format_dgf(build_digraph(0, (), [])), encoding="utf-8")
+    code, out, err = run_cli(capsys, "recognize", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["is_qbmg: yes", "is_bmg: no", "is_reciprocal: no", "sinks: -",
+                                "symmetric_edges: 0", "witness: none"]
+    code, out, err = run_cli(capsys, "--json", "recognize", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "recognize", "is_qbmg": True, "is_bmg": False,
+                               "is_reciprocal": False, "sinks": [], "symmetric_edges": 0,
+                               "witness": None}
 
 
 def test_per_graph_verbs_pinned(capsys, tmp_path):

@@ -18,8 +18,8 @@ from helpers import (
     spine_tree_graph,
     twin_blow_up,
 )
-from qbmg.axioms import is_qbmg
-from qbmg.digraph import Digraph, build_digraph, build_ugraph, underlying
+from qbmg.axioms import is_qbmg, recognize
+from qbmg.digraph import Digraph, build_digraph, build_ugraph, underlying, weak_components
 from qbmg.enumeration import cycle_template, halved_colorings, path_template
 from qbmg.errors import TooLarge
 from qbmg.fixtures import ALL_FIXTURES, C4_3, EX7, EX10, P5A
@@ -86,6 +86,28 @@ def test_unrecognized_graphs_are_still_searched():
     p6 = build_digraph(6, [i % 2 for i in range(6)], [(i, i + 1) for i in range(5)])
     assert not is_qbmg(p6)
     hit = find_induced_path(underlying(p6), 6)
+    assert hit is not None and hit.vertices == tuple(range(6))
+
+
+def test_the_theorem_reaches_the_underlying_graph_built_before_recognition():
+    # the underlying graph of the 152-vertex spine graph is past the P6 and
+    # C6 search budget; recognition marks it whether it is built before or
+    # after the verdict is kept
+    spine = spine_tree_graph(50)
+    g = Digraph(spine.n, spine.colors, spine.edges, spine.names)  # no views kept yet
+    weak_components(g)
+    assert recognize(g).is_qbmg
+    assert find_induced_path(underlying(g), 6) is None
+    assert find_induced_cycle(underlying(g), 6) is None
+    g = Digraph(spine.n, spine.colors, spine.edges, spine.names)
+    und = underlying(g)
+    assert is_qbmg(g)
+    assert find_induced_path(und, 6) is None and find_induced_cycle(und, 6) is None
+    # a graph that fails recognition keeps its P6 witness in either order
+    p6 = build_digraph(6, [i % 2 for i in range(6)], [(i, i + 1) for i in range(5)])
+    und = underlying(p6)
+    assert not recognize(p6).is_qbmg
+    hit = find_induced_path(und, 6)
     assert hit is not None and hit.vertices == tuple(range(6))
 
 

@@ -1,8 +1,9 @@
 """Static checks on the package source: every import is used, every
 function, method and class is referenced somewhere, every public function,
 method and class is referenced from outside the unit tests, every
-optional parameter of an unexported function is set by some caller, and
-no nested function recurses."""
+optional parameter of an unexported function is set by some caller, no
+nested function recurses, and each fact kept on a graph value has one
+writing module."""
 
 import ast
 from collections import Counter
@@ -228,3 +229,26 @@ def test_every_optional_parameter_is_set_by_some_caller():
             unset += [f"{path.name}:{func.lineno} {name}.{keyword}" for index, keyword in optional
                       if not any(_sets(call, index, keyword) for call in calls.get(name, ()))]
     assert unset == []
+
+
+# each fact a graph value keeps has one module that stores it: the
+# recognition verdict and the theorem's mark on the underlying graph of a
+# recognized digraph are kept by qbmg.digraph, path-freeness by qbmg.paths
+WRITERS = {"_is_qbmg": "digraph.py", "_qbmg_shadow": "digraph.py", "_path_free_from": "paths.py"}
+
+
+def _stored_keys(tree: ast.Module):
+    """The string keys a module stores under, by subscript assignment or as
+    an ``update(...)`` keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.slice, ast.Constant):
+                yield node.slice.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "update":
+            yield from (kw.arg for kw in node.keywords)
+
+
+def test_each_kept_graph_fact_has_one_writer():
+    stores = {(key, path.name) for path, tree in _modules().items()
+              for key in _stored_keys(tree) if key in WRITERS}
+    assert sorted(stores) == sorted(WRITERS.items())
