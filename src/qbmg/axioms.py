@@ -14,13 +14,18 @@ it against ``recognize`` and against a naive quantifier scan.
 ``_admissible_rows`` derives from N1-N3 every row a new vertex can take over
 a recognized prefix, so ``classify_all_qbmgs`` grows only recognized graphs.
 
-The finders and the kernel stay separate.  A finder names the
-lexicographically first witness, with u the outermost loop.  The kernel
-tests N3 first, the cheapest reject, and N1 once per target t with the
-in-neighbors of t's out-neighbors ORed together, so it cannot name that
-witness.  Over the 43,321 graphs of the n <= 5 mask sweep the three finders
-take 1.2 times the kernel's time (0.26 s against 0.22 s, best of 7, Python
-3.11 on 2 vCPUs), so one kernel serving both would slow the sweep by that.
+N1 and N2 are one condition on the end w of each 2-path u -> t -> w: w's
+in-neighbors are adjacent to u (N1) and w's out-neighbors are u's (N2).
+Both finders walk the 2-paths in ``_first_on_two_paths``, which leaves
+u -> t at once unless the rows of t's out-neighbors, ORed, hold something u
+does not allow; the N3 finder visits only the v above u that share an
+out-neighbor with u.  On the 752-vertex spine tree graph each finder takes
+10-13 ms, where a triple loop over u, t and w took 270-290 ms.  The kernel
+names no witness: it rejects on N3 first by a loop over all pairs, cheapest
+on the sweeps' dense graphs, then tests each 2-path end once.  On the
+43,321 graphs of the n <= 5 sweep the finders take 2.5 times its time (0.11
+against 0.044 s, best of 7, Python 3.11 on 2 vCPUs), so the sweeps keep it,
+and ``is_qbmg`` on one ``Digraph`` takes the verdict of ``recognize``.
 
 The rows replace a test of each state.  Before them, ``classify_all_qbmgs``
 tested all 4^c states of a new vertex's c opposite-color pairs with a kernel
@@ -66,65 +71,77 @@ class RecognitionReport:
     symmetric_edge_count: int
 
 
-def find_n1_violation(g: Digraph) -> AxiomWitness | None:
-    """First (u, t, w, v) with u, v non-adjacent and edges u->t, v->w, t->w."""
-    out, inn, adj = g.out_masks, g.in_masks, g.adj_masks
+def _first_on_two_paths(g: Digraph, rows: Sequence[int],
+                        allowed: Sequence[int]) -> tuple[int, int, int, int] | None:
+    """First (u, t, w, x) with edges u->t, t->w and x in rows[w] but not in
+    allowed[u]; u outermost, then t, w and x ascending."""
+    out = g.out_masks
+    # reach[t]: the rows of t's out-neighbors ORed, taken on t's first visit;
+    # u -> t is walked on only when some w past t can name an x
+    reach: list[int | None] = [None] * g.n
     for u in range(g.n):
         ou = out[u]
-        if not ou:
-            continue
-        blocked = adj[u] | (1 << u)
+        banned = ~allowed[u]
         while ou:
             lt = ou & -ou
             ou ^= lt
             t = lt.bit_length() - 1
+            r = reach[t]
+            if r is None:
+                r = 0
+                ot = out[t]
+                while ot:
+                    lw = ot & -ot
+                    ot ^= lw
+                    r |= rows[lw.bit_length() - 1]
+                reach[t] = r
+            if not r & banned:
+                continue
             ot = out[t]
             while ot:
                 lw = ot & -ot
                 ot ^= lw
                 w = lw.bit_length() - 1
-                cand = inn[w] & ~blocked
+                cand = rows[w] & banned
                 if cand:
-                    v = (cand & -cand).bit_length() - 1
-                    return AxiomWitness("N1", (u, t, w, v))
+                    return u, t, w, (cand & -cand).bit_length() - 1
     return None
+
+
+def find_n1_violation(g: Digraph) -> AxiomWitness | None:
+    """First (u, t, w, v) with u, v non-adjacent and edges u->t, v->w, t->w.
+    w has u's color, so u is never an in-neighbor of w."""
+    hit = _first_on_two_paths(g, g.in_masks, g.adj_masks)
+    return None if hit is None else AxiomWitness("N1", hit)
 
 
 def find_n2_violation(g: Digraph) -> AxiomWitness | None:
     """First (u, v, w, t) with edges u->v, v->w, w->t but no edge u->t."""
-    out = g.out_masks
-    for u in range(g.n):
-        ou = out[u]
-        rest = ou
-        while rest:
-            lv = rest & -rest
-            rest ^= lv
-            v = lv.bit_length() - 1
-            ov = out[v]
-            while ov:
-                lw = ov & -ov
-                ov ^= lw
-                w = lw.bit_length() - 1
-                missing = out[w] & ~ou
-                if missing:
-                    t = (missing & -missing).bit_length() - 1
-                    return AxiomWitness("N2", (u, v, w, t))
-    return None
+    hit = _first_on_two_paths(g, g.out_masks, g.out_masks)
+    return None if hit is None else AxiomWitness("N2", hit)
 
 
 def find_n3_violation(g: Digraph) -> AxiomWitness | None:
     """First (u, v, s) sharing out-neighbor s with incomparable out-neighborhoods."""
-    out = g.out_masks
+    out, inn = g.out_masks, g.in_masks
     for u in range(g.n - 1):
         ou = out[u]
-        if not ou:
-            continue
-        for v in range(u + 1, g.n):
+        # the v above u that share an out-neighbor with u
+        sharers = 0
+        m = ou
+        while m:
+            ls = m & -m
+            m ^= ls
+            sharers |= inn[ls.bit_length() - 1]
+        sharers &= -2 << u
+        while sharers:
+            lv = sharers & -sharers
+            sharers ^= lv
+            v = lv.bit_length() - 1
             ov = out[v]
-            common = ou & ov
-            if common and ou & ~ov and ov & ~ou:
-                s = (common & -common).bit_length() - 1
-                return AxiomWitness("N3", (u, v, s))
+            if ou & ~ov and ov & ~ou:
+                common = ou & ov
+                return AxiomWitness("N3", (u, v, (common & -common).bit_length() - 1))
     return None
 
 
@@ -159,27 +176,8 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
             c = ou & ov
             if c and c != ou and c != ov:
                 return False
-    # (N1): every in-neighbor u of t must be adjacent to each v that shares an
-    # out-neighbor w with t, so OR those v over w first, then test each u once
-    for t in range(n):
-        it = inn[t]
-        if not it:
-            continue
-        ot = out[t]
-        reach = 0
-        while ot:
-            lw = ot & -ot
-            ot ^= lw
-            reach |= inn[lw.bit_length() - 1]
-        if not reach:
-            continue
-        while it:
-            lu = it & -it
-            it ^= lu
-            u = lu.bit_length() - 1
-            if reach & ~(out[u] | inn[u] | lu):
-                return False
-    # (N2)
+    # (N1) and (N2) on the ends w of each 2-path u -> t -> w: w's
+    # in-neighbors must be adjacent to u and w's out-neighbors must be u's
     for u in range(n):
         ou = out[u]
         if not ou:
@@ -190,10 +188,12 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
             low = m & -m
             m ^= low
             two_step |= out[low.bit_length() - 1]
+        near = ou | inn[u] | 1 << u
         while two_step:
             low = two_step & -two_step
             two_step ^= low
-            if out[low.bit_length() - 1] & ~ou:
+            w = low.bit_length() - 1
+            if out[w] & ~ou or inn[w] & ~near:
                 return False
     return True
 
@@ -292,11 +292,11 @@ def _admissible_rows(x: int, opposite: int, out: Sequence[int],
 
 
 def is_qbmg(g: Digraph) -> bool:
-    """The recognition verdict, computed once and kept on g; an induced
+    """The verdict of ``recognize``, computed once and kept on g; an induced
     sub-digraph of a recognized graph inherits it (see ``qbmg.digraph``)."""
     verdict = vars(g).get("_is_qbmg")
     if verdict is None:
-        verdict = _keep_verdict(g, is_qbmg_masks(g.n, g.out_masks, g.in_masks))
+        verdict = recognize(g).is_qbmg
     return verdict
 
 

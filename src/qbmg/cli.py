@@ -31,7 +31,7 @@ from .enumeration import (
 from .errors import ParseError, QbmgError
 from .orientation import all_orientations, orient, topological_order
 from .paths import find_induced_cycle, find_induced_path
-from .trees import parse_tree, qbmg_from_tree, root_truncation, validate_truncation
+from .trees import parse_tree, qbmg_from_tree, root_truncation
 
 DEFAULT_ANALYZE_CHECKS = "p4,p5,p6,c4,c6"
 
@@ -288,7 +288,6 @@ def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
             raise ParseError(f"repeated entry for leaf {name!r} and color {color_text}", lineno)
         seen.add(key)
         u[key] = node
-    validate_truncation(tree, sigma, u)
     return u
 
 

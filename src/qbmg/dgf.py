@@ -14,7 +14,7 @@ Emitted text is byte-stable: vertices in id order, edges sorted by id pair.
 from __future__ import annotations
 
 from .digraph import Digraph, UGraph, build_digraph, build_ugraph
-from .errors import DuplicateEdge, LoopEdge, MonochromaticEdge, ParseError
+from .errors import ParseError
 
 
 def parse_dgf(text: str) -> Digraph | UGraph:
@@ -67,16 +67,13 @@ def parse_dgf(text: str) -> Digraph | UGraph:
     seen: set[tuple[int, int]] = set()
     for (u, v), lineno in zip(edges, edge_lines):
         key = (u, v) if header == "digraph" else (min(u, v), max(u, v))
-        try:
-            if key in seen:
-                raise DuplicateEdge(f"edge {names[u]} {names[v]} repeated")
-            seen.add(key)
-            if u == v:
-                raise LoopEdge(f"loop at {names[u]}")
-            if colors[u] == colors[v]:
-                raise MonochromaticEdge(f"edge {names[u]} {names[v]} joins equal colors")
-        except (DuplicateEdge, LoopEdge, MonochromaticEdge) as exc:
-            raise ParseError(str(exc), lineno) from exc
+        if key in seen:
+            raise ParseError(f"edge {names[u]} {names[v]} repeated", lineno)
+        seen.add(key)
+        if u == v:
+            raise ParseError(f"loop at {names[u]}", lineno)
+        if colors[u] == colors[v]:
+            raise ParseError(f"edge {names[u]} {names[v]} joins equal colors", lineno)
     return build(len(names), colors, edges, names)
 
 

@@ -1,5 +1,8 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings
@@ -13,6 +16,7 @@ from helpers import (
     naive_violates_n2,
     naive_violates_n3,
     pruned_mask_sweep,
+    spine_tree_graph,
 )
 from qbmg.axioms import (
     _admissible_rows,
@@ -159,6 +163,45 @@ def test_witnesses_replay_and_match_naive_n4():
                 assert not (ou <= ov) and not (ov <= ou)
 
 
+def _random_bipartite_digraph(rng, n):
+    colors = [rng.randint(0, 1) for _ in range(n)]
+    density = rng.choice((0.1, 0.2, 0.35, 0.5))
+    edges = [(u, v) for u in range(n) for v in range(n)
+             if colors[u] != colors[v] and rng.random() < density]
+    return build_digraph(n, colors, edges)
+
+
+def _flip_middle_arc(g):
+    """g with its middle arc, in sorted order, reversed (dropped when the
+    reverse arc is there already)."""
+    arcs = sorted(g.edges)
+    u, v = arcs[len(arcs) // 2]
+    edges = set(arcs) - {(u, v)}
+    edges.add((v, u))
+    return build_digraph(g.n, g.colors, edges, g.names)
+
+
+def test_witnesses_are_pinned():
+    # the exact (axiom, vertices) of each finder, or None, pinned from
+    # finders that walked every u -> t -> w and every pair u < v: every
+    # bipartite digraph with n <= 4, seeded random ones with 5-12 vertices
+    # and two spine-tree graphs with one arc flipped
+    rng = random.Random(32)
+    graphs = [g for n in range(1, 5) for g in all_bipartite_digraphs(n)]
+    graphs += [_random_bipartite_digraph(rng, rng.randint(5, 12)) for _ in range(3000)]
+    graphs += [_flip_middle_arc(spine_tree_graph(k)) for k in (10, 50)]
+    digest = hashlib.sha256()
+    found = Counter()
+    for g in graphs:
+        for find in (find_n1_violation, find_n2_violation, find_n3_violation):
+            w = find(g)
+            if w is not None:
+                found[w.axiom] += 1
+            digest.update(repr(w and (w.axiom, w.vertices)).encode())
+    assert dict(found) == {"N1": 1941, "N2": 2253, "N3": 1148}
+    assert digest.hexdigest() == "b02c8f4fb795779f83e857465d07cce42633fe9442823aa371060fe7b5493d7d"
+
+
 def test_recognize_matches_naive_n5_exhaustive():
     # full five-vertex layer of the self-consistency invariant; color-swapped
     # twins are skipped (recognition depends on the edge set only)
@@ -214,10 +257,11 @@ def test_delta_kernel_matches_full_kernel_on_sweep_prefixes_n5():
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_delta_kernel_matches_full_kernel_on_random_extensions(data):
-    # loop-free digraphs on up to 8 vertices, bipartite or not (the kernel
-    # reads masks only); an earlier vertex keeps its drawn edges only while
-    # the prefix still passes, so the prefix before the newest vertex passes
-    m = data.draw(st.integers(1, 8))
+    # loop-free digraphs on up to 12 vertices, bipartite or not (the kernels
+    # read masks only, the naive scans n and edges only), past the n <= 6
+    # sweeps; an earlier vertex keeps its drawn edges only while the prefix
+    # still passes, so the prefix before the newest vertex passes
+    m = data.draw(st.integers(1, 12))
     bipartite = data.draw(st.booleans())
     colors = [data.draw(st.integers(0, 1)) if bipartite else v for v in range(m)]
     out = [0] * m
@@ -241,7 +285,10 @@ def test_delta_kernel_matches_full_kernel_on_random_extensions(data):
             out[x] = inn[x] = 0
     low = (1 << (m - 1)) - 1
     assert is_qbmg_masks(m - 1, [o & low for o in out], [i & low for i in inn])
-    assert is_qbmg_masks_delta(m, out, inn) == is_qbmg_masks(m, out, inn)
+    full = is_qbmg_masks(m, out, inn)
+    assert is_qbmg_masks_delta(m, out, inn) == full
+    edges = {(u, v) for u in range(m) for v in iter_bits(out[u])}
+    assert naive_is_qbmg(SimpleNamespace(n=m, edges=edges)) == full
 
 
 def _oracle_rows(x, opposite, out, inn):

@@ -128,6 +128,23 @@ def test_analyze_answers_p6_and_c6_on_a_recognized_digraph(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_recognize_and_decompose_on_disjoint_symmetric_pairs(capsys, tmp_path):
+    # 10,000 disjoint symmetric pairs: recognized but not connected.  Both
+    # verbs recognize by walking the arcs, where the mask kernel's N3 pair
+    # loop would visit all 2 * 10^8 vertex pairs
+    n = 20_000
+    pairs = build_digraph(n, [i % 2 for i in range(n)], [(i, i ^ 1) for i in range(n)])
+    path = tmp_path / "pairs.dgf"
+    path.write_text(format_dgf(pairs), encoding="utf-8")
+    code, out, err = run_cli(capsys, "recognize", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["is_qbmg: yes", "is_bmg: yes", "is_reciprocal: yes", "sinks: -",
+                                "symmetric_edges: 10000", "witness: none"]
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: decomposition requires a connected graph\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "G", "--check=--"], ["enumerate", "--all=--"], ["enumerate", "--underlying=--"],
     ["explain", "--tree=--"], ["explain", "--tree", "T", "--trunc=--"]])
