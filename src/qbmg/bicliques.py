@@ -46,8 +46,9 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int, reps: int)
     the least vertex of each class of same-colored false twins.
 
     Close-by-One over the right vertices in increasing id: a concept is
-    extended by a right vertex y outside its right side only when the
-    closure adds no right vertex below y, so each concept is reached once.
+    extended by a right vertex y outside its right side and adjacent to its
+    left side only when the closure adds no right vertex below y, so each
+    concept is reached once.
     Raises ``TooLarge`` once more than |L|^2 * |R|^2 are found."""
     bound = left.bit_count() ** 2 * right.bit_count() ** 2
     found: list[tuple[int, int]] = []
@@ -67,10 +68,11 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int, reps: int)
                 raise TooLarge(
                     f"more than {bound} maximal bicliques, the |L|^2*|R|^2 bound "
                     "of a C6-free bipartite graph")
-        for y in iter_bits(right_reps & ~intent & -(1 << lo)):
+        near = 0
+        for x in iter_bits(ext & left_reps):
+            near |= adj[x]
+        for y in iter_bits(near & right_reps & ~intent & -(1 << lo)):
             sub = ext & adj[y]
-            if not sub:
-                continue  # only the empty left side lies below
             closed = right
             for x in iter_bits(sub & left_reps):
                 closed &= adj[x]

@@ -267,6 +267,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
     u = root_truncation(tree, sigma)
+    leaf_of = {tree.names[x]: x for x in tree.leaves}
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -279,10 +280,9 @@ def _load_truncation(path: str, tree, sigma) -> dict[tuple[int, int], int]:
         if color_text not in ("0", "1"):
             raise ParseError(f"invalid color {color_text!r}", lineno)
         node = _parse_count(node_text, f"invalid node id {node_text!r}", lineno)
-        try:
-            leaf = tree.leaf_by_name(name)
-        except KeyError:
-            raise ParseError(f"unknown leaf {name!r}", lineno) from None
+        leaf = leaf_of.get(name)
+        if leaf is None:
+            raise ParseError(f"unknown leaf {name!r}", lineno)
         key = (leaf, int(color_text))
         if key in seen:
             raise ParseError(f"repeated entry for leaf {name!r} and color {color_text}", lineno)

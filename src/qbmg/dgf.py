@@ -9,6 +9,8 @@ Vertex ids follow declaration order.  Parsing is strict: unknown directives,
 re-declared vertices, undeclared edge endpoints, invalid colors, loops,
 same-color edges and repeated edges are all errors carrying the line number.
 Emitted text is byte-stable: vertices in id order, edges sorted by id pair.
+It parses back to an identical graph, so ``format_dgf`` raises ``ValueError``
+for a vertex name that is empty or holds whitespace or '#'.
 """
 
 from __future__ import annotations
@@ -80,7 +82,10 @@ def parse_dgf(text: str) -> Digraph | UGraph:
 def format_dgf(g: Digraph | UGraph) -> str:
     lines = ["digraph" if isinstance(g, Digraph) else "ugraph"]
     for v in range(g.n):
-        lines.append(f"v {g.names[v]} {g.colors[v]}")
+        name = g.names[v]
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"vertex {v} has name {name!r}, which DGF cannot carry")
+        lines.append(f"v {name} {g.colors[v]}")
     for u, v in g.sorted_edges():
         lines.append(f"e {g.names[u]} {g.names[v]}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,8 @@ once and kept on the graph value it describes.  Adjacency masks are the only
 stored form of both graph types, however built; the edge set is read off
 them on first use.  Connected components come from one core over vertex
 masks, ``_component_masks``; a digraph's are kept on its underlying graph.
+The generators' digraphs and the mask sweep's masks come from one odometer
+over per-pair edge states, ``_edge_states``.
 
 A ``Digraph`` keeps its underlying graph, adjacency masks, symmetric pairs
 and recognition verdict, which ``_keep_verdict`` alone stores.  A ``UGraph``
@@ -173,21 +175,19 @@ def _trusted_digraph(
     return g
 
 
-def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequence[tuple[int, int]],
-                    states: Sequence[int], base: tuple[Sequence[int], Sequence[int]] | None = None,
-                    oriented: bool = False) -> Iterator[Digraph]:
-    """One digraph per assignment of a state to each pair (u, v), in
-    ``product`` order (the last pair varies fastest): state 1 flips u -> v in
-    the out- and in-masks ``base`` (no edges by default), 2 flips v -> u, 3
-    both and 0 neither.  The pairs must be distinct and join opposite colors,
-    and ``oriented`` must hold when set: nothing here is checked.
+def _edge_states(n: int, pairs: Sequence[tuple[int, int]], states: Sequence[int],
+                 base: tuple[Sequence[int], Sequence[int]] | None = None) -> Iterator[tuple[list[int], list[int]]]:
+    """The out- and in-masks of vertices 0..n-1 for each assignment of a
+    state to each pair (u, v), in ``product`` order (the last pair varies
+    fastest): state 1 flips u -> v in the masks ``base`` (no edges by
+    default), 2 flips v -> u, 3 both and 0 neither.  The same two lists are
+    yielded every time, changed in place between yields.
 
-    The walk is an odometer over one pair of mask lists.  Every pair starts
-    at the first state; a step moves the last pair to its next state and,
-    when it wraps back to the first, carries to the pair before it.  A move
-    flips only the arcs in which the two states differ, so a step touches
-    fewer than two pairs on average instead of reapplying all of them."""
-    n = len(colors)
+    The walk is an odometer.  Every pair starts at the first state; a step
+    moves the last pair to its next state and, when it wraps back to the
+    first, carries to the pair before it.  A move flips only the arcs in
+    which the two states differ, so a step touches fewer than two pairs on
+    average instead of reapplying all of them."""
     out, inn = (list(base[0]), list(base[1])) if base else ([0] * n, [0] * n)
     # the arcs each move of a pair's wheel flips: to the next state, and
     # from the last back to the first
@@ -201,17 +201,9 @@ def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequ
             out[v] ^= 1 << u
             inn[u] ^= 1 << v
     at = [0] * len(pairs)
-    fixed = {"n": n, "colors": colors, "names": names}
-    if oriented:
-        fixed["symmetric_pairs"] = ()
-    new = object.__new__
+    masks = (out, inn)
     while True:
-        g = new(Digraph)
-        memo = vars(g)
-        memo.update(fixed)
-        memo["out_masks"] = tuple(out)
-        memo["in_masks"] = tuple(inn)
-        yield g
+        yield masks
         i = len(pairs) - 1
         while i >= 0:
             u, v = pairs[i]
@@ -230,6 +222,26 @@ def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequ
             i -= 1
         else:
             return
+
+
+def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequence[tuple[int, int]],
+                    states: Sequence[int], base: tuple[Sequence[int], Sequence[int]] | None = None,
+                    oriented: bool = False) -> Iterator[Digraph]:
+    """One digraph per state assignment of ``_edge_states``, in its order.
+    The pairs must be distinct and join opposite colors, and ``oriented``
+    must hold when set: nothing here is checked."""
+    # built inline: a ``_trusted_digraph`` call per state took about 25% longer
+    fixed = {"n": len(colors), "colors": colors, "names": names}
+    if oriented:
+        fixed["symmetric_pairs"] = ()
+    new = object.__new__
+    for out, inn in _edge_states(len(colors), pairs, states, base):
+        g = new(Digraph)
+        memo = vars(g)
+        memo.update(fixed)
+        memo["out_masks"] = tuple(out)
+        memo["in_masks"] = tuple(inn)
+        yield g
 
 
 @dataclass(frozen=True, init=False)

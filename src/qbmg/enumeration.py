@@ -5,11 +5,12 @@ digraphs, plus the aggregated verification report.
 undirected template and feeds ``classify_qbmgs``, which canonicalizes every
 recognized graph (used for the template counts and ``verify``).
 ``run_mask_sweep`` walks every per-pair edge state of one coloring over
-reused bitmasks, without building or testing graphs.  ``classify_all_qbmgs``
-grows its graphs vertex by vertex and never meets a graph that fails: each
-new vertex takes only the rows that ``_admissible_rows`` derives for its
-recognized prefix, so it meets exactly the recognized edge sets of each
-coloring it walks.  Its output does not depend on the order of that walk.
+reused bitmasks on the shared odometer ``_edge_states``, without building
+or testing graphs.  ``classify_all_qbmgs`` grows its graphs vertex by vertex
+and never meets a graph that fails: each new vertex takes only the rows
+that ``_admissible_rows`` derives for its recognized prefix, so it meets
+exactly the recognized edge sets of each coloring it walks.  Its output
+does not depend on the order of that walk.
 Recognition is invariant under relabeling, so it walks one sorted coloring
 ``(0,)*k + (1,)*(n-k)`` per color-class size k >= n/2 and weights each
 recognized edge set by the number of colorings with those class sizes,
@@ -38,6 +39,7 @@ from .digraph import (
     Digraph,
     UGraph,
     _component_masks,
+    _edge_states,
     _pack_levels,
     _relabel_masks,
     _state_digraphs,
@@ -109,39 +111,18 @@ def all_bipartite_digraphs(n: int) -> Iterator[Digraph]:
         yield from _state_digraphs(colors, names, opposite_pairs(colors), range(4))
 
 
-def _sweep_pairs(i: int, pairs: Sequence[tuple[int, int]], out: list[int], inn: list[int],
-                 visit: Callable[[list[int], list[int]], None]) -> int:
-    """Walk the four states of ``pairs[i:]`` over the masks, which hold the
-    states of the pairs before i, and return the number of graphs visited."""
-    if i == len(pairs):
-        visit(out, inn)
-        return 1
-    u, v = pairs[i]
-    ubit, vbit = 1 << u, 1 << v
-    i += 1
-    count = _sweep_pairs(i, pairs, out, inn, visit)
-    out[u] |= vbit
-    inn[v] |= ubit
-    count += _sweep_pairs(i, pairs, out, inn, visit)
-    out[v] |= ubit
-    inn[u] |= vbit
-    count += _sweep_pairs(i, pairs, out, inn, visit)
-    out[u] &= ~vbit
-    inn[v] &= ~ubit
-    count += _sweep_pairs(i, pairs, out, inn, visit)
-    out[v] &= ~ubit
-    inn[u] &= ~vbit
-    return count
-
-
 def run_mask_sweep(colors: Sequence[int], visit: Callable[[list[int], list[int]], None]) -> int:
     """Drive ``visit(out_masks, in_masks)`` over every edge-state assignment
     for the given coloring; masks are reused in place between calls.  Returns
-    the number of graphs visited.  Pairs are set in ``opposite_pairs`` order,
-    each through its four states: none, forward, both, backward.
+    the number of graphs visited.  The pairs of ``opposite_pairs`` each take
+    the states none, forward, both and backward on the odometer of
+    ``_edge_states``, the last pair fastest.
     """
-    n = len(colors)
-    return _sweep_pairs(0, opposite_pairs(colors), [0] * n, [0] * n, visit)
+    count = 0
+    for out, inn in _edge_states(len(colors), opposite_pairs(colors), (0, 1, 3, 2)):
+        visit(out, inn)
+        count += 1
+    return count
 
 
 def halved_colorings(n: int) -> Iterator[tuple[int, ...]]:

@@ -123,12 +123,6 @@ class PhyloTree:
             node = self.parent[node]
         return tuple(reversed(path))
 
-    def leaf_by_name(self, name: str) -> int:
-        for v in self.leaves:
-            if self.names[v] == name:
-                return v
-        raise KeyError(name)
-
 
 def tree_from_nested(nested: Nested) -> PhyloTree:
     """Build a tree from nested tuples of leaf names, e.g. (("a", "b"), "c")."""

@@ -226,6 +226,21 @@ def test_mask_kernel_matches_naive_on_sweep_n5():
     assert disagreements == []
 
 
+def test_mask_kernel_matches_recognize_beyond_the_sweeps():
+    # graphs no sweep reaches: a 2,000-vertex directed path and 1,000
+    # disjoint symmetric pairs, sparse, and a dense spine-tree graph with
+    # and without its middle arc reversed
+    n = 2000
+    colors = [v % 2 for v in range(n)]
+    path = build_digraph(n, colors, [(v, v + 1) for v in range(n - 1)])
+    pairs = build_digraph(n, colors, [(v, v ^ 1) for v in range(n)])
+    spine = spine_tree_graph(50)
+    graphs = [path, pairs, spine, _flip_middle_arc(spine)]
+    verdicts = [is_qbmg_masks(g.n, g.out_masks, g.in_masks) for g in graphs]
+    assert verdicts == [recognize(g).is_qbmg for g in graphs]
+    assert verdicts == [False, True, True, False]
+
+
 def test_delta_kernel_matches_full_kernel_on_sweep_prefixes_n5():
     # every keep call of the pruned sweep over all 2^n colorings with n <= 5;
     # the prefix without the newest vertex has passed there, as the delta

@@ -130,8 +130,8 @@ def test_analyze_answers_p6_and_c6_on_a_recognized_digraph(capsys, tmp_path):
 
 def test_recognize_and_decompose_on_disjoint_symmetric_pairs(capsys, tmp_path):
     # 10,000 disjoint symmetric pairs: recognized but not connected.  Both
-    # verbs recognize by walking the arcs, where the mask kernel's N3 pair
-    # loop would visit all 2 * 10^8 vertex pairs
+    # verbs recognize by walking the arcs, where a loop over vertex pairs
+    # would visit all 2 * 10^8 of them
     n = 20_000
     pairs = build_digraph(n, [i % 2 for i in range(n)], [(i, i ^ 1) for i in range(n)])
     path = tmp_path / "pairs.dgf"
@@ -233,6 +233,20 @@ def test_dominate_none(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "dominate", str(path))
         assert code == 0
         assert out.strip() == "none"
+
+
+def test_dominate_none_on_a_long_path(capsys, tmp_path):
+    # a 2,000-vertex directed path with alternating colors: no maximal
+    # biclique dominates it
+    n = 2000
+    g = build_digraph(n, [v % 2 for v in range(n)], [(v, v + 1) for v in range(n - 1)])
+    path = tmp_path / "path.dgf"
+    path.write_text(format_dgf(g), encoding="utf-8")
+    code, out, err = run_cli(capsys, "dominate", str(path))
+    assert (code, out, err) == (0, "none\n", "")
+    code, out, err = run_cli(capsys, "--json", "dominate", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"biclique": None, "command": "dominate"}
 
 
 def test_decompose_ex10(capsys, ex10_file):
@@ -520,6 +534,23 @@ def test_explain_with_truncation(capsys, tmp_path):
     assert code == 0
     g = parse_dgf(out)
     assert g.named_edges() == {("a", "b"), ("b", "a")}
+
+
+def test_explain_truncation_names_leaves_of_the_tree(capsys, tmp_path):
+    # each name of the map is looked up among the tree's leaves; a name
+    # that no leaf has is bad input at its line
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((a=0,b=1),c=1);\n", encoding="utf-8")
+    trunc = tmp_path / "u.map"
+    trunc.write_text("a 1 0\nb 0 1\nc 0 4\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "explain", "--tree", str(tree), "--trunc", str(trunc))
+    assert code == 0
+    assert parse_dgf(out).named_edges() == {("a", "b"), ("b", "a")}
+    for entry in ("z 0 0", "ab 1 0"):
+        trunc.write_text(f"a 1 0\n{entry}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "explain", "--tree", str(tree), "--trunc", str(trunc))
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown leaf {entry.split()[0]!r} (line 2)\n"
 
 
 def test_explain_repeated_truncation_entry_is_bad_input(capsys, tmp_path):

@@ -17,6 +17,16 @@ def test_round_trip_all_fixtures():
         assert format_dgf(back) == text  # byte stable
 
 
+@pytest.mark.parametrize("name", ["a b", "a#1", ""])
+def test_format_refuses_names_dgf_cannot_carry(name):
+    # a name that is empty or holds whitespace or '#' would not re-parse
+    for names, bad in (((name, "c"), 0), (("c", name), 1)):
+        for g in (build_digraph(2, (0, 1), [(0, 1)], names=names),
+                  build_ugraph(2, (0, 1), [(0, 1)], names=names)):
+            with pytest.raises(ValueError, match=f"vertex {bad} "):
+                format_dgf(g)
+
+
 def test_round_trip_ugraph():
     u = underlying(P5AB)
     text = format_dgf(u)

@@ -498,7 +498,7 @@ def test_mask_built_graphs_equal_validated_rebuilds(sweep):
                 _assert_validated(qbmg_from_tree(tree, sigma, u))
 
 
-@pytest.mark.parametrize("states", [(1, 2), (1, 2, 3), range(4)])
+@pytest.mark.parametrize("states", [(1, 2), (1, 2, 3), range(4), (0, 1, 3, 2)])
 def test_state_digraphs_follow_product_order(states):
     # the odometer walk against a product over the pairs' states, each
     # digraph built through the validating constructor; zero pairs give

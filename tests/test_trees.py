@@ -48,9 +48,7 @@ from qbmg.trees import (
 def test_parse_tree_basic():
     t, sigma = parse_tree("((a=0,b=1),c=1);")
     assert t.size == 5
-    assert sorted(t.names[v] for v in t.leaves) == ["a", "b", "c"]
-    assert sigma[t.leaf_by_name("a")] == 0
-    assert sigma[t.leaf_by_name("c")] == 1
+    assert {t.names[x]: sigma[x] for x in t.leaves} == {"a": 0, "b": 1, "c": 1}
 
 
 def test_parse_tree_rejects_unary_node():
@@ -147,7 +145,7 @@ def test_parse_tree_deep_caterpillar():
     assert len(t.leaves) == n
     assert max(len(t.root_path(x)) for x in t.leaves) == n
     assert [t.names[v] for v in t.leaves] == [f"x{i}" for i in range(1, n + 1)]
-    assert sigma[t.leaf_by_name("x1")] == 1
+    assert sigma[t.leaves[0]] == 1
     assert sum(sigma.values()) == 1
 
 
@@ -198,15 +196,16 @@ def test_qbmg_root_truncation_equals_bmg():
 def test_qbmg_sink_truncation_removes_out_edges():
     t, sigma = parse_tree("((a=0,b=1),c=1);")
     u = root_truncation(t, sigma)
-    u[(t.leaf_by_name("c"), 0)] = t.leaf_by_name("c")
+    c = {t.names[x]: x for x in t.leaves}["c"]
+    u[(c, 0)] = c
     g = qbmg_from_tree(t, sigma, u)
     assert g.named_edges() == {("a", "b"), ("b", "a")}
 
 
 def test_truncation_validation():
     t, sigma = parse_tree("((a=0,b=1),c=1);")
-    a = t.leaf_by_name("a")
-    c = t.leaf_by_name("c")
+    leaf = {t.names[x]: x for x in t.leaves}
+    a, c = leaf["a"], leaf["c"]
     u = root_truncation(t, sigma)
     u[(a, 1)] = c  # c is not on the root path of a
     with pytest.raises(InvalidTruncation):
