@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .digraph import Digraph, _keep_verdict, induced_subdigraph
+from .digraph import Digraph, _keep_verdict, _row_union, induced_subdigraph
 from .errors import NotQbmg, TooLarge
 
 HEREDITARY_MAX_VERTICES = 10
@@ -92,13 +92,7 @@ def _first_on_two_paths(g: Digraph, rows: Sequence[int],
             t = lt.bit_length() - 1
             r = reach[t]
             if r is None:
-                r = 0
-                ot = out[t]
-                while ot:
-                    lw = ot & -ot
-                    ot ^= lw
-                    r |= rows[lw.bit_length() - 1]
-                reach[t] = r
+                r = reach[t] = _row_union(rows, out[t])
             if not r & banned:
                 continue
             ot = out[t]
@@ -131,13 +125,7 @@ def find_n3_violation(g: Digraph) -> AxiomWitness | None:
     for u in range(g.n - 1):
         ou = out[u]
         # the v above u that share an out-neighbor with u
-        sharers = 0
-        m = ou
-        while m:
-            ls = m & -m
-            m ^= ls
-            sharers |= inn[ls.bit_length() - 1]
-        sharers &= -2 << u
+        sharers = _row_union(inn, ou) & -2 << u
         while sharers:
             lv = sharers & -sharers
             sharers ^= lv
@@ -174,7 +162,8 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
         ou = out[u]
         if not ou:
             continue
-        # the ends of u's 2-paths and the vertices sharing an out-neighbor with u
+        # the ends of u's 2-paths and the vertices sharing an out-neighbor with u,
+        # in one pass over ou where two ``_row_union`` calls would walk it twice
         two_step = sharers = 0
         m = ou
         while m:

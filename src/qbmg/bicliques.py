@@ -9,8 +9,8 @@ has at most |L|^2 * |R|^2 of them (Prisner, *Bicliques in graphs I*,
 Combinatorica 20, 2000), and the enumeration raises ``TooLarge`` once that
 count is passed, so an input with exponentially many, such as a crown graph,
 cannot run without bound.  ``maximal_bicliques`` sorts the masks into
-``Biclique`` values, and the dominating-biclique search reads the masks
-themselves.
+``Biclique`` values; the dominating-biclique search tests the masks and
+ranks the dominating ones by the same ``Biclique.sort_key``.
 
 Right vertices with the same neighborhood lie in the same intents, and left
 vertices with the same neighborhood in the same extents.  So Close-by-One
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import UGraph, _color_classes, _twin_representatives, iter_bits
+from .digraph import UGraph, _color_classes, _row_union, _twin_representatives, iter_bits
 from .errors import Disconnected, TooLarge
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ def maximal_biclique_masks(adj: Sequence[int], left: int, right: int, reps: int)
                 raise TooLarge(
                     f"more than {bound} maximal bicliques, the |L|^2*|R|^2 bound "
                     "of a C6-free bipartite graph")
-        near = 0
-        for x in iter_bits(ext & left_reps):
-            near |= adj[x]
+        near = _row_union(adj, ext & left_reps)
         for y in iter_bits(near & right_reps & ~intent & -(1 << lo)):
             sub = ext & adj[y]
             closed = right
@@ -111,23 +109,13 @@ def find_dominating_biclique(g: UGraph) -> Biclique | None:
         raise Disconnected("dominating-biclique search requires a connected graph")
     adj = g.adj_masks
     side = _color_classes(g.colors)
-    best = None  # the least key of a dominating biclique so far
+    best, size = None, 0
     # connected, so only a lone vertex is isolated: no twin class spans two colors
     for lmask, rmask in maximal_biclique_masks(adj, *side, g._twin_reps):
-        size = lmask.bit_count() + rmask.bit_count()
-        if best is not None and -size > best[0]:
-            continue
-        reach = 0
-        for x in iter_bits(lmask):
-            reach |= adj[x]
-        if reach != side[1]:
-            continue
-        reach = 0
-        for y in iter_bits(rmask):
-            reach |= adj[y]
-        if reach != side[0]:
-            continue
-        key = (-size, tuple(iter_bits(lmask)), tuple(iter_bits(rmask)))
-        if best is None or key < best:
-            best = key
-    return None if best is None else Biclique(frozenset(best[1]), frozenset(best[2]))
+        # one smaller than the best so far ranks after it, so it is not tested
+        if (lmask.bit_count() + rmask.bit_count() >= size
+                and _row_union(adj, lmask) == side[1] and _row_union(adj, rmask) == side[0]):
+            b = Biclique(frozenset(iter_bits(lmask)), frozenset(iter_bits(rmask)))
+            if best is None or b.sort_key() < best.sort_key():
+                best, size = b, len(b.vertices())
+    return best

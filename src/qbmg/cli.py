@@ -38,7 +38,7 @@ DEFAULT_ANALYZE_CHECKS = "p4,p5,p6,c4,c6"
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not valid UTF-8 text") from None
 
@@ -46,7 +46,7 @@ def _read_text(path: str) -> str:
 def _load_digraph(path: str) -> Digraph:
     g = dgf.parse_dgf(_read_text(path))
     if not isinstance(g, Digraph):
-        raise ParseError(f"{path}: expected a digraph, got an undirected graph", 1)
+        raise ParseError(f"{path}: expected a digraph, got an undirected graph")
     return g
 
 
@@ -124,13 +124,13 @@ def _parse_checks(spec: str) -> list[tuple[str, int]]:
         kind, length = token[0], token[1:]
         message = f"bad check {token!r}; use forms like p6 or c4"
         if kind not in ("p", "c"):
-            raise ParseError(message, 1)
-        k = _parse_count(length, message, 1)
+            raise ParseError(message)
+        k = _parse_count(length, message)
         if kind == "p" and k < 2 or kind == "c" and k < 3:
-            raise ParseError(f"check {token!r} too short", 1)
+            raise ParseError(f"check {token!r} too short")
         out.append((kind, k))
     if not out:
-        raise ParseError("no checks requested", 1)
+        raise ParseError("no checks requested")
     return out
 
 
@@ -223,19 +223,19 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 def _parse_template(spec: str) -> UGraph:
     kind, _, length = spec.partition(":")
-    k = _parse_count(length, f"bad template {spec!r}; use path:<k> or cycle:<k>", 1)
+    k = _parse_count(length, f"bad template {spec!r}; use path:<k> or cycle:<k>")
     if kind == "path":
         return path_template(k)
     if kind == "cycle":
         if k < 4 or k % 2:
-            raise ParseError(f"bad template {spec!r}; cycle lengths are even and at least 4", 1)
+            raise ParseError(f"bad template {spec!r}; cycle lengths are even and at least 4")
         return cycle_template(k)
-    raise ParseError(f"unknown template kind {kind!r}", 1)
+    raise ParseError(f"unknown template kind {kind!r}")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if (args.underlying is None) == (args.all is None):
-        raise ParseError("enumerate needs exactly one of --underlying or --all", 1)
+        raise ParseError("enumerate needs exactly one of --underlying or --all")
     if args.underlying is not None:
         template = _parse_template(args.underlying)
         result = classify_qbmgs(orientations_of(template))

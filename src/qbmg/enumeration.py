@@ -41,7 +41,7 @@ from .digraph import (
     _component_masks,
     _edge_states,
     _pack_levels,
-    _relabel_masks,
+    _reorder,
     _state_digraphs,
     _trusted_digraph,
     build_ugraph,
@@ -261,7 +261,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
                 if 2 * zeros < n:
                     continue
                 # pi_chi: chi's zeros, then its ones, each in increasing order
-                moved = _relabel_masks(out, _inverse([*iter_bits(everyone & ~chi), *iter_bits(chi)]))
+                moved = _reorder(out, [*iter_bits(everyone & ~chi), *iter_bits(chi)])
                 if (zeros, *moved) in marked:
                     continue  # an earlier flip marked the same images
                 marked.add((zeros, *moved))
@@ -274,8 +274,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
                 flip = colors[min(iter_bits(comp), key=position.__getitem__)]
                 for v in iter_bits(comp):
                     recolored[position[v]] = colors[v] ^ flip
-            rep = _trusted_digraph(n, tuple(recolored), names, tuple(_relabel_masks(out, position)),
-                                   tuple(_relabel_masks(inn, position)))
+            rep = _trusted_digraph(n, tuple(recolored), names, _reorder(out, order), _reorder(inn, order))
             code = _pack_levels(n, levels)
             classes[code] = (CanonicalForm(code), rep)
     return ClassificationResult(tuple(classes[code] for code in sorted(classes)), total)

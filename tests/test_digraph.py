@@ -82,6 +82,10 @@ def test_builders_reject_an_edge_that_is_not_a_pair(build):
         (2, (0,), ("a", "b"), "expected 2 colors, got 1"),
         (2, (0, 1), ("a",), "expected 2 names, got 1"),
         (2, (0, 2), ("a", "b"), "colors must be 0 or 1, got 2"),
+        # a bool or float color would be written by format_dgf as 'False' or '1.0'
+        (2, (False, True), ("a", "b"), "colors must be 0 or 1, got False"),
+        (2, (0, 1.0), ("a", "b"), r"colors must be 0 or 1, got 1\.0"),
+        (2, (0, 1), (1, 2), "vertex names must be strings, got 1"),
     ],
 )
 def test_builders_reject_a_bad_vertex_table(build, n, colors, names, message):
