@@ -35,7 +35,6 @@ from .digraph import (
     build_ugraph,
     canonical_form,
     induced_subdigraph,
-    ugraph_canonical_form,
     underlying,
     weak_components,
 )

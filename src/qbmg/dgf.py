@@ -7,7 +7,8 @@
 
 Vertex ids follow declaration order.  Parsing is strict: unknown directives,
 re-declared vertices, undeclared edge endpoints, invalid colors, loops,
-same-color edges and repeated edges are all errors carrying the line number.
+same-color edges and repeated edges are all errors carrying the line number;
+text without a header line is ``empty input``, at no line.
 Emitted text is byte-stable: vertices in id order, edges sorted by id pair.
 It parses back to an identical graph, so ``format_dgf`` raises ``ValueError``
 for a vertex name that is empty or holds whitespace or '#'.
@@ -63,7 +64,7 @@ def parse_dgf(text: str) -> Digraph | UGraph:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
     if header is None:
-        raise ParseError("empty input", 1)
+        raise ParseError("empty input")
 
     build = build_digraph if header == "digraph" else build_ugraph
     seen: set[tuple[int, int]] = set()

@@ -6,16 +6,19 @@ they are safe to share across concurrent workers.  A view derived from one
 graph (its underlying graph, its components, its path-freeness) is computed
 once and kept on the graph value it describes.  Adjacency masks are the only
 stored form of both graph types, however built; the edge set is read off
-them on first use.  Connected components come from one core over vertex
+them on first use.  Each type has one validated constructor, the class
+itself, which ``build_digraph`` and ``build_ugraph`` also name; graphs
+derived from a validated one are built from its masks without checks.  Connected components come from one core over vertex
 masks, ``_component_masks``; a digraph's are kept on its underlying graph.
 The generators' digraphs and the mask sweep's masks come from one odometer
 over per-pair edge states, ``_edge_states``.
 
 One core per job on masks serves every module: ``_reorder`` renumbers by a
-vertex order, ``_mask_pairs`` lists pairs in increasing order and
-``_row_union`` ORs rows over a vertex set.  The hot loops of
-``axioms.is_qbmg_masks``, ``_edge_states`` and ``trees._build_tree`` keep
-fused copies, each marked where it stands: a call per step measured slower.
+vertex order, ``_inverse`` gives each vertex's place in one, ``_mask_pairs``
+lists pairs in increasing order and ``_row_union`` ORs rows over a vertex
+set.  The hot loops of ``axioms.is_qbmg_masks``, ``_edge_states`` and
+``trees._build_tree`` keep fused copies, each marked where it stands: a
+call per step measured slower.
 
 A ``Digraph`` keeps its underlying graph, adjacency masks, symmetric pairs
 and recognition verdict, which ``_keep_verdict`` alone stores.  A ``UGraph``
@@ -69,9 +72,16 @@ class _memo:
         return value
 
 
-def _validate_vertex_table(n: int, colors: tuple[int, ...], names: tuple[str, ...]) -> None:
+def _validate_vertex_table(n: int, colors: Sequence[int],
+                           names: Sequence[str] | None) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The colors and names as tuples, names v1..vn when None; raises
+    ``ValueError`` unless they describe n vertices."""
+    if type(n) is not int:  # True would pass the checks below as 1, 2.0 fail in default_names
+        raise ValueError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    colors = tuple(colors)
+    names = default_names(n) if names is None else tuple(names)
     if len(colors) != n:
         raise ValueError(f"expected {n} colors, got {len(colors)}")
     if len(names) != n:
@@ -84,6 +94,7 @@ def _validate_vertex_table(n: int, colors: tuple[int, ...], names: tuple[str, ..
             raise ValueError(f"vertex names must be strings, got {name!r}")
     if len(set(names)) != n:
         raise ValueError("vertex names must be unique")
+    return colors, names
 
 
 @dataclass(frozen=True, init=False)
@@ -91,7 +102,9 @@ class Digraph:
     """Bipartite two-colored digraph without loops or parallel edges.
 
     ``edges`` holds ordered pairs; the symmetric pair (u, v) and (v, u) may
-    both be present.  Every edge joins vertices of different colors.
+    both be present.  Every edge joins vertices of different colors.  The
+    constructor, also named ``build_digraph``, validates its input and
+    takes any sequences of colors and names, names v1..vn by default.
     """
 
     n: int
@@ -101,9 +114,9 @@ class Digraph:
     out_masks: tuple[int, ...]
     in_masks: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __init__(self, n: int, colors: tuple[int, ...], edges: Iterable[tuple[int, int]],
-                 names: tuple[str, ...]) -> None:
-        _validate_vertex_table(n, colors, names)
+    def __init__(self, n: int, colors: Sequence[int], edges: Iterable[tuple[int, int]],
+                 names: Sequence[str] | None = None) -> None:
+        colors, names = _validate_vertex_table(n, colors, names)
         out = [0] * n
         inn = [0] * n
         for u, v in edges:
@@ -249,24 +262,26 @@ def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequ
 
 @dataclass(frozen=True, init=False)
 class UGraph:
-    """Undirected bipartite graph; edges are normalized (u, v) pairs with u < v."""
+    """Undirected bipartite graph; edges are normalized (u, v) pairs with u < v.
+    The constructor, also named ``build_ugraph``, validates its input as
+    ``Digraph``'s does and takes each pair in either order."""
 
     n: int
     colors: tuple[int, ...]
     names: tuple[str, ...]
     adj_masks: tuple[int, ...]
 
-    def __init__(self, n: int, colors: tuple[int, ...], edges: Iterable[tuple[int, int]],
-                 names: tuple[str, ...]) -> None:
-        _validate_vertex_table(n, colors, names)
+    def __init__(self, n: int, colors: Sequence[int], edges: Iterable[tuple[int, int]],
+                 names: Sequence[str] | None = None) -> None:
+        colors, names = _validate_vertex_table(n, colors, names)
         adj = [0] * n
         for u, v in edges:
+            if u > v:
+                u, v = v, u
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise LoopEdge(f"loop at vertex {names[u]}")
-            if u > v:
-                raise ValueError(f"undirected edge ({u}, {v}) not normalized")
             if colors[u] == colors[v]:
                 raise MonochromaticEdge(
                     f"edge {names[u]} -- {names[v]} joins vertices of equal color"
@@ -359,6 +374,14 @@ def _reorder(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(moved)
 
 
+def _inverse(order: Sequence[int]) -> list[int]:
+    """The position of each vertex in ``order``."""
+    position = [0] * len(order)
+    for k, v in enumerate(order):
+        position[v] = k
+    return position
+
+
 def _color_classes(colors: Sequence[int]) -> list[int]:
     """The mask of the vertices of each color, color 0 first."""
     side = [0, 0]
@@ -400,26 +423,8 @@ def _twin_representatives(adj: Sequence[int], within: int) -> int:
     return reps
 
 
-def build_digraph(
-    n: int,
-    colors: Sequence[int],
-    edges: Iterable[tuple[int, int]],
-    names: Sequence[str] | None = None,
-) -> Digraph:
-    """Validated digraph constructor; rejects loops, same-color and repeated edges."""
-    return Digraph(n=n, colors=tuple(colors), edges=[(u, v) for u, v in edges],
-                   names=tuple(names) if names is not None else default_names(n))
-
-
-def build_ugraph(
-    n: int,
-    colors: Sequence[int],
-    edges: Iterable[tuple[int, int]],
-    names: Sequence[str] | None = None,
-) -> UGraph:
-    """Validated undirected constructor; pairs are unordered and normalized."""
-    return UGraph(n=n, colors=tuple(colors), edges=[(u, v) if u <= v else (v, u) for u, v in edges],
-                  names=tuple(names) if names is not None else default_names(n))
+build_digraph = Digraph
+build_ugraph = UGraph
 
 
 def underlying(g: Digraph) -> UGraph:
@@ -574,7 +579,3 @@ def canonical_form(g: Digraph) -> CanonicalForm:
     levels, _ = canonical_order(g.n, g.out_masks, g.in_masks)
     return CanonicalForm(_pack_levels(g.n, levels))
 
-
-def ugraph_canonical_form(u: UGraph) -> CanonicalForm:
-    """The canonical form of the digraph with both directions of every edge."""
-    return canonical_form(_trusted_digraph(u.n, u.colors, u.names, u.adj_masks, u.adj_masks))

@@ -40,6 +40,7 @@ from .digraph import (
     UGraph,
     _component_masks,
     _edge_states,
+    _inverse,
     _pack_levels,
     _reorder,
     _state_digraphs,
@@ -304,14 +305,6 @@ def _recognized_edge_sets(colors: Sequence[int]) -> Iterator[tuple[int, ...]]:
             else:
                 stack += [(head + (o,), tuple([m | bit if o >> w & 1 else m for w, m in enumerate(inn)]) + (i,))
                           for o in outs]
-
-
-def _inverse(order: Sequence[int]) -> list[int]:
-    """The position of each vertex in ``order``."""
-    position = [0] * len(order)
-    for k, v in enumerate(order):
-        position[v] = k
-    return position
 
 
 @dataclass(frozen=True)

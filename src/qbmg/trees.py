@@ -31,7 +31,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .axioms import is_qbmg_masks
-from .digraph import Digraph, _memo, _trusted_digraph, _validate_vertex_table
+from .digraph import Digraph, _inverse, _memo, _trusted_digraph, _validate_vertex_table
 from .errors import (
     InvalidTruncation,
     NotPhylogenetic,
@@ -49,24 +49,24 @@ Nested = str | tuple  # leaf name, or tuple of child Nested values
 EXPLAIN_MAX_LEAVES = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PhyloTree:
     """Rooted phylogenetic tree in preorder; ``names`` holds leaf names
-    (internal nodes carry None).  The parent array is the stored form; the
-    child lists are read off it."""
+    (internal nodes carry None).  The parent array is the stored form.  Any
+    sequences may be given; both are stored as tuples."""
 
     parent: tuple[int | None, ...]
     names: tuple[str | None, ...]
 
-    def __post_init__(self) -> None:
-        size = len(self.parent)
-        if size != len(self.names):
+    def __init__(self, parent: Sequence[int | None], names: Sequence[str | None]) -> None:
+        parent, names = tuple(parent), tuple(names)
+        size = len(parent)
+        if size != len(names):
             raise ValueError("parent and names must align")
         if size == 0:
             raise ValueError("empty tree")
-        if self.parent[0] is not None:
+        if parent[0] is not None:
             raise ValueError("node 0 must be the root")
-        parent = self.parent
         child_count = [0] * size
         for node in range(1, size):
             p = parent[node]
@@ -79,25 +79,18 @@ class PhyloTree:
             if q is None:
                 raise ValueError("nodes must be in preorder with parents before children")
             child_count[p] += 1
-        for node, (k, name) in enumerate(zip(child_count, self.names)):
+        for node, (k, name) in enumerate(zip(child_count, names)):
             if k == 1:
                 raise NotPhylogenetic(f"internal node {node} has a single child")
             if not k and name is None:
                 raise ValueError(f"leaf {node} has no name")
             if k and name is not None:
                 raise ValueError(f"internal node {node} must not carry a name")
+        vars(self).update(parent=parent, names=names)
 
     @property
     def size(self) -> int:
         return len(self.parent)
-
-    @_memo
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's children in increasing id."""
-        kids: list[list[int]] = [[] for _ in self.parent]
-        for node in range(1, self.size):
-            kids[self.parent[node]].append(node)  # type: ignore[index]
-        return tuple(map(tuple, kids))
 
     @_memo
     def leaves(self) -> tuple[int, ...]:
@@ -139,7 +132,7 @@ def tree_from_nested(nested: Nested) -> PhyloTree:
         else:
             names.append(None)
             stack.extend((child, idx) for child in reversed(node))
-    return PhyloTree(tuple(parent), tuple(names))
+    return PhyloTree(parent, names)
 
 
 _LEAF_TOKEN = re.compile(r"([A-Za-z0-9_.+-]+)=([A-Za-z0-9_.+-]*)")
@@ -350,9 +343,7 @@ def _build_tree(g: Digraph) -> _Explanation | None:
     # bit r is vertex order[r], the r-th least name: components by least bit.
     # Renumbered in one pass: two ``_reorder`` calls made explain's op p50 5-13% slower
     order = sorted(range(n), key=names.__getitem__)
-    position = [0] * n
-    for r, v in enumerate(order):
-        position[v] = r
+    position = _inverse(order)
     out = [0] * n  # out[r], inn[r]: the out- and in-neighbors of bit r as bits
     inn = [0] * n
     side = [0, 0]

@@ -10,13 +10,15 @@ from typing import Callable, Iterable, Sequence
 
 from qbmg.bicliques import Biclique, maximal_bicliques
 from qbmg.digraph import (
+    CanonicalForm,
     Digraph,
     UGraph,
     _color_classes,
     _component_masks,
+    _trusted_digraph,
     build_ugraph,
+    canonical_form,
     iter_bits,
-    ugraph_canonical_form,
 )
 from qbmg.enumeration import opposite_pairs
 from qbmg.errors import Disconnected, TooLarge
@@ -627,6 +629,14 @@ def random_truncation(rng, tree, sigma) -> dict[tuple[int, int], int]:
 # --- naive tree-to-graph and topological-order oracles
 
 
+def children(t: PhyloTree) -> tuple[tuple[int, ...], ...]:
+    """Each node's children in increasing id, read off the parent array."""
+    kids: list[list[int]] = [[] for _ in t.parent]
+    for node in range(1, t.size):
+        kids[t.parent[node]].append(node)
+    return tuple(map(tuple, kids))
+
+
 def _naive_ancestors(t: PhyloTree, x: int) -> list[int]:
     """x and every node above it, from x up to the root."""
     chain = [x]
@@ -647,7 +657,8 @@ def naive_best_match_graph(t: PhyloTree, sigma, u=None) -> Digraph:
     def depth(node: int) -> int:
         return len(_naive_ancestors(t, node)) - 1
 
-    leaves = [v for v in range(len(t.parent)) if not t.children[v]]
+    kids = children(t)
+    leaves = [v for v in range(len(t.parent)) if not kids[v]]
     edges = []
     for i, x in enumerate(leaves):
         for j, y in enumerate(leaves):
@@ -685,6 +696,11 @@ def naive_topological_order(g: Digraph) -> tuple[int, ...] | None:
 # --- connected bipartite undirected graphs with n <= max_n, one per
 # --- isomorphism class, generated by single-vertex augmentation (every
 # --- connected graph arises by re-attaching a removed spanning-tree leaf)
+
+
+def ugraph_canonical_form(u: UGraph) -> CanonicalForm:
+    """The canonical form of the digraph with both directions of every edge."""
+    return canonical_form(_trusted_digraph(u.n, u.colors, u.names, u.adj_masks, u.adj_masks))
 
 
 def connected_bipartite_reps(max_n: int) -> dict[int, list[UGraph]]:

@@ -49,7 +49,6 @@ e a b
 
 def test_parse_errors_carry_line_numbers():
     cases = [
-        ("", "empty"),
         ("graph\n", "expected"),
         ("digraph\nv a 2\n", "color"),
         ("digraph\nv a 0\nv a 1\n", "re-declared"),
@@ -65,6 +64,14 @@ def test_parse_errors_carry_line_numbers():
             parse_dgf(text)
         assert fragment in str(info.value), text
         assert info.value.line is not None
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n  # and another\n"])
+def test_input_without_a_header_is_empty_at_no_line(text):
+    with pytest.raises(ParseError) as info:
+        parse_dgf(text)
+    assert str(info.value) == "empty input"
+    assert info.value.line is None
 
 
 def test_ugraph_duplicate_detection_is_unordered():

@@ -68,13 +68,14 @@ def test_build_digraph_rejects_duplicate():
         build_digraph(2, (0, 1), [(0, 1), (0, 1)])
 
 
-@pytest.mark.parametrize("build", [build_digraph, build_ugraph])
+# test ids by the builder names, which pytest would print as the class names
+@pytest.mark.parametrize("build", [build_digraph, build_ugraph], ids=["build_digraph", "build_ugraph"])
 def test_builders_reject_an_edge_that_is_not_a_pair(build):
     with pytest.raises(ValueError):
         build(2, (0, 1), [(0, 1, 9)])
 
 
-@pytest.mark.parametrize("build", [build_digraph, build_ugraph])
+@pytest.mark.parametrize("build", [build_digraph, build_ugraph], ids=["build_digraph", "build_ugraph"])
 @pytest.mark.parametrize(
     "n, colors, names, message",
     [
@@ -86,6 +87,9 @@ def test_builders_reject_an_edge_that_is_not_a_pair(build):
         (2, (False, True), ("a", "b"), "colors must be 0 or 1, got False"),
         (2, (0, 1.0), ("a", "b"), r"colors must be 0 or 1, got 1\.0"),
         (2, (0, 1), (1, 2), "vertex names must be strings, got 1"),
+        # a bool count would build a graph whose n is True, a float one fail with TypeError
+        (True, (0,), ("a",), "vertex count must be an int, got True"),
+        (2.0, (0, 1), ("a", "b"), r"vertex count must be an int, got 2\.0"),
     ],
 )
 def test_builders_reject_a_bad_vertex_table(build, n, colors, names, message):
@@ -354,8 +358,10 @@ def test_constructors_reject_a_repeated_edge():
     # each edge is checked in turn, so an earlier bad edge is reported first
     with pytest.raises(LoopEdge):
         Digraph(n=3, colors=(0, 1, 0), edges=[(1, 1), (0, 1), (0, 1)], names=names)
-    with pytest.raises(ValueError, match="not normalized"):
-        UGraph(n=3, colors=(0, 1, 0), edges=[(2, 1), (1, 2), (1, 2)], names=names)
+    # an undirected pair is one edge in either order
+    for pairs in ([(2, 1), (1, 2)], [(1, 2), (2, 1)], [(2, 1), (2, 1)]):
+        with pytest.raises(DuplicateEdge, match=r"edge \{1, 2\} given twice"):
+            UGraph(n=3, colors=(0, 1, 0), edges=pairs, names=names)
     # a symmetric pair is two distinct edges
     both = Digraph(n=3, colors=(0, 1, 0), edges=[(0, 1), (1, 0)], names=names)
     assert both.symmetric_pairs == ((0, 1),)
@@ -426,6 +432,29 @@ def test_underlying_commutes_with_induced_n5_exhaustive():
             sub_d, _ = induced_subdigraph(g, subset)
             sub_u, _ = induced_subdigraph(und, subset)
             assert underlying(sub_d) == sub_u
+
+
+@pytest.mark.parametrize("cls, build", [(Digraph, build_digraph), (UGraph, build_ugraph)], ids=["Digraph", "UGraph"])
+def test_constructors_store_any_sequences_as_tuples(cls, build):
+    assert build is cls
+    # lists, no names: equal to, and hashing as, the graph given tuples and v1..vn
+    g = cls(3, [0, 1, 0], [[0, 1], [2, 1]])
+    ref = cls(3, (0, 1, 0), [(0, 1), (2, 1)], ("v1", "v2", "v3"))
+    assert type(g.colors) is tuple and g.names == ("v1", "v2", "v3")
+    assert g == ref and hash(g) == hash(ref)
+    assert cls(2, iter([1, 0]), [], iter(["x", "y"])).names == ("x", "y")
+
+
+def test_ugraph_takes_a_pair_in_either_order():
+    pairs = [(0, 1), (1, 2), (0, 3), (2, 3)]
+    g = UGraph(4, (0, 1, 0, 1), pairs)
+    flipped = UGraph(4, (0, 1, 0, 1), [(v, u) for u, v in pairs])
+    assert flipped.adj_masks == g.adj_masks and flipped == g
+    assert flipped.edges == frozenset(pairs)
+    with pytest.raises(MonochromaticEdge, match="edge v1 -- v3 joins"):
+        UGraph(4, (0, 1, 0, 1), [(2, 0)])
+    with pytest.raises(ValueError, match=r"edge \(1, 4\) out of range"):
+        UGraph(4, (0, 1, 0, 1), [(4, 1)])
 
 
 def test_ugraph_rejects_bad_edges():

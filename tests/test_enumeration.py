@@ -10,7 +10,7 @@ from itertools import permutations, product
 import pytest
 
 import qbmg.enumeration
-from helpers import pruned_mask_sweep, relabel
+from helpers import pruned_mask_sweep, relabel, ugraph_canonical_form
 from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.cli import main
 from qbmg.dgf import format_dgf
@@ -19,7 +19,6 @@ from qbmg.digraph import (
     canonical_form,
     canonical_order,
     identity_levels,
-    ugraph_canonical_form,
     underlying,
 )
 from qbmg.enumeration import (

@@ -11,6 +11,7 @@ import qbmg.trees as trees
 from helpers import (
     build_informative,
     caterpillar_newick,
+    children,
     digraph_from_masks,
     format_newick,
     naive_best_match_graph,
@@ -74,7 +75,7 @@ def test_parse_tree_error_positions():
 def test_tree_from_nested_numbers_nodes_in_preorder():
     t = tree_from_nested((("a", "b"), "c", ("d", ("e", "f"))))
     assert t.parent == (None, 0, 1, 1, 0, 0, 5, 5, 7, 7)
-    assert t.children[0] == (1, 4, 5)
+    assert children(t)[0] == (1, 4, 5)
     assert t.names == (None, None, "a", "b", "c", None, "d", None, "e", "f")
 
 
@@ -93,7 +94,7 @@ def test_children_are_read_off_the_parent_array():
             return idx
 
         number(nested)
-        assert tree_from_nested(nested).children == tuple(kids)
+        assert children(tree_from_nested(nested)) == tuple(kids)
 
 
 def test_tree_checks_parent_against_names():
@@ -108,8 +109,14 @@ def test_tree_checks_parent_against_names():
     with pytest.raises(ValueError, match="internal node 0 must not carry a name"):
         PhyloTree((None, 0, 0), ("r", "a", "b"))
     t = PhyloTree((None, 0, 1, 1, 0), (None, None, "a", "b", "c"))
-    assert t.children == ((1, 4), (2, 3), (), (), ())
+    assert children(t) == ((1, 4), (2, 3), (), (), ())
     assert t.leaves == (2, 3, 4)
+
+
+def test_tree_stores_any_sequences_as_tuples():
+    t = PhyloTree([None, 0, 0], [None, "a", "b"])
+    assert type(t.parent) is tuple and type(t.names) is tuple
+    assert t == tree_from_nested(("a", "b")) and hash(t) == hash(tree_from_nested(("a", "b")))
 
 
 def test_tree_rejects_parent_array_out_of_preorder():

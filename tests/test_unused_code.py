@@ -13,9 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qbmg"
 SEARCHED = ("src", "tests", "perfbench")
 # what a public definition must be referenced from: the package itself, the
-# benchmark and the acceptance suite with its fixtures and oracles, but no
-# unit test, so a definition only its own unit test calls does not count
-ENTRY_POINTS = ("src", "perfbench", "tests/test_acceptance.py", "tests/conftest.py", "tests/helpers.py")
+# benchmark and the acceptance suite, but no unit test, fixture or oracle, so
+# a definition only tests call does not count
+ENTRY_POINTS = ("src", "perfbench", "tests/test_acceptance.py")
 
 
 def _modules() -> dict[Path, ast.Module]:
