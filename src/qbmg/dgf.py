@@ -7,7 +7,8 @@
 
 Vertex ids follow declaration order.  Parsing is strict: unknown directives,
 re-declared vertices, undeclared edge endpoints, invalid colors, loops,
-same-color edges and repeated edges are all errors carrying the line number;
+same-color edges and repeated edges are all errors carrying the line number,
+each found as its line is read, so the first bad line is the one reported;
 text without a header line is ``empty input``, at no line.
 Emitted text is byte-stable: vertices in id order, edges sorted by id pair.
 It parses back to an identical graph, so ``format_dgf`` raises ``ValueError``
@@ -26,7 +27,7 @@ def parse_dgf(text: str) -> Digraph | UGraph:
     colors: list[int] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
+    seen: set[tuple[int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -58,25 +59,22 @@ def parse_dgf(text: str) -> Digraph | UGraph:
                 raise ParseError(f"undeclared vertex {a!r}", lineno)
             if b not in index:
                 raise ParseError(f"undeclared vertex {b!r}", lineno)
-            edges.append((index[a], index[b]))
-            edge_lines.append(lineno)
+            u, v = index[a], index[b]
+            key = (u, v) if header == "digraph" else (min(u, v), max(u, v))
+            if key in seen:
+                raise ParseError(f"edge {a} {b} repeated", lineno)
+            seen.add(key)
+            if u == v:
+                raise ParseError(f"loop at {a}", lineno)
+            if colors[u] == colors[v]:
+                raise ParseError(f"edge {a} {b} joins equal colors", lineno)
+            edges.append((u, v))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
     if header is None:
         raise ParseError("empty input")
-
     build = build_digraph if header == "digraph" else build_ugraph
-    seen: set[tuple[int, int]] = set()
-    for (u, v), lineno in zip(edges, edge_lines):
-        key = (u, v) if header == "digraph" else (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"edge {names[u]} {names[v]} repeated", lineno)
-        seen.add(key)
-        if u == v:
-            raise ParseError(f"loop at {names[u]}", lineno)
-        if colors[u] == colors[v]:
-            raise ParseError(f"edge {names[u]} {names[v]} joins equal colors", lineno)
     return build(len(names), colors, edges, names)
 
 

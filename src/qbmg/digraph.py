@@ -25,10 +25,11 @@ and recognition verdict, which ``_keep_verdict`` alone stores.  A ``UGraph``
 keeps its components, its false-twin representatives, the least k it is
 known to be P_k-free for (see ``qbmg.paths``), and a mark when it is the
 underlying graph of a recognized digraph: P6-free and C6-free by the paper's
-theorem.  The mark is set whether the verdict is kept before or after that
-graph is built.  Recognition is hereditary: N1-N3 forbid configurations on
-at most four vertices, so ``induced_subdigraph`` passes a True verdict down
-to the subgraph.  A False verdict says nothing about a subgraph.
+theorem.  The mark is set when the verdict is kept, by ``_keep_verdict``,
+which builds the underlying graph for it if need be.  Recognition is
+hereditary: N1-N3 forbid configurations on at most four vertices, so
+``induced_subdigraph`` passes a True verdict down to the subgraph.  A False
+verdict says nothing about a subgraph.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ class Digraph:
         out = [0] * n
         inn = [0] * n
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # True would pass the range check as 1
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
@@ -155,19 +158,15 @@ class Digraph:
 
     @_memo
     def _underlying(self) -> UGraph:
-        u = _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)
-        if vars(self).get("_is_qbmg"):
-            vars(u)["_qbmg_shadow"] = True
-        return u
+        return _trusted_ugraph(self.n, self.colors, self.names, self.adj_masks)
 
 
 def _keep_verdict(g: Digraph, verdict: bool) -> bool:
-    """Keep g's recognition verdict and return it; a True one marks g's
-    underlying graph if built, and ``_underlying`` marks one built later."""
-    memo = vars(g)
-    memo["_is_qbmg"] = verdict
-    if verdict and "_underlying" in memo:
-        vars(memo["_underlying"])["_qbmg_shadow"] = True
+    """Keep g's recognition verdict and return it; a True one also marks g's
+    underlying graph, built here if it is not yet."""
+    vars(g)["_is_qbmg"] = verdict
+    if verdict:
+        vars(g._underlying)["_qbmg_shadow"] = True
     return verdict
 
 
@@ -177,16 +176,13 @@ def _trusted_digraph(
     names: tuple[str, ...],
     out_masks: tuple[int, ...],
     in_masks: tuple[int, ...],
-    oriented: bool = False,
 ) -> Digraph:
     """A ``Digraph`` from masks derived from a validated graph, without the
     range, loop and color checks of ``Digraph.__init__``.  ``in_masks`` must
-    be the transpose of ``out_masks``, and ``oriented`` (no symmetric pair)
-    must hold when set."""
+    be the transpose of ``out_masks``.  It stores no view: the symmetric
+    pairs of an orientation are stored by ``_state_digraphs`` alone."""
     g = object.__new__(Digraph)
     vars(g).update(n=n, colors=colors, names=names, out_masks=out_masks, in_masks=in_masks)
-    if oriented:
-        vars(g)["symmetric_pairs"] = ()
     return g
 
 
@@ -276,6 +272,8 @@ class UGraph:
         colors, names = _validate_vertex_table(n, colors, names)
         adj = [0] * n
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # checked before the swap compares them
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u > v:
                 u, v = v, u
             if not (0 <= u < n and 0 <= v < n):
@@ -442,10 +440,13 @@ def induced_subdigraph(g: G, vertices: Iterable[int]) -> tuple[G, tuple[int, ...
     re-indexed densely; also returns old ids per new id.  Re-indexing keeps
     the vertex order, so normalized undirected edges stay normalized.  The
     subgraph of a digraph found recognized is recognized too."""
-    old = tuple(sorted(set(vertices)))
-    for v in old:
+    vertices = tuple(vertices)
+    for v in vertices:
+        if type(v) is not int:  # True would be kept as an old id
+            raise ValueError(f"vertex {v!r} is not an int")
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
+    old = tuple(sorted(set(vertices)))
     colors = tuple(g.colors[v] for v in old)
     names = tuple(g.names[v] for v in old)
     if isinstance(g, Digraph):

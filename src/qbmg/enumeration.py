@@ -69,9 +69,9 @@ def path_template(k: int) -> UGraph:
 
 
 def cycle_template(k: int) -> UGraph:
-    """The path template closed into a chordless k-cycle (k even)."""
-    if k % 2:
-        raise ValueError("bipartite cycles need even length")
+    """The path template closed into a chordless k-cycle (k even, k >= 4)."""
+    if k < 4 or k % 2:
+        raise ValueError(f"bipartite cycles need even length at least 4, got {k}")
     path = path_template(k)
     return build_ugraph(k, path.colors, [*path.edges, (0, k - 1)])
 

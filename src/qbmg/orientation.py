@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 from .axioms import find_n2_violation
 from .bicliques import Biclique
-from .digraph import Digraph, _color_classes, _state_digraphs, _trusted_digraph, induced_subdigraph
+from .digraph import Digraph, _color_classes, _state_digraphs, induced_subdigraph
 from .errors import NotBiclique, NotOriented, TooLarge
 
 ORIENT_MAX_PAIRS = 16
@@ -40,12 +40,11 @@ def star_conditions(g: Digraph) -> StarConditions:
 
 
 def orient(g: Digraph) -> Digraph:
-    """Canonical orientation: of each symmetric pair keep small-id -> large-id."""
-    out, inn = list(g.out_masks), list(g.in_masks)
-    for u, v in g.symmetric_pairs:
-        out[v] ^= 1 << u
-        inn[u] ^= 1 << v
-    return _trusted_digraph(g.n, g.colors, g.names, tuple(out), tuple(inn), oriented=True)
+    """Canonical orientation: of each symmetric pair keep small-id -> large-id.
+    It is the one point of the orientation odometer that drops v -> u (state
+    2) from every pair u < v, so the last one ``all_orientations`` yields."""
+    base = (g.out_masks, g.in_masks)
+    return next(_state_digraphs(g.colors, g.names, g.symmetric_pairs, (2,), base, oriented=True))
 
 
 def all_orientations(g: Digraph) -> Iterator[Digraph]:

@@ -444,10 +444,29 @@ def test_induced_subdigraphs_inherit_only_a_true_verdict(sweep):
             sub, _ = induced_subdigraph(g, iter_bits(mask))
             if verdict:
                 assert vars(sub)["_is_qbmg"] is True
+                assert vars(vars(sub)["_underlying"])["_qbmg_shadow"] is True
             else:
                 assert "_is_qbmg" not in vars(sub)
             assert is_qbmg(sub) == is_qbmg_masks(sub.n, sub.out_masks, sub.in_masks)
     assert rejected > 100
+
+
+def test_a_kept_true_verdict_marks_the_underlying_graph():
+    # on copies with no views kept yet, the verdict keeper builds the
+    # underlying graph and marks it; a False verdict marks nothing
+    rng = random.Random(36)
+    graphs = [*ALL_FIXTURES.values(), *(_random_bipartite_digraph(rng, rng.randint(2, 9)) for _ in range(300))]
+    accepted = 0
+    for g in graphs:
+        for judge in (lambda h: recognize(h).is_qbmg, is_qbmg):
+            fresh = build_digraph(g.n, g.colors, g.edges, g.names)
+            assert "_underlying" not in vars(fresh)
+            if judge(fresh):
+                accepted += 1
+                assert vars(vars(fresh)["_underlying"])["_qbmg_shadow"] is True
+            else:
+                assert "_qbmg_shadow" not in vars(underlying(fresh))
+    assert 50 < accepted < 2 * len(graphs)
 
 
 def test_sink_free_qbmgs_have_cograph_underlying_n4():

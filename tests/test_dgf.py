@@ -66,6 +66,14 @@ def test_parse_errors_carry_line_numbers():
         assert info.value.line is not None
 
 
+def test_parse_reports_the_first_bad_line():
+    # the repeated edge on line 5 is found as that line is read, before the
+    # unknown directive on line 6
+    with pytest.raises(ParseError, match="edge a b repeated") as info:
+        parse_dgf("digraph\nv a 0\nv b 1\ne a b\ne a b\nw x\n")
+    assert info.value.line == 5
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # and another\n"])
 def test_input_without_a_header_is_empty_at_no_line(text):
     with pytest.raises(ParseError) as info:

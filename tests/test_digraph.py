@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import permutations, product
 
 import pytest
@@ -134,6 +135,13 @@ def test_induced_ex10_v9_v10_edgeless():
 def test_induced_rejects_a_vertex_out_of_range(vertex):
     with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
         induced_subdigraph(EX10, {8, vertex})
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0])
+def test_induced_rejects_a_vertex_id_that_is_not_an_int(vertex):
+    for g in (P5A, underlying(P5A)):
+        with pytest.raises(ValueError, match=f"vertex {vertex} is not an int"):
+            induced_subdigraph(g, [vertex, 2])
 
 
 def test_weak_components_ex10_connected():
@@ -455,6 +463,13 @@ def test_ugraph_takes_a_pair_in_either_order():
         UGraph(4, (0, 1, 0, 1), [(2, 0)])
     with pytest.raises(ValueError, match=r"edge \(1, 4\) out of range"):
         UGraph(4, (0, 1, 0, 1), [(4, 1)])
+
+
+@pytest.mark.parametrize("cls", [Digraph, UGraph])
+@pytest.mark.parametrize("edge", [(0, 1.0), ("0", 1), (True, 0)])
+def test_constructors_reject_an_edge_endpoint_that_is_not_an_int(cls, edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} has an endpoint that is not an int")):
+        cls(2, (0, 1), [edge])
 
 
 def test_ugraph_rejects_bad_edges():

@@ -46,9 +46,10 @@ def test_orientations_counts():
     assert sum(1 for _ in orientations_of(single)) == 3
 
 
-def test_cycle_template_rejects_odd_length():
-    with pytest.raises(ValueError, match="even length"):
-        cycle_template(5)
+@pytest.mark.parametrize("k", [5, 3, 2, 1, 0, -2])
+def test_cycle_template_rejects_odd_or_short_length(k):
+    with pytest.raises(ValueError, match=f"even length at least 4, got {k}"):
+        cycle_template(k)
 
 
 def test_orientations_preserve_underlying():

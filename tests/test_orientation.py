@@ -60,6 +60,25 @@ def test_orient_single_pair_keeps_low_to_high():
     assert orient(g).edges == frozenset({(0, 1)})
 
 
+def test_orient_is_the_last_orientation():
+    # the 23 fixtures and seeded random digraphs with up to 8 symmetric pairs
+    rng = random.Random(36)
+    graphs = list(ALL_FIXTURES.values())
+    while len(graphs) < len(ALL_FIXTURES) + 200:
+        n = rng.randint(1, 9)
+        colors = [rng.randint(0, 1) for _ in range(n)]
+        edges = [(u, v) for u in range(n) for v in range(n) if colors[u] != colors[v] and rng.random() < 0.4]
+        g = build_digraph(n, colors, edges)
+        if len(g.symmetric_pairs) <= 8:
+            graphs.append(g)
+    for g in graphs:
+        *_, last = all_orientations(g)
+        oriented = orient(g)
+        assert oriented == last and oriented.in_masks == last.in_masks
+        assert vars(oriented)["symmetric_pairs"] == ()
+        assert Digraph(g.n, g.colors, oriented.edges, g.names).symmetric_pairs == ()
+
+
 def test_all_orientations_count_and_reassembly():
     variants = list(all_orientations(P5AB))
     assert len(variants) == 4

@@ -3,7 +3,7 @@ function, method and class is referenced somewhere, every public function,
 method and class is referenced from outside the unit tests, every
 optional parameter of an unexported function is set by some caller, no
 nested function recurses, and each fact kept on a graph value has one
-writing module."""
+writing function."""
 
 import ast
 from collections import Counter
@@ -231,24 +231,37 @@ def test_every_optional_parameter_is_set_by_some_caller():
     assert unset == []
 
 
-# each fact a graph value keeps has one module that stores it: the
-# recognition verdict and the theorem's mark on the underlying graph of a
-# recognized digraph are kept by qbmg.digraph, path-freeness by qbmg.paths
-WRITERS = {"_is_qbmg": "digraph.py", "_qbmg_shadow": "digraph.py", "_path_free_from": "paths.py"}
+# each fact or pre-stored view a graph value keeps has one function that
+# stores it: the recognition verdict and the theorem's mark on the underlying
+# graph of a recognized digraph are kept by the verdict keeper, path-freeness
+# by the path search, the empty symmetric pairs of an orientation by the
+# odometer's digraph builder and a BUILD tree's leaves by BUILD
+WRITERS = {
+    "_is_qbmg": "digraph._keep_verdict",
+    "_qbmg_shadow": "digraph._keep_verdict",
+    "_path_free_from": "paths.find_induced_path",
+    "symmetric_pairs": "digraph._state_digraphs",
+    "leaves": "trees._build_tree",
+}
 
 
-def _stored_keys(tree: ast.Module):
-    """The string keys a module stores under, by subscript assignment or as
-    an ``update(...)`` keyword."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-            if isinstance(node.slice, ast.Constant):
-                yield node.slice.value
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "update":
-            yield from (kw.arg for kw in node.keywords)
+def _stored_keys(node: ast.AST, function: str):
+    """The string keys stored under below ``node``, by subscript assignment
+    or as an ``update(...)`` keyword, each with the innermost function that
+    stores it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS):
+            yield from _stored_keys(child, child.name)
+            continue
+        if isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store):
+            if isinstance(child.slice, ast.Constant):
+                yield child.slice.value, function
+        elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "update":
+            yield from ((kw.arg, function) for kw in child.keywords)
+        yield from _stored_keys(child, function)
 
 
 def test_each_kept_graph_fact_has_one_writer():
-    stores = {(key, path.name) for path, tree in _modules().items()
-              for key in _stored_keys(tree) if key in WRITERS}
+    stores = {(key, f"{path.stem}.{function}") for path, tree in _modules().items()
+              for key, function in _stored_keys(tree, "<module>") if key in WRITERS}
     assert sorted(stores) == sorted(WRITERS.items())
