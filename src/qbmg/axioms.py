@@ -21,15 +21,25 @@ u -> t at once unless the rows of t's out-neighbors, ORed, hold something u
 does not allow; the N3 finder visits only the v above u that share an
 out-neighbor with u.  On the 752-vertex spine tree graph each finder takes
 10-13 ms, where a triple loop over u, t and w took 270-290 ms.  The kernel
-names no witness.  One pass per u over its out-neighbors ORs their out-rows,
-the ends of u's 2-paths, and their in-rows, the vertices sharing an
-out-neighbor with u; it rejects on N3 against the sharers above u (a pair
-sharing none passes N3), then tests each 2-path end once.  On 1,000
-disjoint symmetric pairs it takes 4-5 ms, where a loop over all pairs took
-240-280 ms.  On the 43,321 graphs of the n <= 5 sweep the finders take 2.4
-times its time (0.26-0.30 against 0.10-0.12 s, best of 7, Python 3.11 on 2
-vCPUs), so the sweeps keep it, and ``is_qbmg`` on one ``Digraph`` takes the
-verdict of ``recognize``.
+names no witness and makes two passes.  The first tests N1 and N2 at each
+middle vertex t: the ends w of the 2-paths u -> t -> w are t's
+out-neighbors whatever u is, so it ORs their out-rows and in-rows once and
+tests each in-neighbor u of t against the two unions.  The second tests N3:
+per u, the in-rows of u's out-neighbors ORed are the vertices sharing an
+out-neighbor with u, and each of them above u must have an out-row nested
+with u's (a pair sharing none passes).  N1 and N2 reject all but 5,760 of
+the 3,341,100 graphs the n <= 6 sweep rejects, so the second pass runs on
+8.7% of the sweep; testing N3 first, in one pass per u, the kernel took
+0.75 s on the 559,125 graphs of all n <= 5 sweep graphs and every 7th
+n = 6 one, where the two passes take 0.57-0.61 s (best of 7).  On a dense
+recognized graph both passes run in full, and the second ORs again the
+in-rows the first ORed: on the 752-vertex spine tree graph the kernel
+takes 59 ms against 47-48 ms in one pass.  On 1,000 disjoint symmetric
+pairs it takes about 2 ms, where a loop over all pairs took 240-280 ms.
+On the 43,321 graphs of the n <= 5 sweep the finders take 2.9 times its
+time (0.14 against 0.048 s, best of 7, Python 3.11 on 2 vCPUs), so the
+sweeps keep it, and ``is_qbmg`` on one ``Digraph`` takes the verdict of
+``recognize``.
 
 The rows replace a test of each state.  Before them, ``classify_all_qbmgs``
 tested all 4^c states of a new vertex's c opposite-color pairs with a kernel
@@ -158,36 +168,46 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
     0..n-1, each in-mask the transpose of the out-masks.  Longer mask lists
     are indexed only up to n, but no mask of vertices 0..n-1 may have a bit
     at n or above set: such bits are read as edges, not cleared."""
-    for u in range(n):
-        ou = out[u]
-        if not ou:
+    # (N1) and (N2) at each middle vertex t: the ends w of the 2-paths
+    # u -> t -> w are t's out-neighbors, the same for every in-neighbor u
+    for t in range(n):
+        ot, it = out[t], inn[t]
+        if not ot or not it:
             continue
-        # the ends of u's 2-paths and the vertices sharing an out-neighbor with u,
-        # in one pass over ou where two ``_row_union`` calls would walk it twice
-        two_step = sharers = 0
+        # two ``_row_union`` calls inline, in one walk over ot
+        ends_out = ends_in = 0
+        while ot:
+            low = ot & -ot
+            ot ^= low
+            w = low.bit_length() - 1
+            ends_out |= out[w]
+            ends_in |= inn[w]
+        # w's out-neighbors must be u's and w's in-neighbors adjacent to u
+        while it:
+            low = it & -it
+            it ^= low
+            u = low.bit_length() - 1
+            ou = out[u]
+            if ends_out & ~ou or ends_in & ~(ou | inn[u] | low):
+                return False
+    # (N3) against the sharers above u; a pair sharing nothing passes, and
+    # so does one in which u has a single out-neighbor
+    for u in range(n - 1):
+        ou = out[u]
+        if not ou & ou - 1:
+            continue
+        sharers = 0  # ``_row_union(inn, ou)`` inline
         m = ou
         while m:
             low = m & -m
             m ^= low
-            t = low.bit_length() - 1
-            two_step |= out[t]
-            sharers |= inn[t]
-        # (N3) against the sharers above u; a pair sharing nothing passes
+            sharers |= inn[low.bit_length() - 1]
         sharers &= -2 << u
         while sharers:
             low = sharers & -sharers
             sharers ^= low
             ov = out[low.bit_length() - 1]
             if ou & ~ov and ov & ~ou:
-                return False
-        # (N1) and (N2) at each 2-path end w: w's in-neighbors must be
-        # adjacent to u and w's out-neighbors must be u's
-        near = ou | inn[u] | 1 << u
-        while two_step:
-            low = two_step & -two_step
-            two_step ^= low
-            w = low.bit_length() - 1
-            if out[w] & ~ou or inn[w] & ~near:
                 return False
     return True
 

@@ -16,9 +16,11 @@ over per-pair edge states, ``_edge_states``.
 One core per job on masks serves every module: ``_reorder`` renumbers by a
 vertex order, ``_inverse`` gives each vertex's place in one, ``_mask_pairs``
 lists pairs in increasing order and ``_row_union`` ORs rows over a vertex
-set.  The hot loops of ``axioms.is_qbmg_masks``, ``_edge_states`` and
-``trees._build_tree`` keep fused copies, each marked where it stands: a
-call per step measured slower.
+set.  The hot loops of ``axioms.is_qbmg_masks`` (its N1/N2 pass ORs two
+row sets in one walk, its N3 pass one), ``_edge_states`` (its arcs flipped
+inline, the last pair's in a loop of its own) and ``trees._build_tree``
+keep fused copies, each marked where it stands: a call per step measured
+slower.
 
 A ``Digraph`` keeps its underlying graph, adjacency masks, symmetric pairs
 and recognition verdict, which ``_keep_verdict`` alone stores.  A ``UGraph``
@@ -198,25 +200,52 @@ def _edge_states(n: int, pairs: Sequence[tuple[int, int]], states: Sequence[int]
     moves the last pair to its next state and, when it wraps back to the
     first, carries to the pair before it.  A move flips only the arcs in
     which the two states differ, so a step touches fewer than two pairs on
-    average instead of reapplying all of them."""
+    average instead of reapplying all of them.  The last pair turns in an
+    inner loop over its precomputed flips, and only its wrap steps into the
+    carry loop; with a no-op visit the n <= 6 sweep took 1.05-1.30 s when
+    every step went through the carry loop and takes 0.76-1.00 s (best of
+    5, alternating runs on 2 vCPUs).  The wheels are built after the first yield, so a caller that takes
+    only the first assignment, as ``orientation.orient`` does, skips them."""
     out, inn = (list(base[0]), list(base[1])) if base else ([0] * n, [0] * n)
-    # the arcs each move of a pair's wheel flips: to the next state, and
-    # from the last back to the first
-    moves = [a ^ b for a, b in zip(states, [*states[1:], states[0]])]
-    last = len(states) - 1
+    first = states[0]
     for u, v in pairs:
-        if states[0] & 1:
+        if first & 1:
             out[u] ^= 1 << v
             inn[v] ^= 1 << u
-        if states[0] & 2:
+        if first & 2:
             out[v] ^= 1 << u
             inn[u] ^= 1 << v
-    at = [0] * len(pairs)
     masks = (out, inn)
+    yield masks
+    if not pairs:
+        return
+    # the arcs each move of a wheel flips, to the next state and from the
+    # last back to the first
+    moves = [a ^ b for a, b in zip(states, [*states[1:], first])]
+    last = len(states) - 1
+    at = [0] * (len(pairs) - 1)
+    x, y = pairs[-1]
+    bx, by = 1 << x, 1 << y
+    *turn, wrap = moves
     # the flips stay inline: a step runs once per swept graph, 3.65 M times at n <= 6
     while True:
-        yield masks
-        i = len(pairs) - 1
+        # the last pair through the rest of its states
+        for move in turn:
+            if move & 1:
+                out[x] ^= by
+                inn[y] ^= bx
+            if move & 2:
+                out[y] ^= bx
+                inn[x] ^= by
+            yield masks
+        # back to its first state, and a carry into the pairs before it
+        if wrap & 1:
+            out[x] ^= by
+            inn[y] ^= bx
+        if wrap & 2:
+            out[y] ^= bx
+            inn[x] ^= by
+        i = len(at) - 1
         while i >= 0:
             u, v = pairs[i]
             j = at[i]
@@ -234,6 +263,7 @@ def _edge_states(n: int, pairs: Sequence[tuple[int, int]], states: Sequence[int]
             i -= 1
         else:
             return
+        yield masks
 
 
 def _state_digraphs(colors: tuple[int, ...], names: tuple[str, ...], pairs: Sequence[tuple[int, int]],

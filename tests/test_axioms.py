@@ -241,6 +241,37 @@ def test_mask_kernel_matches_recognize_beyond_the_sweeps():
     assert verdicts == [False, True, True, False]
 
 
+def test_mask_kernel_verdicts_are_pinned(sweep):
+    # one byte per graph in the sweep's order, over every coloring with
+    # n <= 5 and two with n = 6, pinned from a kernel that tested N3 before
+    # N1 and N2 in one pass per vertex; every recognized edge set of the
+    # n <= 6 sweep fixture, found by the delta kernel, passes the full one
+    colorings = [c for n in range(6) for c in product((0, 1), repeat=n)]
+    colorings += [(0, 0, 0, 1, 1, 1), (0, 1, 0, 1, 0, 1)]
+    digest = hashlib.sha256()
+    total = 0
+    for colors in colorings:
+        n = len(colors)
+        verdicts = bytearray()
+        total += run_mask_sweep(colors, lambda out, inn: verdicts.append(is_qbmg_masks(n, out, inn)))
+        digest.update(verdicts)
+    assert total == 610_931
+    assert digest.hexdigest() == "b8fd59ea14db3d6b1f5447475958cf30a83007dbfbe29af56d830d05b7b6879b"
+    assert all(is_qbmg_masks(r.n, r.out, r.inn) for r in sweep.records)
+
+
+def test_mask_kernel_rejects_the_graphs_only_n3_rejects():
+    # the graphs with n <= 5 and vertex 0 of color 0 that pass N1 and N2
+    # but not N3: the only rejects that reach the kernel's N3 pass
+    only_n3 = [
+        g for n in range(1, 6) for g in all_bipartite_digraphs(n)
+        if g.colors[0] == 0 and find_n1_violation(g) is None
+        and find_n2_violation(g) is None and find_n3_violation(g) is not None
+    ]
+    assert len(only_n3) == 60
+    assert not any(is_qbmg_masks(g.n, g.out_masks, g.in_masks) for g in only_n3)
+
+
 def test_delta_kernel_matches_full_kernel_on_sweep_prefixes_n5():
     # every keep call of the pruned sweep over all 2^n colorings with n <= 5;
     # the prefix without the newest vertex has passed there, as the delta
