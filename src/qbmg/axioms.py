@@ -31,11 +31,16 @@ with u's (a pair sharing none passes).  N1 and N2 reject all but 5,760 of
 the 3,341,100 graphs the n <= 6 sweep rejects, so the second pass runs on
 8.7% of the sweep; testing N3 first, in one pass per u, the kernel took
 0.75 s on the 559,125 graphs of all n <= 5 sweep graphs and every 7th
-n = 6 one, where the two passes take 0.57-0.61 s (best of 7).  On a dense
-recognized graph both passes run in full, and the second ORs again the
-in-rows the first ORed: on the 752-vertex spine tree graph the kernel
-takes 59 ms against 47-48 ms in one pass.  On 1,000 disjoint symmetric
-pairs it takes about 2 ms, where a loop over all pairs took 240-280 ms.
+n = 6 one, where the two passes took 0.57-0.61 s (best of 7).  Each pass
+walks the bits of a row as ``bits[mask]``, ``bits`` chosen once on entry:
+for n <= 8 the table ``_BITS`` of ``qbmg.digraph``, whose tuples cost no
+method call per bit, and for wider graphs ``_WIDE_BITS``, which lists the
+bits of a mask from the top.  The table took the kernel on those graphs
+from 0.65 to 0.54 s (best of 7, interleaved).  On a dense recognized graph
+both passes run in full, and the second ORs again the in-rows the first
+ORed: on the 752-vertex spine tree graph the kernel takes 61-68 ms
+against 54-56 ms in one pass.  On 1,000 disjoint symmetric pairs it takes
+about 2.5 ms, where a loop over all pairs took 240-280 ms.
 On the 43,321 graphs of the n <= 5 sweep the finders take 2.9 times its
 time (0.14 against 0.048 s, best of 7, Python 3.11 on 2 vCPUs), so the
 sweeps keep it, and ``is_qbmg`` on one ``Digraph`` takes the verdict of
@@ -56,7 +61,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .digraph import Digraph, _keep_verdict, _row_union, induced_subdigraph
+from .digraph import (
+    _BITS,
+    _BITS_WIDTH,
+    _WIDE_BITS,
+    Digraph,
+    _keep_verdict,
+    _row_union,
+    induced_subdigraph,
+)
 from .errors import NotQbmg, TooLarge
 
 HEREDITARY_MAX_VERTICES = 10
@@ -167,7 +180,10 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
     """Boolean-only recognition over out/in adjacency bitmasks of vertices
     0..n-1, each in-mask the transpose of the out-masks.  Longer mask lists
     are indexed only up to n, but no mask of vertices 0..n-1 may have a bit
-    at n or above set: such bits are read as edges, not cleared."""
+    at n or above set.  Such a bit is read as an edge, not cleared, and for
+    n <= 8 one at 8 or above indexes past the table ``_BITS`` that the rows'
+    bits are read from (``IndexError``)."""
+    bits = _BITS if n <= _BITS_WIDTH else _WIDE_BITS
     # (N1) and (N2) at each middle vertex t: the ends w of the 2-paths
     # u -> t -> w are t's out-neighbors, the same for every in-neighbor u
     for t in range(n):
@@ -176,19 +192,13 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
             continue
         # two ``_row_union`` calls inline, in one walk over ot
         ends_out = ends_in = 0
-        while ot:
-            low = ot & -ot
-            ot ^= low
-            w = low.bit_length() - 1
+        for w in bits[ot]:
             ends_out |= out[w]
             ends_in |= inn[w]
         # w's out-neighbors must be u's and w's in-neighbors adjacent to u
-        while it:
-            low = it & -it
-            it ^= low
-            u = low.bit_length() - 1
+        for u in bits[it]:
             ou = out[u]
-            if ends_out & ~ou or ends_in & ~(ou | inn[u] | low):
+            if ends_out & ~ou or ends_in & ~(ou | inn[u] | 1 << u):
                 return False
     # (N3) against the sharers above u; a pair sharing nothing passes, and
     # so does one in which u has a single out-neighbor
@@ -197,16 +207,10 @@ def is_qbmg_masks(n: int, out: Sequence[int], inn: Sequence[int]) -> bool:
         if not ou & ou - 1:
             continue
         sharers = 0  # ``_row_union(inn, ou)`` inline
-        m = ou
-        while m:
-            low = m & -m
-            m ^= low
-            sharers |= inn[low.bit_length() - 1]
-        sharers &= -2 << u
-        while sharers:
-            low = sharers & -sharers
-            sharers ^= low
-            ov = out[low.bit_length() - 1]
+        for w in bits[ou]:
+            sharers |= inn[w]
+        for v in bits[sharers & -2 << u]:
+            ov = out[v]
             if ou & ~ov and ov & ~ou:
                 return False
     return True

@@ -16,8 +16,11 @@ over per-pair edge states, ``_edge_states``.
 One core per job on masks serves every module: ``_reorder`` renumbers by a
 vertex order, ``_inverse`` gives each vertex's place in one, ``_mask_pairs``
 lists pairs in increasing order and ``_row_union`` ORs rows over a vertex
-set.  The hot loops of ``axioms.is_qbmg_masks`` (its N1/N2 pass ORs two
-row sets in one walk, its N3 pass one), ``_edge_states`` (its arcs flipped
+set.  ``_BITS`` holds the bit positions of every mask below ``1 << 8``,
+built at import, and ``_WIDE_BITS[mask]`` lists those of a mask of any
+width; the kernel and ``enumeration.classify_all_qbmgs`` read their walks
+from them.  The hot loops of ``axioms.is_qbmg_masks`` (its N1/N2 pass ORs
+two row sets in one walk, its N3 pass one), ``_edge_states`` (its arcs flipped
 inline, the last pair's in a loop of its own) and ``trees._build_tree``
 keep fused copies, each marked where it stands: a call per step measured
 slower.
@@ -55,6 +58,37 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+# the bits of every mask of vertices 0..7 as a tuple, ``_BITS[mask]``; a
+# mask with a bit at 8 or above indexes past the table
+_BITS_WIDTH = 8
+_BITS = tuple(tuple(iter_bits(mask)) for mask in range(1 << _BITS_WIDTH))
+
+
+class _WideBits:
+    """``_BITS`` for masks of any width: ``_WIDE_BITS[mask]`` lists the bits
+    ascending.  It takes them from the top, each step clearing the highest.
+    On the spine tree graphs with 152-752 vertices the kernel then takes
+    0.87-0.99 times as long as with its rows walked inline from the low
+    end, and 1.05-1.14 times as long when a generator or a list taken from
+    the low end walks them."""
+
+    __slots__ = ()
+
+    def __getitem__(self, mask: int) -> Sequence[int]:
+        if not mask & mask - 1:  # zero or one bit
+            return (mask.bit_length() - 1,) if mask else ()
+        bits = []
+        while mask:
+            w = mask.bit_length() - 1
+            bits.append(w)
+            mask ^= 1 << w
+        bits.reverse()
+        return bits
+
+
+_WIDE_BITS = _WideBits()
 
 
 class _memo:

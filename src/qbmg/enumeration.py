@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import fixtures
 from .axioms import _admissible_rows, is_qbmg, is_qbmg_masks
 from .digraph import (
+    _BITS,
     CANONICAL_MAX_VERTICES,
     CanonicalForm,
     Digraph,
@@ -51,7 +52,6 @@ from .digraph import (
     default_names,
     identity_levels,
     induced_subdigraph,
-    iter_bits,
 )
 from .errors import TooLarge
 from .orientation import ORIENT_MAX_PAIRS
@@ -251,7 +251,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
                 continue
             inn = [0] * n
             for u, mask in enumerate(out):
-                for v in iter_bits(mask):
+                for v in _BITS[mask]:
                     inn[v] |= 1 << u
             comps = _component_masks([o | i for o, i in zip(out, inn)], everyone)
             marked = set()
@@ -262,7 +262,7 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
                 if 2 * zeros < n:
                     continue
                 # pi_chi: chi's zeros, then its ones, each in increasing order
-                moved = _reorder(out, [*iter_bits(everyone & ~chi), *iter_bits(chi)])
+                moved = _reorder(out, [*_BITS[everyone & ~chi], *_BITS[chi]])
                 if (zeros, *moved) in marked:
                     continue  # an earlier flip marked the same images
                 marked.add((zeros, *moved))
@@ -272,8 +272,8 @@ def classify_all_qbmgs(n: int) -> ClassificationResult:
             position = _inverse(order)
             recolored = [0] * n
             for comp in comps:
-                flip = colors[min(iter_bits(comp), key=position.__getitem__)]
-                for v in iter_bits(comp):
+                flip = colors[min(_BITS[comp], key=position.__getitem__)]
+                for v in _BITS[comp]:
                     recolored[position[v]] = colors[v] ^ flip
             rep = _trusted_digraph(n, tuple(recolored), names, _reorder(out, order), _reorder(inn, order))
             code = _pack_levels(n, levels)

@@ -16,6 +16,9 @@ from helpers import (
     naive_violates_n2,
     naive_violates_n3,
     pruned_mask_sweep,
+    random_nested,
+    random_surjective_coloring,
+    random_truncation,
     spine_tree_graph,
 )
 from qbmg.axioms import (
@@ -40,6 +43,7 @@ from qbmg.fixtures import (
     P5_CLASSES,
 )
 from qbmg.paths import find_induced_path
+from qbmg.trees import qbmg_from_tree, tree_from_nested
 
 
 def test_n1_none_on_p5a():
@@ -239,6 +243,28 @@ def test_mask_kernel_matches_recognize_beyond_the_sweeps():
     verdicts = [is_qbmg_masks(g.n, g.out_masks, g.in_masks) for g in graphs]
     assert verdicts == [recognize(g).is_qbmg for g in graphs]
     assert verdicts == [False, True, True, False]
+
+
+def test_mask_kernel_matches_the_oracles_across_the_bit_table_boundary():
+    # up to 8 vertices the kernel reads its rows' bits from a table, from 9
+    # on it walks them: seeded random digraphs with 7-10 vertices, and
+    # recognized ones from random trees, each also with its middle arc
+    # reversed
+    rng = random.Random(38)
+    graphs = []
+    for n in (7, 8, 9, 10):
+        graphs += [_random_bipartite_digraph(rng, n) for _ in range(100)]
+        for _ in range(40):
+            tree = tree_from_nested(random_nested(rng, [f"x{i}" for i in range(n)]))
+            sigma = random_surjective_coloring(rng, tree.leaves)
+            g = qbmg_from_tree(tree, sigma, random_truncation(rng, tree, sigma))
+            graphs += [g, _flip_middle_arc(g)]
+    verdicts = [is_qbmg_masks(g.n, g.out_masks, g.in_masks) for g in graphs]
+    assert verdicts == [naive_is_qbmg(g) for g in graphs]
+    assert verdicts == [recognize(g).is_qbmg for g in graphs]
+    # both verdicts on n = 8 graphs with arcs at vertex 7, the table's last bit
+    at_7 = Counter(v for g, v in zip(graphs, verdicts) if g.n == 8 and g.out_masks[7] | g.in_masks[7])
+    assert at_7[True] >= 20 and at_7[False] >= 20
 
 
 def test_mask_kernel_verdicts_are_pinned(sweep):

@@ -19,6 +19,9 @@ from helpers import (
     twin_blow_up,
 )
 from qbmg.digraph import (
+    _BITS,
+    _BITS_WIDTH,
+    _WIDE_BITS,
     Digraph,
     UGraph,
     _component_masks,
@@ -191,6 +194,21 @@ def test_component_masks_match_brute_force_partition():
             # a path through vertices outside the mask joins no components
             bridged += sum(1 for c in whole if sum(1 for d in comps if d & c) > 1)
     assert bridged  # the inputs do hold such paths
+
+
+def test_bit_table_lists_the_bits_of_every_mask_below_its_width():
+    assert len(_BITS) == 1 << _BITS_WIDTH
+    assert all(_BITS[m] == tuple(iter_bits(m)) for m in range(1 << _BITS_WIDTH))
+
+
+def test_wide_bits_list_the_bits_of_any_mask():
+    # empty, one-bit and random masks of up to 2,000 bits, sparse and dense
+    rng = random.Random(38)
+    masks = [0, 1, 1 << 8, 1 << 1999, (1 << 300) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 2000)) for _ in range(200)]
+    masks += [sum(1 << rng.randrange(2000) for _ in range(3)) for _ in range(200)]
+    for m in masks:
+        assert list(_WIDE_BITS[m]) == list(iter_bits(m))
 
 
 def test_canonical_form_p5b_plus_edge_is_p5b1():

@@ -15,6 +15,7 @@ from qbmg.axioms import is_qbmg_masks, recognize
 from qbmg.cli import main
 from qbmg.dgf import format_dgf
 from qbmg.digraph import (
+    _BITS_WIDTH,
     build_ugraph,
     canonical_form,
     canonical_order,
@@ -80,6 +81,12 @@ def test_all_bipartite_digraphs_too_large():
         next(all_bipartite_digraphs(7))
     with pytest.raises(TooLarge):
         classify_all_qbmgs(7)
+
+
+def test_enumeration_cap_fits_the_bit_table():
+    # classify_all_qbmgs reads the bits of its vertex masks from the table,
+    # so a cap raised past its width must widen it first
+    assert qbmg.enumeration.ENUM_MAX_VERTICES <= _BITS_WIDTH
 
 
 def test_run_mask_sweep_leaves_no_garbage():
